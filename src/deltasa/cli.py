@@ -378,7 +378,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
             samples = [[k, m] for k, m in sol.block_log_masses]
         else:
             pure = int(sol.meta.get("head_pure_until", 0))
-            head = sol.head_values()
+            head = sol.head
             top = min(pure, len(head)) - 1
             for n in _log_sample(max(lo, 2), max(top, 3), min(args.points, max(top - 1, 1))):
                 n = int(n)

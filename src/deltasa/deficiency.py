@@ -10,9 +10,10 @@ the oracle, whose conclusions are always labeled advisory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Union
+from itertools import repeat
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .criteria import (
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence
-from .numerics import TriState, block_index
+from .numerics import TriState
 
 __all__ = [
     "RecurrenceSolution",
@@ -47,6 +48,7 @@ __all__ = [
 _SCALE_BITS = 100  # rescale when |h| leaves [2^-100, 2^100]
 _SCALE_UP = 2.0**_SCALE_BITS
 _SCALE_DOWN = 2.0**-_SCALE_BITS
+_CHUNK = 2048  # rows per block of operator entries, marched as Python lists
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class RecurrenceSolution:
     scale_events: int
     residual_max: float
     meta: dict = field(default_factory=dict)
-
-    def head_values(self) -> np.ndarray:
-        return self.head
 
     def to_json(self) -> dict:
         lam = self.lam
@@ -107,22 +106,31 @@ def solve_recurrence(
     head entries are stored in whatever scale frame was current when
     they streamed past; meta["head_pure_until"] marks the last index
     before the first rescale, up to which head carries true values.
+
+    The operator entries are evaluated in numpy blocks of _CHUNK rows
+    (elementwise, so the block size does not change a bit) and the
+    rows are marched on Python scalars, with the operations and operand
+    order of numpy scalar arithmetic, so every float is the one numpy
+    scalars give.
+    For nonreal lambda the division by off(n) is written out in the
+    form numpy uses for complex / real (Smith's: multiply by 1/off(n)
+    with a signed-zero ratio); Python's own complex division differs
+    from it in the last bit.
     """
     if N < 8:
         raise ValueError("solve_recurrence needs N >= 8")
+    if residual_stride < 0:
+        raise ValueError("residual_stride must be >= 0")
     complex_lam = isinstance(lam, complex) and lam.imag != 0.0
     lam_c = complex(lam) if complex_lam else float(lam)
     dtype = np.complex128 if complex_lam else np.float64
     keep = min(keep, N)
 
-    head = np.empty(keep, dtype=dtype)
     h_prev = 1.0 + 0.0j if complex_lam else 1.0
-    head[0] = h_prev
     diag1 = op.diag(1)
     off1 = op.off(1)
     h_cur = -(diag1 - lam_c) * h_prev / off1
-    if keep > 1:
-        head[1] = h_cur
+    head = [h_prev, h_cur][:keep]
 
     sigma = 0.0  # true h = stored h * exp(sigma)
     scale_events = 0
@@ -133,39 +141,66 @@ def solve_recurrence(
     block_logs: list[tuple[int, float]] = []
     acc = abs(h_prev) ** 2  # running block mass, current scale frame
     cur_block = 0  # block [1, 2) holds n = 1
+    next_edge = 2  # first index of block cur_block + 1
+    next_check = max(residual_stride, 2) if residual_stride else N  # next spot-checked row
+    a_cur = abs(h_cur)
 
-    chunk = 1 << 14
     n = 1  # h_cur is h at index n+1
     while n < N - 1:
-        hi = min(n + chunk, N - 1)
+        hi = min(n + _CHUNK, N - 1)
         diags = op.diag_block(n + 1, hi + 1)
         offs_prev = op.off_block(n, hi)
         offs_cur = op.off_block(n + 1, hi + 1)
-        for j in range(hi - n):
-            m = n + 1 + j  # index of h_cur
-            b = block_index(m)
-            if b != cur_block:
+        coefs = (lam_c - diags).tolist()
+        if complex_lam:
+            # complex(off, 0) products, then Smith's division by off
+            prevs = offs_prev.astype(np.complex128).tolist()
+            divs = (1.0 / offs_cur).tolist()
+            rats = (0.0 / offs_cur).tolist()
+        else:
+            prevs = offs_prev.tolist()
+            divs = offs_cur.tolist()
+            rats = repeat(0.0)
+        m = n  # index of h_cur, less one
+        for c, o, s, r in zip(coefs, prevs, divs, rats):
+            m += 1
+            if m == next_edge:
                 block_logs.append((cur_block, math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf))
                 acc = 0.0
-                cur_block = b
-            a = abs(h_cur)
-            acc += a * a
-            h_next = ((lam_c - diags[j]) * h_cur - offs_prev[j] * h_prev) / offs_cur[j]
-            if residual_stride and m % residual_stride == 0 and m - last_rescale > 1:
-                row = offs_prev[j] * h_prev + (diags[j] - lam_c) * h_cur + offs_cur[j] * h_next
-                scale = abs(offs_prev[j] * h_prev) + abs((diags[j] - lam_c) * h_cur) + abs(
-                    offs_cur[j] * h_next
-                )
-                if scale > 0.0:
-                    residual_max = max(residual_max, abs(row) / scale)
-            h_prev, h_cur = h_cur, h_next
-            if m + 1 < keep + 1:
-                head[m] = h_cur  # h at index m+1 lands at position m (0-based)
-            peak = max(abs(h_cur), abs(h_prev))
+                cur_block += 1
+                next_edge <<= 1
+            acc += a_cur * a_cur
+            h_next = c * h_cur - o * h_prev
+            if complex_lam:
+                re = h_next.real
+                im = h_next.imag
+                h_next = complex((re + im * r) * s, (im - re * r) * s)
+            else:
+                h_next = h_next / s
+            if m == next_check:
+                next_check += residual_stride
+                if m - last_rescale > 1:
+                    j = m - n - 1
+                    row = offs_prev[j] * h_prev + (diags[j] - lam_c) * h_cur + offs_cur[j] * h_next
+                    scale = abs(offs_prev[j] * h_prev) + abs((diags[j] - lam_c) * h_cur) + abs(
+                        offs_cur[j] * h_next
+                    )
+                    if scale > 0.0:
+                        residual_max = max(residual_max, abs(row) / scale)
+            h_prev = h_cur
+            h_cur = h_next
+            if m < keep:
+                head.append(h_cur)  # h at index m+1 lands at position m (0-based)
+            a_prev = a_cur
+            a_cur = abs(h_cur)
+            peak = a_prev if a_prev > a_cur else a_cur
             if peak > _SCALE_UP or (0.0 < peak < _SCALE_DOWN):
                 shift = math.ldexp(1.0, -int(math.frexp(peak)[1]))
-                h_prev *= shift
-                h_cur *= shift
+                # numpy scales a complex h by the full product with complex(shift, 0)
+                factor = complex(shift, 0.0) if complex_lam else shift
+                h_prev *= factor
+                h_cur *= factor
+                a_cur = abs(h_cur)
                 acc *= shift * shift
                 sigma -= math.log(shift)
                 scale_events += 1
@@ -173,27 +208,51 @@ def solve_recurrence(
                 first_rescale = min(first_rescale, m)
         n = hi
     # h_cur is h_N; close its block, keeping it only if complete
-    b = block_index(N)
-    if b != cur_block:
+    if N == next_edge:
         block_logs.append((cur_block, math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf))
     else:
         acc += abs(h_cur) ** 2
-        if N == (1 << (cur_block + 1)) - 1:
+        if N == next_edge - 1:
             block_logs.append((cur_block, math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf))
-    head_n = min(keep, N)
     return RecurrenceSolution(
         lam=lam_c if complex_lam else complex(lam_c, 0.0),
         horizon=N,
-        head=head[:head_n],
+        head=np.array(head, dtype=dtype),
         block_log_masses=tuple(block_logs),
         scale_events=scale_events,
         residual_max=residual_max,
         meta={
-            "keep": head_n,
+            "keep": keep,
             "residual_stride": residual_stride,
-            "head_pure_until": min(first_rescale, head_n),
+            "head_pure_until": min(first_rescale, keep),
         },
     )
+
+
+def solve_probes(
+    op: JacobiOperator, lams: Sequence[Union[float, complex]], N: int
+) -> list[RecurrenceSolution]:
+    """solve_recurrence at each probe point, marching each conjugate pair once.
+
+    B is real, so the solution at conj(lambda) is the conjugate of the
+    solution at lambda.  Every magnitude of the two marches agrees bit
+    for bit (IEEE rounding is symmetric in sign), so block masses,
+    rescale events, residuals and meta are taken from the twin.  Only
+    the head is marched again at lambda (keep rows, about 4% of a 10^5
+    horizon): conjugation can leave +0.0 where the direct march
+    produces -0.0.  The conj(lambda) result is therefore derived, not
+    an independent witness.
+    """
+    sols: list[RecurrenceSolution] = []
+    for lam in lams:
+        z = complex(lam)
+        twin = next((s for s in sols if z.imag != 0.0 and s.lam == z.conjugate()), None)
+        if twin is None:
+            sols.append(solve_recurrence(op, lam, N))
+        else:
+            front = solve_recurrence(op, lam, len(twin.head))
+            sols.append(replace(twin, lam=front.lam, head=front.head, meta=dict(twin.meta)))
+    return sols
 
 
 @dataclass(frozen=True)
@@ -358,10 +417,16 @@ class CriterionVerdict:
 def _oracle_advisory(
     op: JacobiOperator, cfg: VerdictConfig, diagnostics: dict, flags: list
 ) -> CriterionVerdict:
-    """Numerical fallback: solve at each nonreal probe point and compare."""
+    """Numerical fallback: solve at each nonreal probe point and compare.
+
+    The probe points are marched through solve_probes, so the default
+    pair lambda = +-i costs one march to the horizon plus a head march:
+    the lambda = -i block masses are the lambda = +i masses, by the
+    reality of B.
+    """
     classes = []
-    for lam in cfg.lambda_probes:
-        sol = solve_recurrence(op, lam, cfg.oracle_horizon)
+    sols = solve_probes(op, cfg.lambda_probes, cfg.oracle_horizon)
+    for lam, sol in zip(cfg.lambda_probes, sols):
         probe = l2_probe(sol, margin=cfg.l2_margin)
         classes.append(probe.classification)
         key = f"oracle_lambda_{lam.imag:+g}i" if lam.imag else f"oracle_lambda_{lam.real:g}"

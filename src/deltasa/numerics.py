@@ -30,7 +30,6 @@ __all__ = [
     "sqrt_series_coeffs",
     "sqrt1p_minus_1",
     "sqrt1p_tail",
-    "block_index",
     "DRIFT_TOL",
 ]
 
@@ -249,9 +248,3 @@ def sqrt1p_tail(x: np.ndarray, k: int, series_cut: float = 0.25, terms: int = 64
         out[~small] = np.sqrt(1.0 + xl) - head
     return out
 
-
-def block_index(n: int) -> int:
-    """Dyadic block number: n lives in [2^k, 2^{k+1}) for k = block_index(n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return n.bit_length() - 1

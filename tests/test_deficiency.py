@@ -55,7 +55,7 @@ class TestSolveRecurrence:
         op = JacobiOperator(g, ScaledInverseGapsAlpha(g, -0.5))
         sol = solve_recurrence(op, 1j, 64)
         want = mp_solution(op, 1j, 64)
-        got = sol.head_values()
+        got = sol.head
         assert len(got) >= 64
         for n in range(64):
             assert got[n] == pytest.approx(want[n], rel=1e-10)
@@ -63,7 +63,7 @@ class TestSolveRecurrence:
     def test_second_entry_convention(self):
         op = harmonic_operator(-0.5)
         sol = solve_recurrence(op, 1j, 16)
-        h = sol.head_values()
+        h = sol.head
         assert h[0] == 1.0
         assert h[1] == pytest.approx(-(op.diag(1) - 1j) / op.off(1), rel=1e-14)
 
