@@ -121,7 +121,9 @@ def solve_recurrence(
         raise ValueError("solve_recurrence needs N >= 8")
     if residual_stride < 0:
         raise ValueError("residual_stride must be >= 0")
-    complex_lam = isinstance(lam, complex) and lam.imag != 0.0
+    if isinstance(lam, complex) and lam.imag == 0.0:
+        lam = lam.real  # a lambda on the real axis is marched as a real one
+    complex_lam = isinstance(lam, complex)
     lam_c = complex(lam) if complex_lam else float(lam)
     dtype = np.complex128 if complex_lam else np.float64
     keep = min(keep, N)

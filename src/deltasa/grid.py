@@ -78,6 +78,7 @@ class GridSequence:
         return math.log(self.gap(n))
 
     def log_gaps(self, lo: int, hi: int) -> np.ndarray:
+        """Vector of log d_n for lo <= n < hi: a new array the caller may modify."""
         return np.log(self.gaps(lo, hi))
 
     def gap_log_ratio(self, n: int, k: int) -> Optional[float]:
@@ -175,7 +176,12 @@ class PowerLogGrid(GridSequence):
         if lo == 1:
             ns[0] = 2.0  # placeholder, overwritten below
         t = np.log(ns)
-        out = -self.gamma * t - self.eta * np.log(t)
+        if self.eta == 0.0 and self.gamma != 0.0:
+            # x - (+-0.0) == x for every nonzero x; at gamma = 0 the full
+            # expression keeps its +0.0 at n = 2
+            out = -self.gamma * t
+        else:
+            out = -self.gamma * t - self.eta * np.log(t)
         if lo == 1:
             out[0] = math.log(self.d1)
         return out

@@ -20,7 +20,6 @@ short grids), so it is stored in log-magnitude/sign form throughout.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,8 +59,9 @@ class PeriodPair:
         return self.odd if n % 2 == 1 else self.even
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        ns = np.arange(lo, hi)
-        return np.where(ns % 2 == 1, self.odd, self.even)
+        out = np.empty(max(hi - lo, 0))
+        out[0::2], out[1::2] = (self.odd, self.even) if lo % 2 == 1 else (self.even, self.odd)
+        return out
 
     @property
     def product(self) -> float:
@@ -78,9 +78,11 @@ class TildeSequence:
     S_n = sum_{k=2}^n (-1)^k log d_k, and sign(rtilde_n) = (-1)^(n-1).
     S is accumulated in chunks whose boundary values are fsum-corrected,
     so a block read anchors an ordinary cumsum at an accurate base and
-    the float drift stays below ~1e-10 over million-term spans.
-
-    Thread-safe; chunk bases are extended lazily under a lock.
+    the float drift stays below ~1e-10 over million-term spans.  A block
+    read takes the bases of the chunks it covers from its own terms;
+    chunks are evaluated on their own only for random access, for reads
+    that start past the known bases, and for the chunk that straddles a
+    block's first row.
     """
 
     CHUNK = _CHUNK
@@ -88,22 +90,28 @@ class TildeSequence:
     def __init__(self, grid: GridSequence) -> None:
         self.grid = grid
         self._bases: list[float] = [0.0]  # _bases[j] = S at n = 1 + j*CHUNK
-        self._lock = threading.Lock()
 
     @staticmethod
-    def _signs(lo: int, hi: int) -> np.ndarray:
-        ks = np.arange(lo, hi)
-        return np.where(ks % 2 == 0, 1.0, -1.0)
+    def _alternate(a: np.ndarray, lo: int) -> np.ndarray:
+        """Multiply a[i], the value at row lo + i, by (-1)^(lo + i) in place."""
+        a[(lo + 1) % 2 :: 2] *= -1.0
+        return a
+
+    def _terms(self, lo: int, hi: int) -> np.ndarray:
+        """(-1)^k log d_k for lo <= k < hi."""
+        return self._alternate(self.grid.log_gaps(lo, hi), lo)
+
+    def _extend(self, first: int, terms: np.ndarray) -> None:
+        """Append the chunk bases completed by terms, the terms of rows first, first + 1, ..."""
+        start = 2 + (len(self._bases) - 1) * self.CHUNK - first  # the next missing chunk
+        while 0 <= start <= terms.size - self.CHUNK:
+            self._bases.append(self._bases[-1] + math.fsum(terms[start : start + self.CHUNK].tolist()))
+            start += self.CHUNK
 
     def _ensure(self, j: int) -> None:
-        with self._lock:
-            while len(self._bases) <= j:
-                jj = len(self._bases) - 1
-                n0 = 1 + jj * self.CHUNK
-                terms = self._signs(n0 + 1, n0 + self.CHUNK + 1) * self.grid.log_gaps(
-                    n0 + 1, n0 + self.CHUNK + 1
-                )
-                self._bases.append(self._bases[jj] + math.fsum(terms.tolist()))
+        while len(self._bases) <= j:
+            n0 = 1 + (len(self._bases) - 1) * self.CHUNK
+            self._extend(n0 + 1, self._terms(n0 + 1, n0 + self.CHUNK + 1))
 
     def _S(self, n: int) -> float:
         if n < 1:
@@ -113,8 +121,7 @@ class TildeSequence:
         n0 = 1 + j * self.CHUNK
         if n == n0:
             return self._bases[j]
-        terms = self._signs(n0 + 1, n + 1) * self.grid.log_gaps(n0 + 1, n + 1)
-        return self._bases[j] + math.fsum(terms.tolist())
+        return self._bases[j] + math.fsum(self._terms(n0 + 1, n + 1).tolist())
 
     def log_abs(self, n: int) -> float:
         s = self._S(n)
@@ -135,16 +142,18 @@ class TildeSequence:
         if hi == lo:
             return np.empty(0)
         base = self._S(lo)
-        if hi == lo + 1:
-            s = np.array([base])
-        else:
-            terms = self._signs(lo + 1, hi) * self.grid.log_gaps(lo + 1, hi)
-            s = np.concatenate(([base], base + np.cumsum(terms)))
-        signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
-        return signs * s
+        # terms through row hi, one past the block, so that a chunk ending
+        # at hi is complete; row hi is read only where the grid has it
+        last = hi if self.grid.max_index is None or hi <= self.grid.max_index else hi - 1
+        n0 = 1 + (len(self._bases) - 1) * self.CHUNK  # the next missing base is S at n0 + CHUNK
+        if n0 < lo and n0 + self.CHUNK <= last:
+            self._ensure(len(self._bases))  # its chunk starts before the block's terms
+        terms = self._terms(lo + 1, last + 1)
+        self._extend(lo + 1, terms)
+        s = np.concatenate(([base], base + np.cumsum(terms[: hi - lo - 1])))
+        return self._alternate(s, lo)
 
-    def sign_block(self, lo: int, hi: int) -> np.ndarray:
-        return np.where(np.arange(lo, hi) % 2 == 1, 1.0, -1.0)
+    sign_block = staticmethod(PeriodPair(odd=1.0, even=-1.0).block)
 
 
 class AlphaSequence:

@@ -5,6 +5,7 @@ The solver is validated against a 40-digit mpmath run of the same
 three-term recurrence.
 """
 
+import json
 import math
 
 import mpmath
@@ -86,6 +87,11 @@ class TestSolveRecurrence:
         sol = solve_recurrence(op, 0.0, 512)
         assert sol.lam == 0.0 + 0.0j
         assert sol.residual_max < 1e-10
+
+    def test_complex_lambda_on_real_axis_is_real(self):
+        op = harmonic_operator(-0.5)
+        got = json.dumps(solve_recurrence(op, 0j, 64).to_json())
+        assert got == json.dumps(solve_recurrence(op, 0.0, 64).to_json())
 
     def test_short_run_rejected(self):
         op = harmonic_operator(-0.5)

@@ -31,6 +31,7 @@ REPLAYED = {
     ),
     "analyze-certified": (
         "critical-interior-0",
+        "critical-perturbed-0",  # conditions A and B under a PowerSumAlpha perturbation
         "critical-outside-0",
         "carleman-0",
     ),

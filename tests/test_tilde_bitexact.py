@@ -1,0 +1,225 @@
+"""The tilde pass is bit-exact against its earlier form.
+
+TildeSequence takes the chunk bases of its fsum ladder from the terms a
+block read has already computed and flips the signs of odd rows in
+place, PeriodPair.block builds parity sequences by strided assignment,
+and PowerLogGrid.log_gaps skips the ln ln n term at eta = 0.  The
+references below are the earlier implementations (a separate pass per
+chunk base, sign vectors from np.where on index parities, the full log
+expression), kept here verbatim except for the unused lock; every array
+must agree with them byte for byte, over the block patterns the verdict
+probes use.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from deltasa import ConstantGrid, CustomGrid, ExplicitGrid, PeriodPair, PowerLogGrid, TildeSequence
+from deltasa.grid import GridError, GridSequence
+
+H = 10**5
+BLOCK = 1 << 15  # the series probes' block length
+
+
+def reference_period_block(pair, lo, hi):
+    ns = np.arange(lo, hi)
+    return np.where(ns % 2 == 1, pair.odd, pair.even)
+
+
+def reference_log_gaps(grid, lo, hi):
+    if not isinstance(grid, PowerLogGrid):
+        return grid.log_gaps(lo, hi)
+    grid._check_range(lo, hi)
+    ns = np.arange(lo, hi, dtype=float)
+    if lo == 1:
+        ns[0] = 2.0
+    t = np.log(ns)
+    out = -grid.gamma * t - grid.eta * np.log(t)
+    if lo == 1:
+        out[0] = math.log(grid.d1)
+    return out
+
+
+class ReferenceTilde:
+    CHUNK = 4096
+
+    def __init__(self, grid):
+        self.grid = grid
+        self._bases = [0.0]
+
+    @staticmethod
+    def _signs(lo, hi):
+        ks = np.arange(lo, hi)
+        return np.where(ks % 2 == 0, 1.0, -1.0)
+
+    def _ensure(self, j):
+        while len(self._bases) <= j:
+            jj = len(self._bases) - 1
+            n0 = 1 + jj * self.CHUNK
+            terms = self._signs(n0 + 1, n0 + self.CHUNK + 1) * reference_log_gaps(
+                self.grid, n0 + 1, n0 + self.CHUNK + 1
+            )
+            self._bases.append(self._bases[jj] + math.fsum(terms.tolist()))
+
+    def _S(self, n):
+        j = (n - 1) // self.CHUNK
+        self._ensure(j)
+        n0 = 1 + j * self.CHUNK
+        if n == n0:
+            return self._bases[j]
+        terms = self._signs(n0 + 1, n + 1) * reference_log_gaps(self.grid, n0 + 1, n + 1)
+        return self._bases[j] + math.fsum(terms.tolist())
+
+    def log_abs(self, n):
+        s = self._S(n)
+        return s if n % 2 == 0 else -s
+
+    def log_abs_block(self, lo, hi):
+        if hi == lo:
+            return np.empty(0)
+        base = self._S(lo)
+        if hi == lo + 1:
+            s = np.array([base])
+        else:
+            terms = self._signs(lo + 1, hi) * reference_log_gaps(self.grid, lo + 1, hi)
+            s = np.concatenate(([base], base + np.cumsum(terms)))
+        signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
+        return signs * s
+
+    def sign_block(self, lo, hi):
+        return np.where(np.arange(lo, hi) % 2 == 1, 1.0, -1.0)
+
+
+def condition_a_reads(horizons):
+    """Blocks of the series probes: BLOCK rows, restarting after each horizon."""
+    prev = 1
+    for h in horizons:
+        for a in range(prev, h + 1, BLOCK):
+            yield ("block", a, min(a + BLOCK, h + 1))
+        prev = h + 1
+
+
+def condition_b_reads(h):
+    """Parity points, then unaligned blocks from h // 4 through h."""
+    for n in (h // 2 - 1, h // 2, h - 1, h):
+        yield ("point", n)
+    for a in range(h // 4, h + 1, BLOCK):
+        yield ("block", a, min(a + BLOCK, h + 1))
+
+
+def random_reads(h):
+    for n in (1, 2, 4097, 12345, 4096 * 9 + 1, h // 3, h - 7):
+        yield ("point", n)
+
+
+def replay(tilde, reads):
+    out = []
+    for read in reads:
+        if read[0] == "point":
+            out.append(np.float64(tilde.log_abs(read[1])).tobytes())
+        else:
+            out.append(tilde.log_abs_block(read[1], read[2]).tobytes())
+    return out
+
+
+def assert_same(grid, reads):
+    reads = list(reads)
+    got, want = TildeSequence(grid), ReferenceTilde(grid)
+    assert replay(got, reads) == replay(want, reads)
+    # block reads build bases ahead of the reference's lazy ladder
+    want._ensure(len(got._bases) - 1)
+    assert np.array(got._bases).tobytes() == np.array(want._bases).tobytes()
+
+
+GRIDS = {
+    "power-eta0": PowerLogGrid(0.8, 0.0, d1=1.3),
+    "power-eta0.3": PowerLogGrid(0.9, 0.3, d1=0.7),
+    "power-flat": PowerLogGrid(0.0, 0.0, d1=2.0),  # log d_2 is +0.0, later rows -0.0
+    "constant": ConstantGrid(0.7),
+    "explicit-cycle": ExplicitGrid((0.5, 1.25, 0.8, 2.0, 0.3, 1.1, 0.9)),
+}
+
+SCANS = {
+    "condition-A": lambda h: condition_a_reads((10**4, h // 2, h)),
+    "A-then-B": lambda h: [*condition_a_reads((10**4, h // 2, h)), *condition_b_reads(h)],
+    "points-around-scan": lambda h: [
+        *random_reads(h),
+        *condition_a_reads((10**4, h)),
+        *random_reads(h),
+    ],
+    "B-on-fresh-sequence": lambda h: condition_b_reads(h),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS))
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_tilde_scans_match_reference(name, scan):
+    assert_same(GRIDS[name], SCANS[scan](H))
+
+
+def test_explicit_error_tail_block_ends_at_max_index():
+    rng = np.random.default_rng(5)
+    m = 3 * 4096 + 17
+    grid = ExplicitGrid(tuple(rng.uniform(0.2, 2.0, m).tolist()), tail="error")
+    assert_same(grid, [*condition_a_reads((4096, 2 * 4096, m)), ("point", m)])
+    # the block ending at max_index reads no row beyond it
+    assert_same(grid, [("block", m - 10, m + 1)])
+    with pytest.raises(GridError):
+        TildeSequence(grid).log_abs_block(m - 10, m + 2)
+
+
+def test_custom_grid():
+    grid = CustomGrid(lambda n: (1.0 + 0.3 * (-1) ** n) * n**-0.9)
+    h = 3 * 10**4
+    assert_same(grid, [*condition_a_reads((10**4, h)), *condition_b_reads(h)])
+
+
+class CountingGrid(GridSequence):
+    """Delegates log_gaps and counts the rows it evaluates."""
+
+    def __init__(self, grid):
+        self.grid, self.rows = grid, 0
+
+    def log_gaps(self, lo, hi):
+        self.rows += hi - lo
+        return self.grid.log_gaps(lo, hi)
+
+
+@pytest.mark.parametrize("horizons,extra", [((H,), 0), ((10**4, H), 8 * 4096)])
+def test_block_scan_evaluates_each_row_about_once(horizons, extra):
+    grid = CountingGrid(GRIDS["power-eta0"])
+    t = TildeSequence(grid)
+    replay(t, condition_a_reads(horizons))
+    # rows 2 .. H + 1; a block that starts inside a chunk also reads
+    # that chunk's head and the whole chunk once more
+    assert H <= grid.rows <= H + extra
+    assert len(t._bases) == H // 4096 + 1
+
+
+def test_short_blocks():
+    grid = GRIDS["power-eta0.3"]
+    reads = [("block", lo, lo + w) for lo in (1, 2, 4096, 4097, 4098, 9000) for w in (0, 1, 2, 4096)]
+    assert_same(grid, reads)
+    t, ref = TildeSequence(grid), ReferenceTilde(grid)
+    for lo, hi in ((1, 1), (2, 3), (7, 20), (8, 20)):
+        assert t.sign_block(lo, hi).tobytes() == ref.sign_block(lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 1), (2, 2), (5, 4), (1, 2), (2, 3), (1, 9), (2, 9), (3, 10), (4, 10)])
+def test_period_block_matches_reference(lo, hi):
+    pair = PeriodPair(odd=math.pi, even=-0.0)
+    got, want = pair.block(lo, hi), reference_period_block(pair, lo, hi)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "gamma,eta",
+    [(0.8, 0.0), (1.0, -0.0), (-0.5, 0.0), (0.9, 0.3), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.5)],
+)
+@pytest.mark.parametrize("lo", [1, 2, 3])
+def test_power_log_gaps_match_reference(gamma, eta, lo):
+    grid = PowerLogGrid(gamma, eta)
+    assert grid.log_gaps(lo, lo + 5000).tobytes() == reference_log_gaps(grid, lo, lo + 5000).tobytes()
