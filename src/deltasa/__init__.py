@@ -11,9 +11,6 @@ clearly labelled advisory fallback when no test certifies.
 from .criteria import (
     BoundProbe,
     ConditionB,
-    D4Result,
-    DConditions,
-    Eq10Result,
     F,
     F_block,
     F_expansion,
@@ -23,11 +20,8 @@ from .criteria import (
     G_nlog,
     SeriesProbe,
     SeriesVerdict,
-    check_asymptotic_eq10,
     check_condition_A,
     check_condition_B,
-    check_d4,
-    check_d_conditions,
     f_over_d_probe,
     select_G,
     test_bound_II,
@@ -76,7 +70,7 @@ from .jacobi import (
     scaled_operator,
     tilde_r,
 )
-from .numerics import TriState, Trend
+from .numerics import TriState
 from .verify import BatteryReport, CheckResult, run_battery
 
 __version__ = "1.0.0"
@@ -125,15 +119,9 @@ __all__ = [
     "test_condition_I",
     "test_bound_II",
     "test_bound_III",
-    "check_asymptotic_eq10",
-    "check_d_conditions",
-    "check_d4",
     "check_condition_A",
     "check_condition_B",
     "verify_G_limits",
-    "Eq10Result",
-    "DConditions",
-    "D4Result",
     "GLimits",
     "ConditionB",
     # deficiency
@@ -153,5 +141,4 @@ __all__ = [
     "CheckResult",
     # numerics
     "TriState",
-    "Trend",
 ]

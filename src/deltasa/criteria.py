@@ -1,20 +1,17 @@
-"""Self-adjointness tests and gap-asymptotics checks.
+"""Self-adjointness tests and the curvature of the gap profile.
 
-Four families of machinery live here:
+Three families of machinery live here:
 
 * divergence probes for the weighted coupling series (test_carleman_i,
   test_condition_I) and for the tail series of condition A;
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
   alpha stays below / above an explicit envelope built from the gap
-  profile and a comparison function G;
-* regularity checks on the gap profile itself: the first-order ratio
-  expansion (check_asymptotic_eq10), the smooth-family conditions
-  d0..d3 (check_d_conditions), the higher-order gate d4 (check_d4),
-  and the curvature functional F with its Taylor expansion;
+  profile and a comparison function G, which comes from the curvature
+  functional F and its Taylor expansion (select_G, G_nlog,
+  verify_G_limits);
 * the period-two tail structure: parity limits of rho_n
-  (check_condition_B), the l2 test on r_n*rtilde_n (check_condition_A),
-  and the comparison function selection (select_G, G_nlog,
-  verify_G_limits).
+  (check_condition_B) and the l2 test on r_n*rtilde_n
+  (check_condition_A).
 
 Numerical honesty rule: a series is declared divergent only by exponent
 comparison on recognized families.  Partial sums alone never upgrade a
@@ -45,17 +42,15 @@ from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence
 from .numerics import (
     DRIFT_TOL,
     ChunkedSum,
-    Trend,
     TriState,
     aitken,
-    geometric_ladder,
     richardson_pair,
     signed_drift,
     sqrt1p_minus_1,
     sqrt1p_tail,
     sqrt_series_coeffs,
-    tail_trend,
     tail_windows,
+    window_sups,
 )
 
 __all__ = [
@@ -76,12 +71,6 @@ __all__ = [
     "test_condition_I",
     "test_bound_II",
     "test_bound_III",
-    "Eq10Result",
-    "check_asymptotic_eq10",
-    "DConditions",
-    "check_d_conditions",
-    "D4Result",
-    "check_d4",
     "GLimits",
     "verify_G_limits",
     "check_condition_A",
@@ -90,6 +79,11 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15
+
+# condition B: the Richardson error order for grids without a closed
+# form, and how far the late-window residual sup may exceed the early one
+_B_ERROR_ORDER = 1.0
+_B_GROWTH_ALLOWANCE = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +322,13 @@ def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> FOverDProbe:
     """
     if hi < 64 or lo < 2:
         raise GridError("f_over_d_probe needs lo >= 2 and hi >= 64")
-    (w1a, w1b), (w2a, w2b) = tail_windows(hi)
-    w1a = max(w1a, lo)
-    sup = -math.inf
-    argmax = lo
-    sup1 = -math.inf
-    sup2 = -math.inf
-    for a in range(lo, hi + 1, _CHUNK):
-        b = min(a + _CHUNK, hi + 1)
-        vals = np.abs(F_block(grid, a, b)) / grid.gaps(a, b)
-        m = int(np.argmax(vals))
-        if vals[m] > sup:
-            sup, argmax = float(vals[m]), a + m
-        for (wa, wb), which in (((w1a, w1b), 1), ((w2a, w2b), 2)):
-            la, lb = max(a, wa), min(b, wb)
-            if la < lb:
-                wmax = float(np.max(vals[la - a : lb - a]))
-                if which == 1:
-                    sup1 = max(sup1, wmax)
-                else:
-                    sup2 = max(sup2, wmax)
+    (w1a, w1b), w2 = tail_windows(hi)
+    sup, argmax, (sup1, sup2) = window_sups(
+        lambda a, b: np.abs(F_block(grid, a, b)) / grid.gaps(a, b),
+        lo,
+        hi + 1,
+        ((max(w1a, lo), w1b), w2),
+    )
     drift = signed_drift(sup1, sup2)
     stable = TriState.of(drift < DRIFT_TOL)
     if not (math.isfinite(sup1) and math.isfinite(sup2)):
@@ -577,28 +558,10 @@ def _bound_probe(
 ) -> BoundProbe:
     if N < 4:
         raise ValueError("bound probes need N >= 4")
-    sup = -math.inf
-    arg = 1
-    sup1 = sup2 = -math.inf
-    have_windows = N >= 64
-    if have_windows:
-        (w1a, w1b), (w2a, w2b) = tail_windows(N)
-    for a in range(1, N + 1, _CHUNK):
-        b = min(a + _CHUNK, N + 1)
-        vals = residual_block(a, b)
-        m = int(np.argmax(vals))
-        if vals[m] > sup:
-            sup, arg = float(vals[m]), a + m
-        if have_windows:
-            for lo_w, hi_w, which in ((w1a, w1b, 1), (w2a, w2b, 2)):
-                la, lb = max(a, lo_w), min(b, hi_w)
-                if la < lb:
-                    wmax = float(np.max(vals[la - a : lb - a]))
-                    if which == 1:
-                        sup1 = max(sup1, wmax)
-                    else:
-                        sup2 = max(sup2, wmax)
-    if have_windows and math.isfinite(sup1) and math.isfinite(sup2):
+    windows = tail_windows(N) if N >= 64 else ()
+    sup, arg, sups = window_sups(residual_block, 1, N + 1, windows)
+    sup1, sup2 = sups or (-math.inf, -math.inf)
+    if math.isfinite(sup1) and math.isfinite(sup2):
         drift = signed_drift(sup1, sup2)
         holds = TriState.of(drift < DRIFT_TOL)
     else:
@@ -645,240 +608,6 @@ def test_bound_III(
         return (g - alpha.alphas(a, b)) / d
 
     return _bound_probe("bound-III", grid, alpha, G, N, residual_block)
-
-
-# ---------------------------------------------------------------------------
-# gap-profile regularity
-
-
-def _ratio_minus_1_block(grid: GridSequence, a: int, b: int) -> np.ndarray:
-    """d_{n+1}/d_n - 1 for n in [a, b), cancellation-free when possible."""
-    g1 = grid.gap_log_ratio_block(a, b, 1)
-    if g1 is not None:
-        return np.expm1(g1)
-    d = grid.gaps(a, b + 1)
-    return d[1:] / d[:-1] - 1.0
-
-
-@dataclass(frozen=True)
-class Eq10Result:
-    C_estimate: float
-    residual_bound: float
-    holds: TriState
-    increments: tuple[float, ...]
-    horizon: int
-
-    def to_json(self) -> dict:
-        return {
-            "C_estimate": self.C_estimate,
-            "residual_bound": self.residual_bound,
-            "holds": self.holds.value,
-            "increments": list(self.increments),
-            "horizon": self.horizon,
-        }
-
-
-def check_asymptotic_eq10(grid: GridSequence, N: int = 10**6) -> Eq10Result:
-    """First-order gap-ratio expansion: d_{n+1}/d_n = 1 + C d_n + O(d_n^2).
-
-    The expansion holds for some constant C exactly when the mean of
-    y(n) = (ratio - 1)/d_n over the dyadic window [2^j, 2^{j+1}) moves
-    by O(d(2^j)) per octave.  The check therefore classifies the ladder
-    of scaled window-mean increments |c_{j+1} - c_j| / d(2^j); fitting
-    a single C and measuring residual drift cannot make this call (a
-    fitted C hides the failure inside its own fit window while slow
-    in-window bias flags sound families).
-
-    C_estimate is the tail mean of y over [N/4, N] (finite even for
-    families where the expansion fails), and residual_bound the
-    realized sup of |ratio - 1 - C d_n|/d_n^2 there; the bound is only
-    meaningful when holds is true.
-    """
-    if N < 100:
-        raise ValueError("check_asymptotic_eq10 needs N >= 100")
-
-    def window_mean(a: int, b: int) -> float:
-        acc = ChunkedSum()
-        for lo_c in range(a, b, _CHUNK):
-            hi_c = min(lo_c + _CHUNK, b)
-            acc.add_array(_ratio_minus_1_block(grid, lo_c, hi_c) / grid.gaps(lo_c, hi_c))
-        return acc.total() / (b - a)
-
-    j_top = N.bit_length() - 1  # 2^{j_top} <= N
-    means = {j: window_mean(1 << j, 1 << (j + 1)) for j in range(4, j_top)}
-    rungs = sorted(means)[:-1]
-    incs = [abs(means[j + 1] - means[j]) / grid.gap(1 << j) for j in rungs]
-    report = tail_trend([1 << j for j in rungs], incs)
-    holds = _trend_tristate(report.trend)
-
-    lo_fit = max(16, N // 4)
-    C = window_mean(lo_fit, N + 1)
-    sup_all = -math.inf
-    for a in range(lo_fit, N + 1, _CHUNK):
-        b = min(a + _CHUNK, N + 1)
-        d = grid.gaps(a, b)
-        resid = np.abs(_ratio_minus_1_block(grid, a, b) - C * d) / (d * d)
-        sup_all = max(sup_all, float(np.max(resid)))
-    return Eq10Result(
-        C_estimate=C,
-        residual_bound=sup_all,
-        holds=holds,
-        increments=tuple(incs),
-        horizon=N,
-    )
-
-
-@dataclass(frozen=True)
-class DConditions:
-    d0: TriState
-    d1: TriState
-    d2: TriState
-    d3: TriState
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(
-            s is TriState.TRUE for s in (self.d0, self.d1, self.d2, self.d3)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "d0": self.d0.value,
-            "d1": self.d1.value,
-            "d2": self.d2.value,
-            "d3": self.d3.value,
-            "witnesses": self.witnesses,
-        }
-
-
-def _trend_tristate(trend: Trend) -> TriState:
-    if trend is Trend.BOUNDED:
-        return TriState.TRUE
-    if trend is Trend.GROWING:
-        return TriState.FALSE
-    return TriState.UNKNOWN
-
-
-def check_d_conditions(grid: GridSequence, N: int = 10**6) -> DConditions:
-    """Smooth-family regularity conditions on the gap profile.
-
-    d0: (d_{n+1}/d_n - 1)/d_n bounded, judged by the trailing trend of
-    a geometric ladder (a two-window test misses ln^s-slow growth).
-    d1/d2: the profile derivative (resp. second derivative) keeps its
-    sign and has bounded oscillation ratio over shifted windows
-    [n-1, n+2], sampled on a 13-point grid per n.
-    d3: |d''(n)/(d'(n) d_n)| bounded along the tail.
-    """
-    rungs = geometric_ladder(16, N, 16)
-    d0_vals = [abs(float(_ratio_minus_1_block(grid, n, n + 1)[0])) / grid.gap(n) for n in rungs]
-    d0_report = tail_trend(rungs, d0_vals)
-    witnesses: dict = {"d0_trend": d0_report.to_json()}
-    d0 = _trend_tristate(d0_report.trend)
-
-    derivs = grid.derivatives()
-    if derivs is None:
-        witnesses["derivatives"] = "no derivative data"
-        return DConditions(d0, TriState.UNKNOWN, TriState.UNKNOWN, TriState.UNKNOWN, witnesses)
-
-    lo = max(16, derivs.valid_from + 1)
-    sample = geometric_ladder(lo, max(N - 2, lo + 1), 64)
-    zetas = np.linspace(-1.0, 2.0, 13)
-
-    def oscillation(fn, label: str) -> tuple[TriState, dict]:
-        ratios = []
-        for n in sample:
-            vals = np.array([fn(n + z) for z in zetas])
-            if not np.all(np.isfinite(vals)):
-                return TriState.UNKNOWN, {label: f"non-finite value near n={n}"}
-            if np.any(vals == 0.0) or (np.min(vals) < 0.0 < np.max(vals)):
-                return TriState.FALSE, {label: f"zero or sign change near n={n}"}
-            a = np.abs(vals)
-            ratios.append(float(np.max(a) / np.min(a)))
-        report = tail_trend(sample, ratios)
-        return _trend_tristate(report.trend), {label: report.to_json()}
-
-    d1, w1 = oscillation(derivs.first, "d1_oscillation")
-    witnesses.update(w1)
-    d2, w2 = oscillation(derivs.second, "d2_oscillation")
-    witnesses.update(w2)
-
-    d3_vals = []
-    d3 = None
-    for n in sample:
-        fp = derivs.first(float(n))
-        fpp = derivs.second(float(n))
-        if fp == 0.0:
-            d3 = TriState.UNKNOWN
-            witnesses["d3"] = f"first derivative vanishes at n={n}"
-            break
-        d3_vals.append(abs(fpp / (fp * grid.gap(n))))
-    if d3 is None:
-        report = tail_trend(sample, d3_vals)
-        witnesses["d3_trend"] = report.to_json()
-        d3 = _trend_tristate(report.trend)
-    return DConditions(d0, d1, d2, d3, witnesses)
-
-
-@dataclass(frozen=True)
-class D4Result:
-    k_min: Optional[int]
-    holds: TriState
-    per_k: dict
-    witnesses: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "k_min": self.k_min,
-            "holds": self.holds.value,
-            "per_k": {str(k): v for k, v in self.per_k.items()},
-            "witnesses": self.witnesses,
-        }
-
-
-def check_d4(grid: GridSequence, N: int = 10**6, k_max: int = 8) -> D4Result:
-    """Smallest integer k with |d'(n)/d_n|^k = O(d_n^2).
-
-    Scans k upward and accepts the first k whose ladder statistic
-    |d'(n)/d_n|^k / d_n^2 trends bounded.  Minimality is not needed for
-    the downstream expansion bound (any admissible k works), so a k
-    whose trend is ambiguous is skipped, recorded as unknown.
-    """
-    derivs = grid.derivatives()
-    if derivs is None:
-        return D4Result(None, TriState.UNKNOWN, {}, {"derivatives": "no derivative data"})
-    lo = max(16, derivs.valid_from + 1)
-    rungs = geometric_ladder(lo, max(N, lo + 1), 16)
-    base = []
-    for n in rungs:
-        fp = derivs.first(float(n))
-        if fp == 0.0:
-            return D4Result(
-                None,
-                TriState.UNKNOWN,
-                {},
-                {"derivatives": f"first derivative vanishes at n={n} (condition not applicable)"},
-            )
-        d = grid.gap(n)
-        base.append((math.log(abs(fp)) - math.log(d), math.log(d)))
-    per_k = {}
-    k_min = None
-    for k in range(1, k_max + 1):
-        vals = [math.exp(k * lr - 2.0 * ld) for lr, ld in base]
-        report = tail_trend(rungs, vals)
-        per_k[k] = report.trend.value
-        if report.trend is Trend.BOUNDED:
-            k_min = k
-            break
-    if k_min is not None:
-        return D4Result(k_min, TriState.TRUE, per_k, {"rungs": rungs})
-    all_growing = all(v == Trend.GROWING.value for v in per_k.values())
-    return D4Result(
-        None,
-        TriState.FALSE if all_growing else TriState.UNKNOWN,
-        per_k,
-        {"rungs": rungs},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1032,16 +761,14 @@ class ConditionB:
 def check_condition_B(
     grid: GridSequence,
     horizon: int = 10**6,
-    error_order: Optional[float] = None,
     tilde: Optional[TildeSequence] = None,
     ceiling: float = 10.0,
-    growth_allowance: float = 4.0,
 ) -> ConditionB:
     """Period-two structure of rho_n = (1/d_n + 1/d_{n+1}) rtilde_n^2.
 
     Estimates the parity limits u_odd, u_even by Richardson
     extrapolation along each parity (error order 2*gamma for the
-    power-log family, overridable), then checks the defining remainder
+    power-log family, 1 otherwise), then checks the defining remainder
     bound: |rho_n - u_parity| / (r_n rtilde_n)^2 bounded over the tail.
 
     The remainder statistic is noise-floored: at gamma = 1 the float
@@ -1054,11 +781,10 @@ def check_condition_B(
     if H < 256:
         raise ValueError("check_condition_B needs horizon >= 256")
     t = tilde if tilde is not None else TildeSequence(grid)
-    if error_order is None:
-        if isinstance(grid, PowerLogGrid):
-            error_order = 2.0 * grid.gamma
-        else:
-            error_order = 1.0
+    if isinstance(grid, PowerLogGrid):
+        error_order = 2.0 * grid.gamma
+    else:
+        error_order = _B_ERROR_ORDER
 
     def rho_at(n: int) -> float:
         inv = np.logaddexp(-grid.log_gap(n), -grid.log_gap(n + 1))
@@ -1076,25 +802,25 @@ def check_condition_B(
     u_even, pts_even = parity_estimate(0)
     u = PeriodPair(odd=u_odd, even=u_even)
 
-    (w1a, w1b), (w2a, w2b) = tail_windows(H)
-    sup1 = sup2 = -math.inf
-    for a in range(w1a, H + 1, _CHUNK):
-        b = min(a + _CHUNK, H + 1)
+    held: list = []
+
+    def resid_block(a: int, b: int) -> np.ndarray:
         d = grid.gaps(a, b + 1)
         inv = 1.0 / d[:-1] + 1.0 / d[1:]
         L = t.log_abs_block(a, b)
         upar = u.block(a, b)
+        # keep these alive until the next block has built its own: freed
+        # together at block end, they let glibc trim the heap top, and
+        # later probes and verdicts page-fault it back in
+        held[:] = (d, inv, L, upar)
         # |rho - u|/(r rtilde)^2 computed in the well-scaled frame:
         # |(1/d_n + 1/d_{n+1}) - u e^{-2L}| / (d_n + d_{n+1})
-        resid = np.abs(inv - upar * np.exp(-2.0 * L)) / (d[:-1] + d[1:])
-        for lo_w, hi_w, which in ((w1a, w1b, 1), (w2a, w2b, 2)):
-            la, lb = max(a, lo_w), min(b, hi_w)
-            if la < lb:
-                wmax = float(np.max(resid[la - a : lb - a]))
-                if which == 1:
-                    sup1 = max(sup1, wmax)
-                else:
-                    sup2 = max(sup2, wmax)
+        return np.abs(inv - upar * np.exp(-2.0 * L)) / (d[:-1] + d[1:])
+
+    # the scan starts at H // 4: the bits of log_abs_block depend on
+    # where each block starts
+    windows = tail_windows(H)
+    _, _, (sup1, sup2) = window_sups(resid_block, windows[0][0], H + 1, windows)
     finite = all(
         math.isfinite(x) and x > 0.0 for x in (u_odd, u_even)
     ) and math.isfinite(sup1) and math.isfinite(sup2)
@@ -1102,7 +828,7 @@ def check_condition_B(
         holds = TriState.UNKNOWN
     elif sup2 > ceiling:
         holds = TriState.FALSE
-    elif sup2 <= growth_allowance * max(sup1, 1e-6):
+    elif sup2 <= _B_GROWTH_ALLOWANCE * max(sup1, 1e-6):
         holds = TriState.TRUE
     else:
         holds = TriState.UNKNOWN
@@ -1115,7 +841,7 @@ def check_condition_B(
         witnesses={
             "parity_points": {"odd": pts_odd, "even": pts_even},
             "ceiling": ceiling,
-            "growth_allowance": growth_allowance,
+            "growth_allowance": _B_GROWTH_ALLOWANCE,
             "product": u.product,
         },
     )

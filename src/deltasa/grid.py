@@ -31,7 +31,6 @@ __all__ = [
     "ConstantGrid",
     "ExplicitGrid",
     "CustomGrid",
-    "SmoothFamilyDerivatives",
     "RatioStats",
     "Summability",
     "ratio_stats",
@@ -43,20 +42,6 @@ _CHUNK = 1 << 15
 
 class GridError(ValueError):
     """Raised for invalid gap data: non-positive gaps, bad indices."""
-
-
-@dataclass(frozen=True)
-class SmoothFamilyDerivatives:
-    """Derivative data for grids sampled from a smooth gap profile d(x).
-
-    ``first`` and ``second`` evaluate d'(x) and d''(x); the regularity
-    checks only trust them for x >= valid_from (sign changes below that
-    point are artifacts of the profile, not of the tail behaviour).
-    """
-
-    first: Callable[[float], float]
-    second: Callable[[float], float]
-    valid_from: int = 2
 
 
 class GridSequence:
@@ -110,10 +95,6 @@ class GridSequence:
         for lo in range(1, n + 1, _CHUNK):
             acc.add_array(self.gaps(lo, min(lo + _CHUNK, n + 1)))
         return acc.total()
-
-    def derivatives(self) -> Optional[SmoothFamilyDerivatives]:
-        """Smooth-profile derivative data, when the family has one."""
-        return None
 
     def _in_ell1(self) -> TriState:
         return TriState.UNKNOWN
@@ -201,35 +182,6 @@ class PowerLogGrid(GridSequence):
         w = np.log1p(t / np.log(ns))
         return -self.gamma * t - self.eta * w
 
-    def derivatives(self) -> SmoothFamilyDerivatives:
-        g, e = self.gamma, self.eta
-
-        def first(x: float) -> float:
-            t = math.log(x)
-            return -(g * t + e) * x ** (-g - 1.0) * t ** (-e - 1.0)
-
-        def second(x: float) -> float:
-            t = math.log(x)
-            q = g * (g + 1.0) * t * t + (2.0 * g + 1.0) * e * t + e * (e + 1.0)
-            return q * x ** (-g - 2.0) * t ** (-e - 2.0)
-
-        # d' and d'' keep a fixed sign once ln x clears every root of
-        # their polynomial factors.
-        ts = [0.0]
-        if g != 0.0:
-            ts.append(-e / g)
-        a2, a1, a0 = g * (g + 1.0), (2.0 * g + 1.0) * e, e * (e + 1.0)
-        if a2 != 0.0:
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc >= 0.0:
-                rt = math.sqrt(disc)
-                ts.extend([(-a1 - rt) / (2.0 * a2), (-a1 + rt) / (2.0 * a2)])
-        elif a1 != 0.0:
-            ts.append(-a0 / a1)
-        t_req = max(ts)
-        valid_from = max(2, int(math.floor(math.exp(t_req))) + 1)
-        return SmoothFamilyDerivatives(first=first, second=second, valid_from=valid_from)
-
     def _in_ell1(self) -> TriState:
         g, e = self.gamma, self.eta
         return TriState.of(g > 1.0 or (g == 1.0 and e > 1.0))
@@ -272,9 +224,6 @@ class ConstantGrid(GridSequence):
         if n < 0:
             raise GridError(f"x index must be >= 0, got {n}")
         return self.d * n
-
-    def derivatives(self) -> SmoothFamilyDerivatives:
-        return SmoothFamilyDerivatives(first=lambda x: 0.0, second=lambda x: 0.0, valid_from=1)
 
     def _in_ell1(self) -> TriState:
         return TriState.FALSE
@@ -356,12 +305,10 @@ class CustomGrid(GridSequence):
         fn: Callable[[int], float],
         name: str = "custom",
         max_index: Optional[int] = None,
-        derivatives: Optional[SmoothFamilyDerivatives] = None,
     ) -> None:
         self._fn = fn
         self.name = name
         self.max_index = max_index
-        self._derivatives = derivatives
 
     def gap(self, n: int) -> float:
         if n < 1:
@@ -372,9 +319,6 @@ class CustomGrid(GridSequence):
         if not (v > 0.0 and math.isfinite(v)):
             raise GridError(f"gap callable returned non-positive value {v!r} at n={n}")
         return v
-
-    def derivatives(self) -> Optional[SmoothFamilyDerivatives]:
-        return self._derivatives
 
     def describe(self) -> dict:
         return {"family": self.name}

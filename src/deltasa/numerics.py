@@ -2,7 +2,7 @@
 
 Everything here is deliberately boring: tri-state evidence values,
 compensated summation, a couple of sequence-extrapolation helpers, and
-the tail-window statistics used by the boundedness probes.  The
+the two-window statistics used by the boundedness probes.  The
 criteria modules lean on these instead of rolling their own loops so
 that every probe in the package reports growth and stability the same
 way.
@@ -11,22 +11,19 @@ way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "TriState",
-    "Trend",
     "ChunkedSum",
     "richardson_pair",
     "aitken",
-    "geometric_ladder",
     "tail_windows",
+    "window_sups",
     "signed_drift",
-    "tail_trend",
-    "TrendReport",
     "sqrt_series_coeffs",
     "sqrt1p_minus_1",
     "sqrt1p_tail",
@@ -37,6 +34,9 @@ __all__ = [
 # window-stable when its later-window sup grows by less than 5% of the
 # earlier-window sup.  Shrinking is always stable.
 DRIFT_TOL = 0.05
+
+# rows per block of a window scan
+_CHUNK = 1 << 15
 
 
 class TriState(str, Enum):
@@ -54,14 +54,6 @@ class TriState(str, Enum):
         # Guard against `if probe.holds:` silently treating UNKNOWN as
         # truthy.  Compare against the members explicitly.
         raise TypeError("TriState has no truth value; compare with TriState.TRUE etc.")
-
-
-class Trend(str, Enum):
-    """Classification of a positive statistic sampled along a ladder."""
-
-    BOUNDED = "bounded"
-    GROWING = "growing"
-    UNKNOWN = "unknown"
 
 
 class ChunkedSum:
@@ -113,16 +105,6 @@ def aitken(s0: float, s1: float, s2: float) -> float:
     return s2 - d2 * d2 / denom
 
 
-def geometric_ladder(lo: int, hi: int, rungs: int = 16) -> list[int]:
-    """Roughly geometric integer ladder from lo to hi inclusive, deduplicated."""
-    if lo < 1 or hi < lo:
-        raise ValueError("need 1 <= lo <= hi")
-    if rungs < 2 or lo == hi:
-        return [hi]
-    pts = np.unique(np.rint(np.geomspace(lo, hi, rungs)).astype(np.int64))
-    return [int(p) for p in pts]
-
-
 def tail_windows(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two comparison windows [n/4, n/2) and [n/2, n] used by drift probes."""
     if n < 64:
@@ -130,6 +112,35 @@ def tail_windows(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     q = n // 4
     h = n // 2
     return (q, h), (h, n + 1)
+
+
+def window_sups(
+    block: Callable[[int, int], np.ndarray],
+    lo: int,
+    hi: int,
+    windows: tuple[tuple[int, int], ...],
+) -> tuple[float, int, tuple[float, ...]]:
+    """Scan block(a, b) over [lo, hi) in 32768-row blocks starting at lo.
+
+    Returns the global sup, its index (lo when no value beats -inf), and
+    one sup per half-open window (wa, wb); an empty window reads -inf.
+    Each window sup is the max of its per-block maxima, so a block
+    slice holding a NaN contributes nothing to it.
+    """
+    sup = -math.inf
+    arg = lo
+    sups = [-math.inf] * len(windows)
+    for a in range(lo, hi, _CHUNK):
+        b = min(a + _CHUNK, hi)
+        vals = block(a, b)
+        m = int(np.argmax(vals))
+        if vals[m] > sup:
+            sup, arg = float(vals[m]), a + m
+        for i, (wa, wb) in enumerate(windows):
+            la, lb = max(a, wa), min(b, wb)
+            if la < lb:
+                sups[i] = max(sups[i], float(np.max(vals[la - a : lb - a])))
+    return sup, arg, tuple(sups)
 
 
 def signed_drift(sup_early: float, sup_late: float) -> float:
@@ -143,59 +154,6 @@ def signed_drift(sup_early: float, sup_late: float) -> float:
     if scale == 0.0 or not math.isfinite(scale):
         scale = max(abs(sup_late), 1e-300)
     return (sup_late - sup_early) / scale
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    trend: Trend
-    rungs: tuple[int, ...]
-    values: tuple[float, ...]
-    rates: tuple[float, ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "trend": self.trend.value,
-            "rungs": list(self.rungs),
-            "values": list(self.values),
-            "rates": list(self.rates),
-        }
-
-
-def tail_trend(
-    rungs: list[int],
-    values: list[float],
-    grow_tol: float = 0.015,
-    flat_tol: float = 0.005,
-    last: int = 3,
-) -> TrendReport:
-    """Classify a ladder statistic by its trailing per-rung growth rates.
-
-    rate_i = values[i]/values[i-1] - 1 over the last ``last`` rungs.
-    All rates above grow_tol: GROWING.  All at or below flat_tol:
-    BOUNDED.  A mix, non-finite data, or too few rungs: UNKNOWN.
-    Values near zero classify as BOUNDED outright.
-    """
-    vals = [float(v) for v in values]
-    if len(vals) != len(rungs):
-        raise ValueError("rungs and values must align")
-    if any(not math.isfinite(v) for v in vals):
-        return TrendReport(Trend.UNKNOWN, tuple(rungs), tuple(vals))
-    scale = max((abs(v) for v in vals), default=0.0)
-    if scale == 0.0 or max(abs(v) for v in vals[-last:]) < 1e-280 * max(scale, 1.0):
-        return TrendReport(Trend.BOUNDED, tuple(rungs), tuple(vals))
-    if len(vals) < last + 1:
-        return TrendReport(Trend.UNKNOWN, tuple(rungs), tuple(vals))
-    rates = []
-    for a, b in zip(vals[-last - 1 : -1], vals[-last:]):
-        if a == 0.0:
-            return TrendReport(Trend.UNKNOWN, tuple(rungs), tuple(vals))
-        rates.append(b / a - 1.0)
-    report = lambda t: TrendReport(t, tuple(rungs), tuple(vals), tuple(rates))
-    if all(r > grow_tol for r in rates):
-        return report(Trend.GROWING)
-    if all(r <= flat_tol for r in rates):
-        return report(Trend.BOUNDED)
-    return report(Trend.UNKNOWN)
 
 
 def sqrt_series_coeffs(k: int) -> list[float]:

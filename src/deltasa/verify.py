@@ -45,7 +45,7 @@ from .jacobi import (
     rho,
     scaled_operator,
 )
-from .numerics import TriState, tail_windows
+from .numerics import DRIFT_TOL, TriState, signed_drift, tail_windows, window_sups
 
 __all__ = ["CheckResult", "BatteryReport", "run_battery", "CHECK_NAMES"]
 
@@ -215,24 +215,19 @@ def _check_6_remainder(H: int) -> CheckResult:
     t0 = time.time()
     grid = PowerLogGrid(1.0, 1.0, 1.0)
     hi = min(10**5, H)
-    (w1a, w1b), (w2a, w2b) = tail_windows(hi)
-    w1a = max(w1a, 10**3)
+    (w1a, w1b), w2 = tail_windows(hi)
 
-    def window_sup(a: int, b: int) -> float:
-        sup = -math.inf
-        for lo in range(a, b, 1 << 15):
-            h = min(lo + (1 << 15), b)
-            ns = np.arange(lo, h, dtype=float)
-            rem = np.abs(expansion_remainder_block(grid, lo, h, 3))
-            sup = max(sup, float(np.max(rem * ns**2 * np.log(ns) ** 2)))
-        return sup
+    def scaled_remainder(lo: int, h: int) -> np.ndarray:
+        ns = np.arange(lo, h, dtype=float)
+        rem = np.abs(expansion_remainder_block(grid, lo, h, 3))
+        return rem * ns**2 * np.log(ns) ** 2
 
-    s1 = window_sup(w1a, w1b)
-    s2 = window_sup(w2a, w2b)
-    drift = (s2 - s1) / abs(s1)
-    ok = math.isfinite(s2) and drift < 0.05
+    lo = max(w1a, 10**3)
+    _, _, (s1, s2) = window_sups(scaled_remainder, lo, hi + 1, ((lo, w1b), w2))
+    drift = signed_drift(s1, s2)
+    ok = math.isfinite(s2) and drift < DRIFT_TOL
     details = [
-        f"window sups {s1:.6g} -> {s2:.6g} drift={drift:+.4f} tol +0.05 "
+        f"window sups {s1:.6g} -> {s2:.6g} drift={drift:+.4f} tol {DRIFT_TOL:+.2f} "
         f"{'ok' if ok else 'VIOLATED'}"
     ]
     return CheckResult(6, "expansion-remainder", ok, details, time.time() - t0)

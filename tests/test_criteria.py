@@ -27,11 +27,8 @@ from deltasa import (
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
     SeriesVerdict,
-    check_asymptotic_eq10,
     check_condition_A,
     check_condition_B,
-    check_d4,
-    check_d_conditions,
     f_over_d_probe,
     select_G,
     test_bound_II,
@@ -283,69 +280,6 @@ class TestEnvelopeBounds:
         p = test_bound_II(g, alpha, GFunction(GKind.ZERO), N=10**4)
         assert "argmax" in p.witnesses
         assert p.witnesses["minimal_constant_nonneg"] >= 0.0
-
-
-class TestAsymptoticProfile:
-    @pytest.mark.parametrize(
-        "gamma,eta,want",
-        [
-            (1.0, 0.0, TriState.TRUE),
-            (0.75, 0.0, TriState.FALSE),
-            (0.6, 0.0, TriState.FALSE),
-            (1.0, 0.5, TriState.FALSE),
-            (0.4, 0.0, TriState.TRUE),
-        ],
-    )
-    def test_eq10_profile_families(self, gamma, eta, want):
-        r = check_asymptotic_eq10(PowerLogGrid(gamma=gamma, eta=eta), N=10**5)
-        assert r.holds is want
-
-    def test_eq10_flat_grid(self):
-        r = check_asymptotic_eq10(ConstantGrid(1.0), N=10**5)
-        assert r.holds is TriState.TRUE
-
-    def test_eq10_constant_estimate(self):
-        # for d = 1/n the ratio increment is -1/n + O(1/n^2), so the
-        # normalized level is -1
-        r = check_asymptotic_eq10(PowerLogGrid(gamma=1.0), N=10**5)
-        assert r.C_estimate == pytest.approx(-1.0, abs=0.01)
-        assert len(r.increments) > 4
-
-
-class TestGapRegularity:
-    def test_smooth_family_passes_all(self):
-        r = check_d_conditions(PowerLogGrid(gamma=0.75), N=10**5)
-        assert (r.d0, r.d1, r.d2, r.d3) == (
-            TriState.TRUE, TriState.TRUE, TriState.TRUE, TriState.TRUE,
-        )
-        assert r.all_hold is True
-
-    def test_flat_grid_degenerates(self):
-        # zero derivative kills the monotone-envelope conditions
-        r = check_d_conditions(ConstantGrid(1.0), N=10**4)
-        assert r.d0 is TriState.TRUE
-        assert r.d1 is TriState.FALSE and r.d2 is TriState.FALSE
-        assert r.all_hold is False
-
-    def test_no_derivatives_means_unknown(self):
-        r = check_d_conditions(ExplicitGrid(values=(0.5, 0.25), tail="cycle"), N=10**4)
-        assert r.d1 is TriState.UNKNOWN
-        assert r.d2 is TriState.UNKNOWN
-        assert r.d3 is TriState.UNKNOWN
-
-    @pytest.mark.parametrize(
-        "gamma,eta,k_min",
-        [(1.0, 0.0, 2), (0.75, 0.0, 2), (1.0, 0.5, 3)],
-    )
-    def test_d4_minimal_power(self, gamma, eta, k_min):
-        r = check_d4(PowerLogGrid(gamma=gamma, eta=eta), N=10**5)
-        assert r.k_min == k_min
-        assert r.holds is TriState.TRUE
-
-    def test_d4_not_applicable_for_flat(self):
-        r = check_d4(ConstantGrid(1.0), N=10**4)
-        assert r.k_min is None
-        assert r.holds is TriState.UNKNOWN
 
 
 class TestConditionA:

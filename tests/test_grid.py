@@ -91,17 +91,6 @@ class TestPowerLogGrid:
         with pytest.raises(GridError):
             g.gaps(0, 5)
 
-    def test_derivatives_valid_from(self):
-        g = PowerLogGrid(gamma=1.0, eta=0.5)
-        der = g.derivatives()
-        assert der.valid_from >= 2
-        x = 50.0
-        h = 1e-5
-        # central difference of the smooth profile at a non-integer point
-        f = lambda t: math.exp(-1.0 * math.log(t) - 0.5 * math.log(math.log(t)))
-        approx_first = (f(x + h) - f(x - h)) / (2 * h)
-        assert der.first(x) == pytest.approx(approx_first, rel=1e-6)
-
 
 class TestOtherGrids:
     def test_constant(self):
@@ -109,8 +98,6 @@ class TestOtherGrids:
         assert g.gap(1) == 0.5
         assert g.gap(10**6) == 0.5
         assert g.x(10) == pytest.approx(5.0)
-        der = g.derivatives()
-        assert der.first(100.0) == 0.0 and der.second(7.0) == 0.0
         with pytest.raises(GridError):
             ConstantGrid(d=-1.0)
 
