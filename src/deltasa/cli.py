@@ -52,7 +52,6 @@ from .deficiency import (
     VerdictConfig,
     deficiency_verdict,
     floquet_discriminant,
-    l2_probe,
     solve_recurrence,
 )
 from .grid import ConstantGrid, ExplicitGrid, GridError, GridSequence, PowerLogGrid
@@ -288,7 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 certifying = "numerical-advisory"
             else:
                 certifying = verdict.certificate
-            fl = floquet_discriminant(cond_b.u, a, 0.0)
+            fl = floquet_discriminant(cond_b.u, a)
             b2 = test_bound_II(grid, alpha, G, N=bound_N)
             b3 = test_bound_III(grid, alpha, G, N=bound_N)
             rows.append(

@@ -81,8 +81,10 @@ __all__ = [
 _CHUNK = 1 << 15
 
 # condition B: the Richardson error order for grids without a closed
-# form, and how far the late-window residual sup may exceed the early one
+# form, the order-unity ceiling on the late-window residual sup, and how
+# far that sup may exceed the early one
 _B_ERROR_ORDER = 1.0
+_B_CEILING = 10.0
 _B_GROWTH_ALLOWANCE = 4.0
 
 
@@ -153,13 +155,13 @@ class GFunction:
 
     kind ZERO is the flat choice valid whenever F(n)/d_n is bounded;
     NLOG carries the two-branch closed form for the gamma = 1 gap
-    family; CUSTOM wraps an arbitrary evaluator (by default the
-    measured F itself).
+    family; CUSTOM wraps an arbitrary block evaluator fn(lo, hi), which
+    returns G(n) for lo <= n < hi (select_G's is the measured F itself).
     """
 
     kind: GKind
     eta: Optional[float] = None
-    fn: Optional[Callable[[int], float]] = None
+    fn: Optional[Callable[[int, int], np.ndarray]] = None
     provenance: str = ""
 
     def evaluate(self, n: int) -> float:
@@ -168,7 +170,7 @@ class GFunction:
         if self.kind is GKind.NLOG:
             # the closed form needs ln n > 0; clamp the single index n=1
             return G_nlog(self.eta, max(n, 2))
-        return float(self.fn(n))
+        return float(self.fn(n, n + 1)[0])
 
     def evaluate_block(self, lo: int, hi: int) -> np.ndarray:
         if self.kind is GKind.ZERO:
@@ -180,7 +182,7 @@ class GFunction:
             if self.eta > 0.5:
                 out = out + self.eta / (ns * t ** (1.0 - self.eta))
             return out
-        return np.array([float(self.fn(n)) for n in range(lo, hi)])
+        return self.fn(lo, hi)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind.value, "provenance": self.provenance}
@@ -362,9 +364,12 @@ def select_G(grid: GridSequence, horizon: int = 10**5) -> GFunction:
     probe = f_over_d_probe(grid, 2, max(64, min(horizon, 10**5)))
     if probe.stable is TriState.TRUE:
         return GFunction(GKind.ZERO, provenance="tail-probe")
-    return GFunction(
-        GKind.CUSTOM, fn=lambda n: F(grid, n), provenance="measured-curvature"
-    )
+
+    def measured_F(lo: int, hi: int) -> np.ndarray:
+        head = [F(grid, 1)] if lo == 1 else []  # row 1 carries the r_0 convention
+        return np.concatenate((head, F_block(grid, max(lo, 2), hi)))
+
+    return GFunction(GKind.CUSTOM, fn=measured_F, provenance="measured-curvature")
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +764,7 @@ class ConditionB:
 
 
 def check_condition_B(
-    grid: GridSequence,
-    horizon: int = 10**6,
-    tilde: Optional[TildeSequence] = None,
-    ceiling: float = 10.0,
+    grid: GridSequence, horizon: int = 10**6, tilde: Optional[TildeSequence] = None
 ) -> ConditionB:
     """Period-two structure of rho_n = (1/d_n + 1/d_{n+1}) rtilde_n^2.
 
@@ -773,9 +775,12 @@ def check_condition_B(
 
     The remainder statistic is noise-floored: at gamma = 1 the float
     error of the log accumulation is amplified by n^2 to order 0.1-0.5,
-    so "bounded" is operationalized as staying under an order-unity
-    ceiling without explosive window growth, rather than as a vanishing
-    drift.  Genuine violations overshoot the ceiling quickly.
+    so "bounded" is operationalized as staying under the order-unity
+    ceiling _B_CEILING (10) without growing more than _B_GROWTH_ALLOWANCE
+    (4) times between the windows, rather than as a vanishing drift.
+    Genuine violations overshoot the ceiling quickly.  A parity whose
+    rho_n overflows the float range (a parity-unbalanced grid) reads
+    inf, and the check reports unknown.
     """
     H = int(horizon)
     if H < 256:
@@ -788,7 +793,10 @@ def check_condition_B(
 
     def rho_at(n: int) -> float:
         inv = np.logaddexp(-grid.log_gap(n), -grid.log_gap(n + 1))
-        return math.exp(float(inv) + 2.0 * t.log_abs(n))
+        try:
+            return math.exp(float(inv) + 2.0 * t.log_abs(n))
+        except OverflowError:
+            return math.inf
 
     # two largest probed indices of each parity: H-ish and H/2-ish
     def parity_estimate(parity: int) -> tuple[float, list]:
@@ -820,13 +828,14 @@ def check_condition_B(
     # the scan starts at H // 4: the bits of log_abs_block depend on
     # where each block starts
     windows = tail_windows(H)
-    _, _, (sup1, sup2) = window_sups(resid_block, windows[0][0], H + 1, windows)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sups read as unknown
+        _, _, (sup1, sup2) = window_sups(resid_block, windows[0][0], H + 1, windows)
     finite = all(
         math.isfinite(x) and x > 0.0 for x in (u_odd, u_even)
     ) and math.isfinite(sup1) and math.isfinite(sup2)
     if not finite:
         holds = TriState.UNKNOWN
-    elif sup2 > ceiling:
+    elif sup2 > _B_CEILING:
         holds = TriState.FALSE
     elif sup2 <= _B_GROWTH_ALLOWANCE * max(sup1, 1e-6):
         holds = TriState.TRUE
@@ -840,7 +849,7 @@ def check_condition_B(
         horizon=H,
         witnesses={
             "parity_points": {"odd": pts_odd, "even": pts_even},
-            "ceiling": ceiling,
+            "ceiling": _B_CEILING,
             "growth_allowance": _B_GROWTH_ALLOWANCE,
             "product": u.product,
         },

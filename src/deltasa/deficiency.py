@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .criteria import (
-    GFunction,
+    _B_CEILING,
     SeriesVerdict,
     check_condition_A,
     check_condition_B,
@@ -49,6 +49,18 @@ _SCALE_BITS = 100  # rescale when |h| leaves [2^-100, 2^100]
 _SCALE_UP = 2.0**_SCALE_BITS
 _SCALE_DOWN = 2.0**-_SCALE_BITS
 _CHUNK = 2048  # rows per block of operator entries, marched as Python lists
+
+# l2_probe: the last _L2_WINDOW block-mass ratios must all stay below
+# 1 - _L2_MARGIN or all above 1 + _L2_MARGIN, over _L2_MIN_BLOCKS blocks or more
+_L2_MARGIN = 0.1
+_L2_WINDOW = 6
+_L2_MIN_BLOCKS = 8
+# floquet_discriminant: |Delta| within this distance of 1 is a band edge
+_FLOQUET_MARGIN = 1e-6
+# phase 3 gap-ratio gate: d_{n+1}/d_n must tend to 1 within the tolerance
+# and its max/min spread over the tail window must stay under the bound
+_RATIO_LIMIT_TOL = 0.02
+_RATIO_SPREAD_MAX = 1.1
 
 
 @dataclass(frozen=True)
@@ -231,30 +243,20 @@ def solve_recurrence(
     )
 
 
-def solve_probes(
-    op: JacobiOperator, lams: Sequence[Union[float, complex]], N: int
-) -> list[RecurrenceSolution]:
-    """solve_recurrence at each probe point, marching each conjugate pair once.
+def solve_probes(op: JacobiOperator, N: int) -> tuple[RecurrenceSolution, RecurrenceSolution]:
+    """solve_recurrence at lambda = +i and lambda = -i, marching the pair once.
 
-    B is real, so the solution at conj(lambda) is the conjugate of the
-    solution at lambda.  Every magnitude of the two marches agrees bit
-    for bit (IEEE rounding is symmetric in sign), so block masses,
-    rescale events, residuals and meta are taken from the twin.  Only
-    the head is marched again at lambda (keep rows, about 4% of a 10^5
-    horizon): conjugation can leave +0.0 where the direct march
-    produces -0.0.  The conj(lambda) result is therefore derived, not
-    an independent witness.
+    B is real, so the solution at -i is the conjugate of the solution
+    at +i.  Every magnitude of the two marches agrees bit for bit (IEEE
+    rounding is symmetric in sign), so block masses, rescale events,
+    residuals and meta are taken from the +i march.  Only the head is
+    marched again at -i (keep rows, about 4% of a 10^5 horizon):
+    conjugation can leave +0.0 where the direct march produces -0.0.
+    The -i result is therefore derived, not an independent witness.
     """
-    sols: list[RecurrenceSolution] = []
-    for lam in lams:
-        z = complex(lam)
-        twin = next((s for s in sols if z.imag != 0.0 and s.lam == z.conjugate()), None)
-        if twin is None:
-            sols.append(solve_recurrence(op, lam, N))
-        else:
-            front = solve_recurrence(op, lam, len(twin.head))
-            sols.append(replace(twin, lam=front.lam, head=front.head, meta=dict(twin.meta)))
-    return sols
+    plus = solve_recurrence(op, 1j, N)
+    front = solve_recurrence(op, -1j, len(plus.head))
+    return plus, replace(plus, lam=front.lam, head=front.head, meta=dict(plus.meta))
 
 
 @dataclass(frozen=True)
@@ -277,30 +279,21 @@ class L2Verdict:
         }
 
 
-def l2_probe(
-    sol: RecurrenceSolution,
-    margin: float = 0.1,
-    window: int = 6,
-    min_blocks: int = 8,
-) -> L2Verdict:
+def l2_probe(sol: RecurrenceSolution) -> L2Verdict:
     """Classify square-summability from dyadic block masses.
 
     in_ell2 requires every consecutive block-mass ratio over the last
-    `window` blocks to stay below 1 - margin; not_in_ell2 requires
-    every ratio above 1 + margin.  Fewer than min_blocks complete
-    blocks, or mixed behavior, yields unknown.  decay_ratio is the
-    geometric mean ratio over the window.
+    _L2_WINDOW (6) blocks to stay below 1 - _L2_MARGIN (0.9);
+    not_in_ell2 requires every ratio above 1 + _L2_MARGIN.  Fewer than
+    _L2_MIN_BLOCKS (8) complete blocks, or mixed behavior, yields
+    unknown.  decay_ratio is the geometric mean ratio over the window.
+    The verdict reports the margin and window it used.
     """
+    margin, window, min_blocks = _L2_MARGIN, _L2_WINDOW, _L2_MIN_BLOCKS
     blocks = sol.block_log_masses
     if len(blocks) < min_blocks:
-        return L2Verdict(
-            "unknown",
-            math.nan,
-            blocks,
-            margin,
-            window,
-            notes=f"only {len(blocks)} complete blocks, need {min_blocks}",
-        )
+        notes = f"only {len(blocks)} complete blocks, need {min_blocks}"
+        return L2Verdict("unknown", math.nan, blocks, margin, window, notes=notes)
     tail = blocks[-(window + 1):]
     log_ratios = [b[1] - a[1] for a, b in zip(tail, tail[1:])]
     if any(not math.isfinite(r) for r in log_ratios):
@@ -335,27 +328,27 @@ class FloquetResult:
         }
 
 
-def floquet_discriminant(
-    u: PeriodPair, a: float, lam: float = 0.0, margin: float = 1e-6
-) -> FloquetResult:
+def floquet_discriminant(u: PeriodPair, a: float) -> FloquetResult:
     """Half-trace of the period-two transfer matrix of the comparison
-    operator (diagonal (a+1) u_n, off-diagonal 1) at spectral point lam.
+    operator (diagonal (a+1) u_n, off-diagonal 1) at lambda = 0, the
+    only spectral point the certificate uses.
 
-    Delta = ((lam - (a+1) u_odd)(lam - (a+1) u_even) - 2) / 2.
-    |Delta| < 1 puts lam inside a spectral band: every solution is
+    Delta = ((0 - (a+1) u_odd)(0 - (a+1) u_even) - 2) / 2.
+    |Delta| < 1 puts 0 inside a spectral band: every solution is
     bounded and non-decaying, which upgrades to the deficiency verdict
     whenever the scaling sequence r rtilde is square-summable.  Values
-    within `margin` of 1 are flagged unknown rather than called.
+    within _FLOQUET_MARGIN (1e-6) of 1 are band edges, flagged unknown
+    rather than called.
     """
     ap1 = a + 1.0
-    delta = ((lam - ap1 * u.odd) * (lam - ap1 * u.even) - 2.0) / 2.0
-    if abs(delta) <= 1.0 - margin:
+    delta = ((0.0 - ap1 * u.odd) * (0.0 - ap1 * u.even) - 2.0) / 2.0
+    if abs(delta) <= 1.0 - _FLOQUET_MARGIN:
         inside = TriState.TRUE
-    elif abs(delta) >= 1.0 + margin:
+    elif abs(delta) >= 1.0 + _FLOQUET_MARGIN:
         inside = TriState.FALSE
     else:
         inside = TriState.UNKNOWN
-    return FloquetResult(u=u, a=a, lam=lam, discriminant=delta, inside_band=inside)
+    return FloquetResult(u=u, a=a, lam=0.0, discriminant=delta, inside_band=inside)
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +363,49 @@ class VerdictKind(str, Enum):
 
 @dataclass(frozen=True)
 class VerdictConfig:
+    """The horizons a verdict scans to; every threshold is a fixed constant."""
+
     horizons: tuple[int, ...] = (10**4, 10**5, 10**6)
     oracle_horizon: int = 10**5
-    lambda_probes: tuple[complex, complex] = (1j, -1j)
-    floquet_margin: float = 1e-6
-    condition_b_ceiling: float = 10.0
-    ratio_limit_tol: float = 0.02
-    ratio_spread_max: float = 1.1
-    l2_margin: float = 0.1
 
     def to_json(self) -> dict:
+        """The horizons and every fixed threshold the verdict ran with."""
         return {
             "horizons": list(self.horizons),
             "oracle_horizon": self.oracle_horizon,
-            "lambda_probes": [[z.real, z.imag] for z in self.lambda_probes],
-            "floquet_margin": self.floquet_margin,
-            "condition_b_ceiling": self.condition_b_ceiling,
-            "ratio_limit_tol": self.ratio_limit_tol,
-            "ratio_spread_max": self.ratio_spread_max,
-            "l2_margin": self.l2_margin,
+            "lambda_probes": [[z.real, z.imag] for z in (1j, -1j)],
+            "floquet_margin": _FLOQUET_MARGIN,
+            "condition_b_ceiling": _B_CEILING,
+            "ratio_limit_tol": _RATIO_LIMIT_TOL,
+            "ratio_spread_max": _RATIO_SPREAD_MAX,
+            "l2_margin": _L2_MARGIN,
         }
+
+
+# deficiency indices (n_plus, n_minus) of each verdict
+_INDICES = {
+    VerdictKind.SELF_ADJOINT: (0, 0),
+    VerdictKind.DEFICIENT: (1, 1),
+    VerdictKind.INCONCLUSIVE: (None, None),
+}
 
 
 @dataclass(frozen=True)
 class CriterionVerdict:
     verdict: VerdictKind
-    n_plus: Optional[int]
-    n_minus: Optional[int]
     certificate: Optional[str]
     advisory: bool
     provenance: str
     flags: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def n_plus(self) -> Optional[int]:
+        return _INDICES[self.verdict][0]
+
+    @property
+    def n_minus(self) -> Optional[int]:
+        return _INDICES[self.verdict][1]
 
     def to_json(self) -> dict:
         return {
@@ -416,61 +420,50 @@ class CriterionVerdict:
         }
 
 
+def _certified(
+    kind: VerdictKind, certificate: str, reason: str, flags: list, diagnostics: dict
+) -> CriterionVerdict:
+    """A non-advisory verdict, its provenance naming the certificate."""
+    return CriterionVerdict(
+        kind, certificate, False, f"certified by {certificate}: {reason}", tuple(flags), diagnostics
+    )
+
+
+# the oracle's verdict when both probe points agree on a class
+_ORACLE_OUTCOMES = {
+    "in_ell2": (VerdictKind.DEFICIENT, "oracle-ell2", "is square-summable by dyadic block decay"),
+    "not_in_ell2": (
+        VerdictKind.SELF_ADJOINT,
+        "oracle-growth",
+        "grows block-to-block, so no square-summable solution was found",
+    ),
+}
+
+
 def _oracle_advisory(
     op: JacobiOperator, cfg: VerdictConfig, diagnostics: dict, flags: list
 ) -> CriterionVerdict:
-    """Numerical fallback: solve at each nonreal probe point and compare.
+    """Numerical fallback: classify the solutions at lambda = +-i, always advisory.
 
-    The probe points are marched through solve_probes, so the default
-    pair lambda = +-i costs one march to the horizon plus a head march:
-    the lambda = -i block masses are the lambda = +i masses, by the
-    reality of B.
+    solve_probes marches lambda = +i to the horizon and derives -i from
+    it, by the reality of B, so the pair costs one march plus a head
+    march.  Each class lands under the diagnostics key
+    oracle_lambda_+1i or oracle_lambda_-1i.
     """
     classes = []
-    sols = solve_probes(op, cfg.lambda_probes, cfg.oracle_horizon)
-    for lam, sol in zip(cfg.lambda_probes, sols):
-        probe = l2_probe(sol, margin=cfg.l2_margin)
+    for sol in solve_probes(op, cfg.oracle_horizon):
+        probe = l2_probe(sol)
         classes.append(probe.classification)
-        key = f"oracle_lambda_{lam.imag:+g}i" if lam.imag else f"oracle_lambda_{lam.real:g}"
+        key = f"oracle_lambda_{sol.lam.imag:+g}i"
         diagnostics[key] = {"solution": sol.to_json(), "l2": probe.to_json()}
-    if all(c == "in_ell2" for c in classes):
-        return CriterionVerdict(
-            verdict=VerdictKind.DEFICIENT,
-            n_plus=1,
-            n_minus=1,
-            certificate="oracle-ell2",
-            advisory=True,
-            provenance=(
-                "numerical-advisory: the forward solution at each nonreal probe "
-                "point is square-summable by dyadic block decay"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
-        )
-    if all(c == "not_in_ell2" for c in classes):
-        return CriterionVerdict(
-            verdict=VerdictKind.SELF_ADJOINT,
-            n_plus=0,
-            n_minus=0,
-            certificate="oracle-growth",
-            advisory=True,
-            provenance=(
-                "numerical-advisory: the forward solution at each nonreal probe "
-                "point grows block-to-block, so no square-summable solution was found"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
-        )
-    return CriterionVerdict(
-        verdict=VerdictKind.INCONCLUSIVE,
-        n_plus=None,
-        n_minus=None,
-        certificate=None,
-        advisory=True,
-        provenance="inconclusive: oracle block trends disagree or are ambiguous",
-        flags=tuple(flags),
-        diagnostics=diagnostics,
-    )
+    agreed = classes[0] if len(set(classes)) == 1 else None
+    if agreed in _ORACLE_OUTCOMES:
+        kind, certificate, found = _ORACLE_OUTCOMES[agreed]
+        provenance = f"numerical-advisory: the forward solution at each nonreal probe point {found}"
+    else:
+        kind, certificate = VerdictKind.INCONCLUSIVE, None
+        provenance = "inconclusive: oracle block trends disagree or are ambiguous"
+    return CriterionVerdict(kind, certificate, True, provenance, tuple(flags), diagnostics)
 
 
 def deficiency_verdict(
@@ -499,66 +492,44 @@ def deficiency_verdict(
     diagnostics["summability"] = summ.to_json()
     if summ.in_ell1 is TriState.TRUE:
         return CriterionVerdict(
-            verdict=VerdictKind.INCONCLUSIVE,
-            n_plus=None,
-            n_minus=None,
-            certificate=None,
-            advisory=False,
-            provenance=(
-                "inconclusive: the gaps are summable, so the points accumulate "
-                "and the half-line model these tests address does not apply"
-            ),
-            flags=("gaps-summable-outside-model",),
-            diagnostics=diagnostics,
+            VerdictKind.INCONCLUSIVE,
+            None,
+            False,
+            "inconclusive: the gaps are summable, so the points accumulate "
+            "and the half-line model these tests address does not apply",
+            ("gaps-summable-outside-model",),
+            diagnostics,
         )
     if summ.in_ell2 is TriState.FALSE:
-        return CriterionVerdict(
-            verdict=VerdictKind.SELF_ADJOINT,
-            n_plus=0,
-            n_minus=0,
-            certificate="non-square-summable-gaps",
-            advisory=False,
-            provenance=(
-                "certified by non-square-summable-gaps: the squared gaps diverge, "
-                "which forces self-adjointness for every coupling"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
+        return _certified(
+            VerdictKind.SELF_ADJOINT,
+            "non-square-summable-gaps",
+            "the squared gaps diverge, which forces self-adjointness for every coupling",
+            flags,
+            diagnostics,
         )
 
     horizons = cfg.horizons
     carleman = test_carleman_i(grid, alpha, horizons=horizons)
     diagnostics["carleman_i"] = carleman.to_json()
     if carleman.verdict is SeriesVerdict.DIVERGES:
-        return CriterionVerdict(
-            verdict=VerdictKind.SELF_ADJOINT,
-            n_plus=0,
-            n_minus=0,
-            certificate="carleman-series",
-            advisory=False,
-            provenance=(
-                "certified by carleman-series: the weighted coupling series "
-                "diverges by exponent comparison"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
+        return _certified(
+            VerdictKind.SELF_ADJOINT,
+            "carleman-series",
+            "the weighted coupling series diverges by exponent comparison",
+            flags,
+            diagnostics,
         )
 
     cond_i = test_condition_I(grid, alpha, horizons=horizons)
     diagnostics["condition_I"] = cond_i.to_json()
     if cond_i.verdict is SeriesVerdict.DIVERGES and not cond_i.gate_failed:
-        return CriterionVerdict(
-            verdict=VerdictKind.SELF_ADJOINT,
-            n_plus=0,
-            n_minus=0,
-            certificate="weighted-gap-series",
-            advisory=False,
-            provenance=(
-                "certified by weighted-gap-series: the cubed-gap coupling series "
-                "diverges and the gap-ratio gate holds"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
+        return _certified(
+            VerdictKind.SELF_ADJOINT,
+            "weighted-gap-series",
+            "the cubed-gap coupling series diverges and the gap-ratio gate holds",
+            flags,
+            diagnostics,
         )
 
     N_bound = horizons[-1] if len(horizons) == 1 else horizons[-2]
@@ -567,34 +538,24 @@ def deficiency_verdict(
     bound2 = test_bound_II(grid, alpha, G, N=N_bound)
     diagnostics["bound_II"] = bound2.to_json()
     if bound2.holds is TriState.TRUE:
-        return CriterionVerdict(
-            verdict=VerdictKind.SELF_ADJOINT,
-            n_plus=0,
-            n_minus=0,
-            certificate="upper-envelope-bound",
-            advisory=False,
-            provenance=(
-                "certified by upper-envelope-bound: alpha stays below the "
-                f"negative envelope with stabilized constant {bound2.minimal_constant:.6g}"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
+        return _certified(
+            VerdictKind.SELF_ADJOINT,
+            "upper-envelope-bound",
+            "alpha stays below the negative envelope with stabilized constant "
+            f"{bound2.minimal_constant:.6g}",
+            flags,
+            diagnostics,
         )
     bound3 = test_bound_III(grid, alpha, G, N=N_bound)
     diagnostics["bound_III"] = bound3.to_json()
     if bound3.holds is TriState.TRUE:
-        return CriterionVerdict(
-            verdict=VerdictKind.SELF_ADJOINT,
-            n_plus=0,
-            n_minus=0,
-            certificate="lower-envelope-bound",
-            advisory=False,
-            provenance=(
-                "certified by lower-envelope-bound: alpha stays above the "
-                f"comparison envelope with stabilized constant {bound3.minimal_constant:.6g}"
-            ),
-            flags=tuple(flags),
-            diagnostics=diagnostics,
+        return _certified(
+            VerdictKind.SELF_ADJOINT,
+            "lower-envelope-bound",
+            "alpha stays above the comparison envelope with stabilized constant "
+            f"{bound3.minimal_constant:.6g}",
+            flags,
+            diagnostics,
         )
 
     op = JacobiOperator(grid, alpha)
@@ -605,8 +566,8 @@ def deficiency_verdict(
         stats = ratio_stats(grid, min(horizons[-1], 10**5))
         diagnostics["ratio_stats"] = stats.to_json()
         ratio_ok = (
-            abs(stats.limit_estimate - 1.0) <= cfg.ratio_limit_tol
-            and stats.max_ratio / stats.min_ratio <= cfg.ratio_spread_max
+            abs(stats.limit_estimate - 1.0) <= _RATIO_LIMIT_TOL
+            and stats.max_ratio / stats.min_ratio <= _RATIO_SPREAD_MAX
         )
         if not ratio_ok:
             flags.append("gap-ratio-not-flat")
@@ -616,30 +577,20 @@ def deficiency_verdict(
             tilde = TildeSequence(grid)
             cond_a = check_condition_A(grid, horizons=horizons, tilde=tilde)
             diagnostics["condition_A"] = cond_a.to_json()
-            cond_b = check_condition_B(
-                grid,
-                horizon=horizons[-1],
-                tilde=tilde,
-                ceiling=cfg.condition_b_ceiling,
-            )
+            cond_b = check_condition_B(grid, horizon=horizons[-1], tilde=tilde)
             diagnostics["condition_B"] = cond_b.to_json()
             if cond_a.verdict is SeriesVerdict.CONVERGES and cond_b.holds is TriState.TRUE:
-                fl = floquet_discriminant(cond_b.u, a, 0.0, margin=cfg.floquet_margin)
+                fl = floquet_discriminant(cond_b.u, a)
                 diagnostics["floquet"] = fl.to_json()
                 if fl.inside_band is TriState.TRUE and pert_ok is TriState.TRUE:
-                    return CriterionVerdict(
-                        verdict=VerdictKind.DEFICIENT,
-                        n_plus=1,
-                        n_minus=1,
-                        certificate="periodic-comparison",
-                        advisory=False,
-                        provenance=(
-                            "certified by periodic-comparison: the scaled operator "
-                            "is a summable perturbation of a period-two matrix whose "
-                            f"discriminant {fl.discriminant:.6g} lies strictly inside a band"
-                        ),
-                        flags=tuple(flags),
-                        diagnostics=diagnostics,
+                    return _certified(
+                        VerdictKind.DEFICIENT,
+                        "periodic-comparison",
+                        "the scaled operator is a summable perturbation of a period-two "
+                        f"matrix whose discriminant {fl.discriminant:.6g} lies strictly "
+                        "inside a band",
+                        flags,
+                        diagnostics,
                     )
                 if fl.inside_band is TriState.UNKNOWN:
                     flags.append("discriminant-at-band-edge")

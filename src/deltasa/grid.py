@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15
+# classify_summability: the last partial-sum checkpoint for grids
+# without a closed-form summability class
+_SUMMABILITY_HORIZON = 1 << 16
 
 
 class GridError(ValueError):
@@ -386,17 +389,18 @@ class Summability:
         }
 
 
-def classify_summability(grid: GridSequence, probe_horizon: int = 1 << 16) -> Summability:
+def classify_summability(grid: GridSequence) -> Summability:
     """Decide whether sum d_n and sum d_n^2 converge.
 
     Closed-form families answer exactly.  For custom grids the partial
-    sums at dyadic checkpoints are reported as diagnostics but never
-    promoted to a divergence verdict on their own.
+    sums at dyadic checkpoints up to _SUMMABILITY_HORIZON (2^16) are
+    reported as diagnostics but never promoted to a divergence verdict
+    on their own.
     """
     e1, e2 = grid._in_ell1(), grid._in_ell2()
     if e1 is not TriState.UNKNOWN and e2 is not TriState.UNKNOWN:
         return Summability(e1, e2, method="closed-form", diagnostics={})
-    horizon = probe_horizon
+    horizon = _SUMMABILITY_HORIZON
     if grid.max_index is not None:
         horizon = min(horizon, grid.max_index)
     checkpoints = []

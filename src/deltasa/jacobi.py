@@ -244,7 +244,9 @@ class ScaledInverseGapsAlpha(AlphaSequence):
     The critical-coupling candidates all live here.  When the
     perturbation family and the grid are both recognized, whether the
     perturbation is O(d_n) is decided by exponent comparison; otherwise
-    the flag can be forced via ``perturbation_O_d``.
+    it is unknown, and no certificate that needs it fires.  A caller who
+    knows the form of a coupling the code cannot analyse states it with
+    ``CustomAlpha(scaled_form=...)``.
     """
 
     name = "scaled-inverse-gaps"
@@ -254,12 +256,10 @@ class ScaledInverseGapsAlpha(AlphaSequence):
         grid: GridSequence,
         a: float,
         perturbation: Optional[AlphaSequence] = None,
-        perturbation_O_d: Optional[bool] = None,
     ) -> None:
         self.grid = grid
         self.a = float(a)
         self.perturbation = perturbation
-        self._forced_O_d = perturbation_O_d
 
     def alpha(self, n: int) -> float:
         base = self.a * (1.0 / self.grid.gap(n) + 1.0 / self.grid.gap(n + 1))
@@ -275,8 +275,6 @@ class ScaledInverseGapsAlpha(AlphaSequence):
         return out
 
     def _pert_O_d(self) -> TriState:
-        if self._forced_O_d is not None:
-            return TriState.of(self._forced_O_d)
         if self.perturbation is None:
             return TriState.TRUE
         lead = self.perturbation.leading_term()

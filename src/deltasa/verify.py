@@ -293,7 +293,7 @@ def _check_8_verdicts(H: int) -> CheckResult:
     tol = 1e-6 * max(1.0, (10**6 / H)) ** 1.2
     cb = check_condition_B(grid, horizon=H)
     for a in (-1.9, -1.5, -1.0, -0.5, -0.1):
-        fl = floquet_discriminant(cb.u, a, 0.0)
+        fl = floquet_discriminant(cb.u, a)
         ok &= _assert_close(
             details, f"Delta_{a}(0)", fl.discriminant, 2.0 * (a + 1.0) ** 2 - 1.0, tol
         )
@@ -347,7 +347,7 @@ def _check_10_oracle_agreement(H: int) -> CheckResult:
         v = deficiency_verdict(grid, alpha, cfg)
         analytic_ok = v.verdict is expected and not v.advisory
         op = JacobiOperator(grid, alpha)
-        classes = [l2_probe(sol).classification for sol in solve_probes(op, (1j, -1j), N)]
+        classes = [l2_probe(sol).classification for sol in solve_probes(op, N)]
         want = "in_ell2" if expected is VerdictKind.DEFICIENT else "not_in_ell2"
         oracle_ok = all(c == want for c in classes)
         good = analytic_ok and oracle_ok

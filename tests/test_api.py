@@ -1,10 +1,12 @@
 """The public names: every exported name resolves, removed ones stay gone."""
 
 import importlib
+import json
 
 import pytest
 
 import deltasa
+from deltasa.deficiency import CriterionVerdict, VerdictKind
 
 MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verify")
 
@@ -68,3 +70,78 @@ def test_traced_names_exist():
         for attr in attrs:
             assert callable(getattr(mod, attr)), f"deltasa.{name}.{attr}"
     assert callable(deltasa.JacobiOperator.entry)
+
+
+GRID = deltasa.PowerLogGrid(1.0)
+U = deltasa.PeriodPair(odd=2.0, even=2.0)
+
+
+def _solution():
+    op = deltasa.JacobiOperator(GRID, deltasa.ScaledInverseGapsAlpha(GRID, -0.5))
+    return deltasa.solve_recurrence(op, 1j, 64)
+
+
+# thresholds that became fixed constants, and the forced perturbation order
+REMOVED_PARAMETERS = {
+    **{
+        f"VerdictConfig.{knob}": (lambda knob=knob: deltasa.VerdictConfig(**{knob: None}))
+        for knob in (
+            "lambda_probes",
+            "floquet_margin",
+            "condition_b_ceiling",
+            "ratio_limit_tol",
+            "ratio_spread_max",
+            "l2_margin",
+        )
+    },
+    "check_condition_B.ceiling": lambda: deltasa.check_condition_B(GRID, 256, ceiling=10.0),
+    "ScaledInverseGapsAlpha.perturbation_O_d": lambda: deltasa.ScaledInverseGapsAlpha(
+        GRID, -0.5, perturbation_O_d=True
+    ),
+    "classify_summability.probe_horizon": lambda: deltasa.classify_summability(GRID, probe_horizon=16),
+    "floquet_discriminant.lam": lambda: deltasa.floquet_discriminant(U, -0.5, lam=0.0),
+    "floquet_discriminant.margin": lambda: deltasa.floquet_discriminant(U, -0.5, margin=0.0),
+    **{
+        f"l2_probe.{knob}": (lambda knob=knob: deltasa.l2_probe(_solution(), **{knob: 1}))
+        for knob in ("margin", "window", "min_blocks")
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(REMOVED_PARAMETERS))
+def test_removed_parameter_raises(label):
+    with pytest.raises(TypeError):
+        REMOVED_PARAMETERS[label]()
+
+
+def test_verdict_config_has_two_fields_and_reports_every_threshold():
+    cfg = deltasa.VerdictConfig()
+    assert [f for f in cfg.__dataclass_fields__] == ["horizons", "oracle_horizon"]
+    # dumped, so that the -0.0 real part of the -i probe is compared too
+    assert json.dumps(cfg.to_json()) == json.dumps(
+        {
+            "horizons": [10000, 100000, 1000000],
+            "oracle_horizon": 100000,
+            "lambda_probes": [[0.0, 1.0], [-0.0, -1.0]],
+            "floquet_margin": 1e-06,
+            "condition_b_ceiling": 10.0,
+            "ratio_limit_tol": 0.02,
+            "ratio_spread_max": 1.1,
+            "l2_margin": 0.1,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,indices",
+    [
+        (VerdictKind.SELF_ADJOINT, (0, 0)),
+        (VerdictKind.DEFICIENT, (1, 1)),
+        (VerdictKind.INCONCLUSIVE, (None, None)),
+    ],
+)
+def test_deficiency_indices_follow_the_verdict(kind, indices):
+    v = CriterionVerdict(kind, None, True, "")
+    assert (v.n_plus, v.n_minus) == indices
+    j = v.to_json()
+    assert (j["n_plus"], j["n_minus"]) == indices

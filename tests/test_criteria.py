@@ -15,6 +15,7 @@ import pytest
 from deltasa import (
     ConstantGrid,
     CustomAlpha,
+    CustomGrid,
     ExplicitAlpha,
     ExplicitGrid,
     F,
@@ -90,7 +91,7 @@ class TestGnlog:
         np.testing.assert_allclose(
             g.evaluate_block(2, 30), [g.evaluate(n) for n in range(2, 30)], rtol=1e-13
         )
-        c = GFunction(GKind.CUSTOM, fn=lambda n: 1.0 / n)
+        c = GFunction(GKind.CUSTOM, fn=lambda lo, hi: 1.0 / np.arange(lo, hi))
         assert c.evaluate(4) == 0.25
 
 
@@ -179,6 +180,17 @@ class TestSelectG:
         assert heavy.evaluate(50) == pytest.approx(
             F(PowerLogGrid(gamma=1.0, eta=1.5), 50), rel=1e-12
         )
+
+    def test_measured_curvature_blocks_match_single_rows(self):
+        # d_n = (1 if n odd else 2)/n has no log-ratio route and an
+        # unstable F/d, so select_G falls back to the measured F
+        g = CustomGrid(lambda n: (1.0 if n % 2 else 2.0) / n)
+        G = select_G(g, horizon=10**4)
+        assert G.provenance == "measured-curvature"
+        for lo in (1, 2, 32767, 32768, 32769):
+            want = np.array([F(g, n) for n in range(lo, lo + 300)])
+            assert G.evaluate_block(lo, lo + 300).tobytes() == want.tobytes(), lo
+            assert G.evaluate(lo) == want[0]
 
 
 class TestSeriesProbes:
@@ -343,6 +355,14 @@ class TestConditionB:
     def test_small_horizon_rejected(self):
         with pytest.raises(ValueError):
             check_condition_B(PowerLogGrid(gamma=1.0), horizon=100)
+
+    def test_parity_unbalanced_rho_overflow_is_unknown(self):
+        # the max/min gap ratio is 1.083, inside the phase-3 gate, but
+        # rho_n leaves the float range along the odd parity
+        g = CustomGrid(lambda n: (1.02 if n % 2 else 0.98) / n)
+        b = check_condition_B(g, horizon=10**5)
+        assert b.holds is TriState.UNKNOWN
+        assert math.isinf(b.witnesses["parity_points"]["odd"][1][1])
 
 
 class TestGLimits:

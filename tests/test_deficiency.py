@@ -14,6 +14,7 @@ import pytest
 
 from deltasa import (
     CriterionVerdict,
+    CustomGrid,
     JacobiOperator,
     PeriodPair,
     PowerLogGrid,
@@ -134,16 +135,16 @@ class TestFloquet:
         # for u with u_odd u_even = 4 the value at 0 is 2 (a+1)^2 - 1
         u = PeriodPair(odd=math.pi, even=4.0 / math.pi)
         for a in (-1.9, -1.5, -1.0, -0.5, -0.1, 0.5):
-            r = floquet_discriminant(u, a, 0.0)
+            r = floquet_discriminant(u, a)
             assert r.discriminant == pytest.approx(2 * (a + 1) ** 2 - 1, rel=1e-12)
 
     def test_band_interior_and_exterior(self):
         u = PeriodPair(odd=2.0, even=2.0)
-        assert floquet_discriminant(u, -0.5, 0.0).inside_band is TriState.TRUE
-        assert floquet_discriminant(u, 0.5, 0.0).inside_band is TriState.FALSE
+        assert floquet_discriminant(u, -0.5).inside_band is TriState.TRUE
+        assert floquet_discriminant(u, 0.5).inside_band is TriState.FALSE
         # a = -1 sits exactly on the band edge: undecidable at tolerance
-        assert floquet_discriminant(u, -1.0, 0.0).inside_band is TriState.UNKNOWN
-        assert floquet_discriminant(u, -2.0, 0.0).inside_band is TriState.UNKNOWN
+        assert floquet_discriminant(u, -1.0).inside_band is TriState.UNKNOWN
+        assert floquet_discriminant(u, -2.0).inside_band is TriState.UNKNOWN
 
 
 class TestVerdictPipeline:
@@ -180,6 +181,16 @@ class TestVerdictPipeline:
         assert v.verdict is VerdictKind.DEFICIENT
         assert v.certificate == "oracle-ell2"
         assert v.provenance.startswith("numerical-advisory")
+
+    def test_parity_unbalanced_grid_falls_back_to_oracle(self):
+        # condition B cannot estimate the period pair when rho_n
+        # overflows along one parity; the verdict moves on, advisory
+        g = CustomGrid(lambda n: (1.02 if n % 2 else 0.98) / n)
+        cfg = VerdictConfig(horizons=(10**4, 10**5), oracle_horizon=10**4)
+        v = deficiency_verdict(g, ScaledInverseGapsAlpha(g, -0.5), cfg)
+        assert v.advisory
+        assert v.diagnostics["condition_B"]["holds"] == "unknown"
+        assert "period-two-structure-not-established" in v.flags
 
     def test_self_adjoint_outside_band(self):
         g = self.grid()

@@ -145,11 +145,6 @@ class TestAlphaFamilies:
             g, -0.5, perturbation=PowerSumAlpha(terms=((1.0, 0.5, 0.0),))
         )
         assert big.scaled_gap_form()[1] is TriState.FALSE
-        forced = ScaledInverseGapsAlpha(
-            g, -0.5, perturbation=PowerSumAlpha(terms=((1.0, 0.5, 0.0),)),
-            perturbation_O_d=True,
-        )
-        assert forced.scaled_gap_form()[1] is TriState.TRUE
 
     def test_scaled_leading_term(self):
         g = PowerLogGrid(gamma=1.0)

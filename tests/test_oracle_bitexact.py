@@ -168,7 +168,7 @@ def test_cases_cover_rescaling_and_closing_blocks():
     ],
 )
 def test_conjugate_twin_matches_direct_solve(op, N):
-    plus, minus = solve_probes(op, (1j, -1j), N)
+    plus, minus = solve_probes(op, N)
     assert dump(plus) == dump(solve_recurrence(op, 1j, N))
     assert dump(minus) == dump(solve_recurrence(op, -1j, N))
     assert minus.head.tobytes() == solve_recurrence(op, -1j, N).head.tobytes()
