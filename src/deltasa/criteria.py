@@ -164,14 +164,6 @@ class GFunction:
     fn: Optional[Callable[[int, int], np.ndarray]] = None
     provenance: str = ""
 
-    def evaluate(self, n: int) -> float:
-        if self.kind is GKind.ZERO:
-            return 0.0
-        if self.kind is GKind.NLOG:
-            # the closed form needs ln n > 0; clamp the single index n=1
-            return G_nlog(self.eta, max(n, 2))
-        return float(self.fn(n, n + 1)[0])
-
     def evaluate_block(self, lo: int, hi: int) -> np.ndarray:
         if self.kind is GKind.ZERO:
             return np.zeros(hi - lo)
@@ -710,8 +702,8 @@ def check_condition_A(
     t = tilde if tilde is not None else TildeSequence(grid)
 
     def term_block(a: int, b: int) -> np.ndarray:
-        d = grid.gaps(a, b + 1)
-        L = t.log_abs_block(a, b)
+        d, ld = grid.gaps_and_logs(a, b + 1)
+        L = t.log_abs_block(a, b, ld)
         # parity-unbalanced grids push 2L past the float range; saturate
         # the terms instead of overflowing (the verdict there is analytic
         # anyway, and saturated partial sums still read as divergence)
@@ -810,17 +802,11 @@ def check_condition_B(
     u_even, pts_even = parity_estimate(0)
     u = PeriodPair(odd=u_odd, even=u_even)
 
-    held: list = []
-
     def resid_block(a: int, b: int) -> np.ndarray:
-        d = grid.gaps(a, b + 1)
+        d, ld = grid.gaps_and_logs(a, b + 1)
         inv = 1.0 / d[:-1] + 1.0 / d[1:]
-        L = t.log_abs_block(a, b)
+        L = t.log_abs_block(a, b, ld)
         upar = u.block(a, b)
-        # keep these alive until the next block has built its own: freed
-        # together at block end, they let glibc trim the heap top, and
-        # later probes and verdicts page-fault it back in
-        held[:] = (d, inv, L, upar)
         # |rho - u|/(r rtilde)^2 computed in the well-scaled frame:
         # |(1/d_n + 1/d_{n+1}) - u e^{-2L}| / (d_n + d_{n+1})
         return np.abs(inv - upar * np.exp(-2.0 * L)) / (d[:-1] + d[1:])

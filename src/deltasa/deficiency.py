@@ -30,7 +30,7 @@ from .criteria import (
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence
-from .numerics import TriState
+from .numerics import TriState, keep_heap
 
 __all__ = [
     "RecurrenceSolution",
@@ -483,7 +483,10 @@ def deficiency_verdict(
       3. scaled-gap couplings near the critical line: conditions A and
          B plus the Floquet discriminant strictly inside a band.
       4. the lambda = +-i oracle, always advisory.
+
+    The first call sets the process-wide heap policy of keep_heap.
     """
+    keep_heap()
     cfg = cfg or VerdictConfig()
     diagnostics: dict = {"config": cfg.to_json()}
     flags: list[str] = []

@@ -69,6 +69,15 @@ class GridSequence:
         """Vector of log d_n for lo <= n < hi: a new array the caller may modify."""
         return np.log(self.gaps(lo, hi))
 
+    def gaps_and_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(gaps(lo, hi), log_gaps(lo, hi)) from one evaluation of the rows.
+
+        Bit-identical to the two separate calls; a subclass that
+        overrides log_gaps overrides this too.
+        """
+        d = self.gaps(lo, hi)
+        return d, np.log(d)
+
     def gap_log_ratio(self, n: int, k: int) -> Optional[float]:
         """log(d_{n+k}/d_n) in a cancellation-free form, when available.
 
@@ -169,6 +178,10 @@ class PowerLogGrid(GridSequence):
         if lo == 1:
             out[0] = math.log(self.d1)
         return out
+
+    def gaps_and_logs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        ld = self.log_gaps(lo, hi)
+        return np.exp(ld), ld
 
     def gap_log_ratio(self, n: int, k: int) -> Optional[float]:
         if n < 2 or n + k < 2:

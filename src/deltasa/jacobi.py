@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import ConstantGrid, GridError, GridSequence, PowerLogGrid
-from .numerics import TriState
+from .numerics import TriState, exact_row_sums
 
 __all__ = [
     "PeriodPair",
@@ -76,13 +76,16 @@ class TildeSequence:
 
     Unrolling the recursion gives log|rtilde_n| = (-1)^n S_n with
     S_n = sum_{k=2}^n (-1)^k log d_k, and sign(rtilde_n) = (-1)^(n-1).
-    S is accumulated in chunks whose boundary values are fsum-corrected,
-    so a block read anchors an ordinary cumsum at an accurate base and
-    the float drift stays below ~1e-10 over million-term spans.  A block
-    read takes the bases of the chunks it covers from its own terms;
-    chunks are evaluated on their own only for random access, for reads
-    that start past the known bases, and for the chunk that straddles a
-    block's first row.
+    S is accumulated in 4096-row chunks whose boundary values (the
+    bases) add each chunk's correctly rounded sum (exact_row_sums, the
+    value math.fsum returns), so a block read anchors an ordinary cumsum
+    at an accurate base and the float drift stays below ~1e-10 over
+    million-term spans.  A block read takes the bases of the chunks it
+    covers from its own terms, summing all of them in one call.  Rows
+    are evaluated again only for random access, for reads that start
+    past the known bases, and for the head of the chunk that straddles a
+    block's first row lo (the rows up to lo, which S_lo needs); the rest
+    of that chunk comes from the block's own terms.
     """
 
     CHUNK = _CHUNK
@@ -104,27 +107,33 @@ class TildeSequence:
     def _extend(self, first: int, terms: np.ndarray) -> None:
         """Append the chunk bases completed by terms, the terms of rows first, first + 1, ..."""
         start = 2 + (len(self._bases) - 1) * self.CHUNK - first  # the next missing chunk
-        while 0 <= start <= terms.size - self.CHUNK:
-            self._bases.append(self._bases[-1] + math.fsum(terms[start : start + self.CHUNK].tolist()))
-            start += self.CHUNK
+        if start < 0:
+            return
+        m = (terms.size - start) // self.CHUNK
+        if m > 0:
+            sums = exact_row_sums(terms[start : start + m * self.CHUNK].reshape(m, self.CHUNK))
+            for s in sums:
+                self._bases.append(self._bases[-1] + s)
 
     def _ensure(self, j: int) -> None:
         while len(self._bases) <= j:
             n0 = 1 + (len(self._bases) - 1) * self.CHUNK
             self._extend(n0 + 1, self._terms(n0 + 1, n0 + self.CHUNK + 1))
 
-    def _S(self, n: int) -> float:
+    def _S(self, n: int) -> tuple[float, np.ndarray]:
+        """S_n and the head terms it read: rows n0 + 1 .. n, where n0 starts n's chunk."""
         if n < 1:
             raise GridError(f"tilde index must be >= 1, got {n}")
         j = (n - 1) // self.CHUNK
         self._ensure(j)
         n0 = 1 + j * self.CHUNK
         if n == n0:
-            return self._bases[j]
-        return self._bases[j] + math.fsum(self._terms(n0 + 1, n + 1).tolist())
+            return self._bases[j], np.empty(0)
+        head = self._terms(n0 + 1, n + 1)
+        return self._bases[j] + exact_row_sums(head[None, :])[0], head
 
     def log_abs(self, n: int) -> float:
-        s = self._S(n)
+        s = self._S(n)[0]
         return s if n % 2 == 0 else -s
 
     def sign(self, n: int) -> int:
@@ -135,20 +144,34 @@ class TildeSequence:
         mag = math.exp(min(self.log_abs(n), 709.0))
         return self.sign(n) * mag
 
-    def log_abs_block(self, lo: int, hi: int) -> np.ndarray:
-        """log|rtilde_n| for lo <= n < hi as one vector."""
+    def log_abs_block(self, lo: int, hi: int, log_gaps: Optional[np.ndarray] = None) -> np.ndarray:
+        """log|rtilde_n| for lo <= n < hi as one vector.
+
+        The block reads the terms of rows lo + 1 .. hi, one row past the
+        block, so that a chunk ending at hi is complete; row hi is read
+        only where the grid has it.  A caller that already holds
+        log_gaps = grid.log_gaps(lo, hi + 1) passes it, and the block
+        takes its terms from it instead of evaluating the rows again: the
+        array is overwritten with the parity-signed terms.
+        """
         if lo < 1 or hi < lo:
             raise GridError(f"bad tilde range [{lo}, {hi})")
         if hi == lo:
             return np.empty(0)
-        base = self._S(lo)
-        # terms through row hi, one past the block, so that a chunk ending
-        # at hi is complete; row hi is read only where the grid has it
-        last = hi if self.grid.max_index is None or hi <= self.grid.max_index else hi - 1
-        n0 = 1 + (len(self._bases) - 1) * self.CHUNK  # the next missing base is S at n0 + CHUNK
-        if n0 < lo and n0 + self.CHUNK <= last:
-            self._ensure(len(self._bases))  # its chunk starts before the block's terms
-        terms = self._terms(lo + 1, last + 1)
+        if log_gaps is None:
+            last = hi if self.grid.max_index is None or hi <= self.grid.max_index else hi - 1
+            terms = self._terms(lo + 1, last + 1)
+        else:
+            if len(log_gaps) != hi - lo + 1:
+                raise GridError(f"log_gaps for the tilde block [{lo}, {hi}) needs {hi - lo + 1} rows")
+            terms = self._alternate(log_gaps[1:], lo + 1)
+        base, head = self._S(lo)
+        rest = self.CHUNK - head.size
+        if head.size and len(self._bases) == 1 + (lo - 1) // self.CHUNK and terms.size >= rest:
+            # the chunk that holds lo has no end base yet: its head and
+            # the block's first terms complete it
+            chunk = np.concatenate((head, terms[:rest]))
+            self._bases.append(self._bases[-1] + exact_row_sums(chunk[None, :])[0])
         self._extend(lo + 1, terms)
         s = np.concatenate(([base], base + np.cumsum(terms[: hi - lo - 1])))
         return self._alternate(s, lo)

@@ -1,8 +1,9 @@
 """Shared numerical machinery.
 
 Everything here is deliberately boring: tri-state evidence values,
-compensated summation, a couple of sequence-extrapolation helpers, and
-the two-window statistics used by the boundedness probes.  The
+compensated and correctly rounded summation, a couple of
+sequence-extrapolation helpers, the two-window statistics used by the
+boundedness probes, and the process-wide heap policy.  The
 criteria modules lean on these instead of rolling their own loops so
 that every probe in the package reports growth and stability the same
 way.
@@ -10,6 +11,7 @@ way.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from enum import Enum
 from typing import Callable
@@ -19,6 +21,8 @@ import numpy as np
 __all__ = [
     "TriState",
     "ChunkedSum",
+    "exact_row_sums",
+    "keep_heap",
     "richardson_pair",
     "aitken",
     "tail_windows",
@@ -37,6 +41,20 @@ DRIFT_TOL = 0.05
 
 # rows per block of a window scan
 _CHUNK = 1 << 15
+
+# exact_row_sums: terms with 2^-28 <= |x| < 2^11 are multiples of 2^-80
+# (their ulp is at least 2^-80); split at 2^-30, the high parts of up to
+# 2^12 terms sum exactly in float64 and the 50-bit low parts in int64
+_EXACT_MIN = 2.0**-28
+_EXACT_MAX = 2.0**11
+_EXACT_MAX_COLS = 1 << 12
+
+# keep_heap: glibc mallopt parameters and the values it sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 4 << 20
+_heap_kept = None  # keep_heap's result, settled once per process
 
 
 class TriState(str, Enum):
@@ -78,6 +96,79 @@ class ChunkedSum:
 
     def total(self) -> float:
         return math.fsum(self._parts)
+
+
+def exact_row_sums(x2d) -> list[float]:
+    """The correctly rounded sum of each row of a 2-d array: math.fsum's value.
+
+    A row of at most 2^12 terms, each with |x| < 2^11 and x * 2^80 an
+    integer (true of every x with |x| >= 2^-28), is summed exactly in
+    vectorised form: x * 2^30 splits exactly into hi = floor(x * 2^30)
+    and a 50-bit lo = (x * 2^30 - hi) * 2^50, hi sums exactly in float64
+    and lo in int64, and the integer (H << 50) + L divided by 2^80
+    rounds correctly (CPython's int / int true division does).  Any
+    other row (longer, tiny, huge or non-finite terms, or an exact sum
+    of zero, whose sign fsum chooses by Python version) goes to
+    math.fsum, with its errors.
+    """
+    x = np.asarray(x2d, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("exact_row_sums needs a 2-d array")
+    rows, cols = x.shape
+    if cols > _EXACT_MAX_COLS or rows == 0 or cols == 0:
+        return [math.fsum(row) for row in x.tolist()]
+    a = np.abs(x)
+    fast = (a.max(axis=1) < _EXACT_MAX) & (a.min(axis=1) >= _EXACT_MIN)
+    if not fast.all():
+        # a row with zeros or tiny terms still qualifies when every term
+        # is a multiple of 2^-80
+        for i in np.flatnonzero(~fast):
+            if a[i].max() < _EXACT_MAX:
+                z = x[i] * 2.0**80
+                fast[i] = bool(np.all(z == np.floor(z)))
+    idx = np.flatnonzero(fast)
+    y = (x if idx.size == rows else x[idx]) * 2.0**30
+    hi = np.floor(y)
+    y -= hi
+    y *= 2.0**50
+    H = hi.sum(axis=1).tolist()
+    L = y.astype(np.int64).sum(axis=1).tolist()
+    out: list = [None] * rows
+    for i, h, l in zip(idx.tolist(), H, L):
+        total = (int(h) << 50) + l
+        if total:
+            out[i] = total / (1 << 80)
+    return [math.fsum(x[i].tolist()) if v is None else v for i, v in enumerate(out)]
+
+
+def keep_heap() -> bool:
+    """Stop glibc from trimming the heap top between probe blocks.
+
+    The probes allocate and free 256 KiB block arrays.  With the default
+    dynamic thresholds glibc returns the freed heap top to the system and
+    the next block page-faults it back in, 10^3 to 10^4 minor faults per
+    verdict depending on the heap layout.  This sets M_TRIM_THRESHOLD to
+    64 MiB and M_MMAP_THRESHOLD to 4 MiB through mallopt, once per
+    process: up to 64 MiB of freed heap top then stays mapped, and only
+    allocations of 4 MiB or more get their own mapping.  The setting is
+    process-wide and outlives the verdict.  Elsewhere than on glibc it
+    does nothing.  Returns whether the policy is in force.
+    """
+    global _heap_kept
+    if _heap_kept is None:
+        _heap_kept = False
+        try:
+            libc = ctypes.CDLL(None)
+            mallopt = libc.mallopt
+            libc.gnu_get_libc_version  # glibc's parameter numbering
+        except (OSError, AttributeError, TypeError):
+            return False
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        _heap_kept = bool(
+            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        )
+    return _heap_kept
 
 
 def richardson_pair(coarse: float, fine: float, ratio: float, order: float) -> float:

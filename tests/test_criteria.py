@@ -84,15 +84,15 @@ class TestGnlog:
 
     def test_gfunction_wrappers(self):
         z = GFunction(GKind.ZERO)
-        assert z.evaluate(17) == 0.0
+        assert z.evaluate_block(17, 18)[0] == 0.0
         assert np.all(z.evaluate_block(2, 50) == 0.0)
         g = GFunction(GKind.NLOG, eta=0.4)
-        assert g.evaluate(1) == g.evaluate(2)  # clamped below the domain
+        assert g.evaluate_block(1, 2)[0] == g.evaluate_block(2, 3)[0]  # clamped below the domain
         np.testing.assert_allclose(
-            g.evaluate_block(2, 30), [g.evaluate(n) for n in range(2, 30)], rtol=1e-13
+            g.evaluate_block(2, 30), [G_nlog(0.4, n) for n in range(2, 30)], rtol=1e-13
         )
         c = GFunction(GKind.CUSTOM, fn=lambda lo, hi: 1.0 / np.arange(lo, hi))
-        assert c.evaluate(4) == 0.25
+        assert c.evaluate_block(4, 5)[0] == 0.25
 
 
 class TestF:
@@ -177,7 +177,7 @@ class TestSelectG:
         assert heavy.kind is GKind.CUSTOM
         assert heavy.provenance == "measured-curvature"
         # the custom fallback is the measured F itself
-        assert heavy.evaluate(50) == pytest.approx(
+        assert heavy.evaluate_block(50, 51)[0] == pytest.approx(
             F(PowerLogGrid(gamma=1.0, eta=1.5), 50), rel=1e-12
         )
 
@@ -190,7 +190,7 @@ class TestSelectG:
         for lo in (1, 2, 32767, 32768, 32769):
             want = np.array([F(g, n) for n in range(lo, lo + 300)])
             assert G.evaluate_block(lo, lo + 300).tobytes() == want.tobytes(), lo
-            assert G.evaluate(lo) == want[0]
+            assert G.evaluate_block(lo, lo + 1)[0] == want[0]
 
 
 class TestSeriesProbes:

@@ -1,7 +1,8 @@
 """The tilde pass is bit-exact against its earlier form.
 
 TildeSequence takes the chunk bases of its fsum ladder from the terms a
-block read has already computed and flips the signs of odd rows in
+block read has already computed (its own or the caller's log gaps),
+sums them with exact_row_sums, and flips the signs of odd rows in
 place, PeriodPair.block builds parity sequences by strided assignment,
 and PowerLogGrid.log_gaps skips the ln ln n term at eta = 0.  The
 references below are the earlier implementations (a separate pass per
@@ -114,20 +115,25 @@ def random_reads(h):
         yield ("point", n)
 
 
-def replay(tilde, reads):
+def replay(tilde, reads, caller_logs=False):
+    """Every read's bytes; caller_logs hands each block the caller's log gaps, as conditions A and B do."""
     out = []
     for read in reads:
         if read[0] == "point":
             out.append(np.float64(tilde.log_abs(read[1])).tobytes())
+        elif caller_logs:
+            _, lo, hi = read
+            _, ld = tilde.grid.gaps_and_logs(lo, hi + 1)
+            out.append(tilde.log_abs_block(lo, hi, ld).tobytes())
         else:
             out.append(tilde.log_abs_block(read[1], read[2]).tobytes())
     return out
 
 
-def assert_same(grid, reads):
+def assert_same(grid, reads, caller_logs=False):
     reads = list(reads)
     got, want = TildeSequence(grid), ReferenceTilde(grid)
-    assert replay(got, reads) == replay(want, reads)
+    assert replay(got, reads, caller_logs) == replay(want, reads)
     # block reads build bases ahead of the reference's lazy ladder
     want._ensure(len(got._bases) - 1)
     assert np.array(got._bases).tobytes() == np.array(want._bases).tobytes()
@@ -157,6 +163,27 @@ SCANS = {
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_tilde_scans_match_reference(name, scan):
     assert_same(GRIDS[name], SCANS[scan](H))
+
+
+@pytest.mark.parametrize("scan", ["condition-A", "A-then-B", "B-on-fresh-sequence"])
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_caller_log_gaps_match_reference(name, scan):
+    assert_same(GRIDS[name], SCANS[scan](H), caller_logs=True)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("lo", [1, 2, 3, 4097])
+def test_gaps_and_logs_match_separate_calls(name, lo):
+    grid = GRIDS[name]
+    d, ld = grid.gaps_and_logs(lo, lo + 5000)
+    assert d.tobytes() == grid.gaps(lo, lo + 5000).tobytes()
+    assert ld.tobytes() == grid.log_gaps(lo, lo + 5000).tobytes()
+
+
+def test_caller_log_gaps_need_one_row_past_the_block():
+    grid = GRIDS["power-eta0.3"]
+    with pytest.raises(GridError):
+        TildeSequence(grid).log_abs_block(5, 20, grid.log_gaps(5, 20))
 
 
 def test_explicit_error_tail_block_ends_at_max_index():
@@ -193,8 +220,25 @@ def test_block_scan_evaluates_each_row_about_once(horizons, extra):
     t = TildeSequence(grid)
     replay(t, condition_a_reads(horizons))
     # rows 2 .. H + 1; a block that starts inside a chunk also reads
-    # that chunk's head and the whole chunk once more
+    # that chunk's head
     assert H <= grid.rows <= H + extra
+    assert len(t._bases) == H // 4096 + 1
+
+
+@pytest.mark.parametrize("caller_logs", [False, True])
+def test_block_inside_a_chunk_rereads_only_its_head(caller_logs):
+    grid = CountingGrid(GRIDS["power-eta0"])
+    t = TildeSequence(grid)
+    reads = list(condition_a_reads((10**4, H)))
+    if caller_logs:
+        for _, lo, hi in reads:
+            t.log_abs_block(lo, hi, GRIDS["power-eta0"].log_gaps(lo, hi + 1))
+        assert grid.rows == sum((lo - 1) % 4096 for _, lo, _ in reads)
+    else:
+        replay(t, reads)
+        # rows 2 .. H + 1 once, plus rows n0 + 1 .. lo of each block
+        # whose first row lo lies inside the chunk starting at n0
+        assert grid.rows == H + sum((lo - 1) % 4096 for _, lo, _ in reads)
     assert len(t._bases) == H // 4096 + 1
 
 
