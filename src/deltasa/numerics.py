@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 from enum import Enum
 from typing import Callable
 
@@ -54,6 +55,10 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 4 << 20
+# the environment variables and tunables through which a process states
+# its own trim or mmap threshold; keep_heap leaves such a process alone
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+_MALLOC_TUNABLES = ("glibc.malloc.trim_threshold", "glibc.malloc.mmap_threshold")
 _heap_kept = None  # keep_heap's result, settled once per process
 
 
@@ -101,14 +106,13 @@ class ChunkedSum:
 def exact_row_sums(x2d) -> list[float]:
     """The correctly rounded sum of each row of a 2-d array: math.fsum's value.
 
-    A row of at most 2^12 terms, each with |x| < 2^11 and x * 2^80 an
-    integer (true of every x with |x| >= 2^-28), is summed exactly in
-    vectorised form: x * 2^30 splits exactly into hi = floor(x * 2^30)
+    A row of at most 2^12 terms, each with 2^-28 <= |x| < 2^11 (so that
+    x * 2^80 is an integer), is summed exactly in vectorised form: x * 2^30 splits exactly into hi = floor(x * 2^30)
     and a 50-bit lo = (x * 2^30 - hi) * 2^50, hi sums exactly in float64
     and lo in int64, and the integer (H << 50) + L divided by 2^80
     rounds correctly (CPython's int / int true division does).  Any
-    other row (longer, tiny, huge or non-finite terms, or an exact sum
-    of zero, whose sign fsum chooses by Python version) goes to
+    other row (longer, zero, tiny, huge or non-finite terms, or an exact
+    sum of zero, whose sign fsum chooses by Python version) goes to
     math.fsum, with its errors.
     """
     x = np.asarray(x2d, dtype=float)
@@ -119,13 +123,6 @@ def exact_row_sums(x2d) -> list[float]:
         return [math.fsum(row) for row in x.tolist()]
     a = np.abs(x)
     fast = (a.max(axis=1) < _EXACT_MAX) & (a.min(axis=1) >= _EXACT_MIN)
-    if not fast.all():
-        # a row with zeros or tiny terms still qualifies when every term
-        # is a multiple of 2^-80
-        for i in np.flatnonzero(~fast):
-            if a[i].max() < _EXACT_MAX:
-                z = x[i] * 2.0**80
-                fast[i] = bool(np.all(z == np.floor(z)))
     idx = np.flatnonzero(fast)
     y = (x if idx.size == rows else x[idx]) * 2.0**30
     hi = np.floor(y)
@@ -151,12 +148,17 @@ def keep_heap() -> bool:
     64 MiB and M_MMAP_THRESHOLD to 4 MiB through mallopt, once per
     process: up to 64 MiB of freed heap top then stays mapped, and only
     allocations of 4 MiB or more get their own mapping.  The setting is
-    process-wide and outlives the verdict.  Elsewhere than on glibc it
-    does nothing.  Returns whether the policy is in force.
+    process-wide and outlives the verdict.  It does nothing elsewhere
+    than on glibc, and nothing where the environment already sets
+    either threshold (MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_,
+    or glibc.malloc.trim_threshold / mmap_threshold in GLIBC_TUNABLES).
+    Returns whether this policy is in force.
     """
     global _heap_kept
     if _heap_kept is None:
         _heap_kept = False
+        if _malloc_policy_stated():
+            return False
         try:
             libc = ctypes.CDLL(None)
             mallopt = libc.mallopt
@@ -169,6 +171,14 @@ def keep_heap() -> bool:
             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         )
     return _heap_kept
+
+
+def _malloc_policy_stated() -> bool:
+    """Whether the environment sets glibc's trim or mmap threshold."""
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return True
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    return any(item.partition("=")[0] in _MALLOC_TUNABLES for item in tunables.split(":"))
 
 
 def richardson_pair(coarse: float, fine: float, ratio: float, order: float) -> float:

@@ -6,6 +6,8 @@ the system and the next block faults it back in: 10^4 to 5*10^4 minor
 faults per verdict.  keep_heap() turns that off, so after a warm-up
 verdict each further one stays under a small fault budget.  The loop
 runs in a fresh interpreter, whose heap no earlier test has shaped.
+A process whose environment sets glibc's trim or mmap threshold keeps
+its own policy: keep_heap() then leaves the allocator alone.
 """
 
 import json
@@ -43,13 +45,51 @@ print(json.dumps(out))
 """
 
 
-def test_interior_verdicts_stay_under_fault_budget():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+
+PROBE = """
+import ctypes, json
+from deltasa.numerics import keep_heap
+try:
+    libc = ctypes.CDLL(None)
+    glibc = hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version")
+except OSError:
+    glibc = False
+print(json.dumps({"kept": keep_heap(), "glibc": glibc}))
+"""
+
+
+def run_child(code, **malloc_env):
+    """Run code in a fresh interpreter whose malloc environment is malloc_env alone."""
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    env.update(malloc_env, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", LOOP], env=env, capture_output=True, text=True, timeout=300, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True
     )
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_interior_verdicts_stay_under_fault_budget():
+    out = run_child(LOOP)
     if not out["kept"]:
         pytest.skip("no glibc mallopt in this process")
     assert out["certificates"] == ["periodic-comparison"] * 3
     assert max(out["faults"]) < FAULT_BUDGET, out["faults"]
+
+
+@pytest.mark.parametrize(
+    "malloc_env, kept",
+    [
+        ({"MALLOC_TRIM_THRESHOLD_": "131072"}, False),
+        ({"MALLOC_MMAP_THRESHOLD_": "1048576"}, False),
+        ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, False),
+        ({"GLIBC_TUNABLES": "glibc.malloc.tcache_count=7:glibc.malloc.mmap_threshold=1048576"}, False),
+        ({"GLIBC_TUNABLES": "glibc.malloc.tcache_count=7"}, True),
+    ],
+    ids=["trim-env", "mmap-env", "trim-tunable", "mmap-tunable", "other-tunable"],
+)
+def test_malloc_policy_stated_in_environment_is_left_alone(malloc_env, kept):
+    out = run_child(PROBE, **malloc_env)
+    if not out["glibc"]:
+        pytest.skip("no glibc mallopt in this process")
+    assert out["kept"] is kept
