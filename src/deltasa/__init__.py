@@ -17,7 +17,6 @@ from .criteria import (
     GFunction,
     GKind,
     GLimits,
-    G_nlog,
     SeriesProbe,
     SeriesVerdict,
     check_condition_A,
@@ -109,7 +108,6 @@ __all__ = [
     "BoundProbe",
     "GKind",
     "GFunction",
-    "G_nlog",
     "F",
     "F_block",
     "F_expansion",

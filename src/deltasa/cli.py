@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -195,16 +194,23 @@ def _horizon_ladder(args: argparse.Namespace) -> tuple[int, ...]:
         if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
             raise CliError("--horizons must be strictly increasing integers")
         return hs
+    top = _env_horizon(None)
+    if top is None:
+        return _DEFAULT_LADDER
+    if top < 10**3:
+        raise CliError("DELTA_SPEC_HORIZON must be >= 1000")
+    return tuple(h for h in _DEFAULT_LADDER if h < top) + (top,)
+
+
+def _env_horizon(default: Optional[int]) -> Optional[int]:
+    """DELTA_SPEC_HORIZON as an int, or default when it is unset or empty."""
     env = os.environ.get("DELTA_SPEC_HORIZON")
-    if env:
-        try:
-            top = int(env)
-        except ValueError:
-            raise CliError(f"bad DELTA_SPEC_HORIZON {env!r}")
-        if top < 10**3:
-            raise CliError("DELTA_SPEC_HORIZON must be >= 1000")
-        return tuple(h for h in _DEFAULT_LADDER if h < top) + (top,)
-    return _DEFAULT_LADDER
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"bad DELTA_SPEC_HORIZON {env!r}")
 
 
 def _json_default(obj):
@@ -237,10 +243,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
     horizons = _horizon_ladder(args)
-    cfg = VerdictConfig(
-        horizons=horizons,
-        oracle_horizon=min(args.oracle_horizon or 10**5, horizons[-1]),
-    )
+    cfg = VerdictConfig(horizons=horizons, oracle_horizon=min(10**5, horizons[-1]))
     t0 = time.time()
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
@@ -324,8 +327,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     horizon = args.horizon
     if horizon is None:
-        env = os.environ.get("DELTA_SPEC_HORIZON")
-        horizon = int(env) if env else 10**6
+        horizon = _env_horizon(10**6)
     try:
         report = run_battery(only=args.only, horizon=horizon)
     except ValueError as e:
@@ -438,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="coupling expression (use --alpha=EXPR when EXPR starts with '-')",
     )
     p.add_argument("--horizons", default=None, help="comma-separated increasing horizons")
-    p.add_argument("--oracle-horizon", type=int, default=None, help="oracle solve length")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(fn=_cmd_analyze)

@@ -7,8 +7,7 @@ Three families of machinery live here:
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
   alpha stays below / above an explicit envelope built from the gap
   profile and a comparison function G, which comes from the curvature
-  functional F and its Taylor expansion (select_G, G_nlog,
-  verify_G_limits);
+  functional F and its Taylor expansion (select_G, verify_G_limits);
 * the period-two tail structure: parity limits of rho_n
   (check_condition_B) and the l2 test on r_n*rtilde_n
   (check_condition_A).
@@ -38,12 +37,13 @@ from .grid import (
     classify_summability,
     ratio_stats,
 )
-from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence
+from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
     DRIFT_TOL,
     ChunkedSum,
     TriState,
     aitken,
+    blocks,
     richardson_pair,
     signed_drift,
     sqrt1p_minus_1,
@@ -59,7 +59,6 @@ __all__ = [
     "BoundProbe",
     "GKind",
     "GFunction",
-    "G_nlog",
     "select_G",
     "F",
     "F_block",
@@ -77,8 +76,6 @@ __all__ = [
     "ConditionB",
     "check_condition_B",
 ]
-
-_CHUNK = 1 << 15
 
 # condition B: the Richardson error order for grids without a closed
 # form, the order-unity ceiling on the late-window residual sup, and how
@@ -181,23 +178,6 @@ class GFunction:
         if self.eta is not None:
             d["eta"] = self.eta
         return d
-
-
-def G_nlog(eta: float, n: int) -> float:
-    """Two-branch comparison function for gaps 1/(n ln^eta n), eta in (0,1].
-
-    (1/4) ln^eta(n)/n for eta <= 1/2; the branch above 1/2 adds the
-    slower term eta/(n ln^{1-eta} n).
-    """
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    t = math.log(n)
-    g = 0.25 * t**eta / n
-    if eta > 0.5:
-        g += eta / (n * t ** (1.0 - eta))
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +374,25 @@ def _gap_exponents(grid: GridSequence) -> Optional[tuple[float, float]]:
     return None
 
 
+def _cubed_gap_verdict(grid: GridSequence, alpha: AlphaSequence) -> tuple[SeriesVerdict, object]:
+    """Exponent comparison for sum |alpha_n| d_n^3 (carleman-i's series up to a constant).
+
+    With alpha_n ~ c n^p (ln n)^q and d_n ~ n^g (ln n)^h the terms go like
+    n^P (ln n)^Q, P = p + 3g, Q = q + 3h; a zero coupling converges.
+    Returns the verdict and its analytic witness ({"P", "Q"} or "zero
+    coupling"), or (UNKNOWN, None) when a leading order is unknown.
+    """
+    lead = _leading_exponents(alpha)
+    gexp = _gap_exponents(grid)
+    if lead is None or gexp is None:
+        return SeriesVerdict.UNKNOWN, None
+    c, p, q = lead
+    if c == 0.0:
+        return SeriesVerdict.CONVERGES, "zero coupling"
+    P, Q = p + 3.0 * gexp[0], q + 3.0 * gexp[1]
+    return _bertrand_verdict(P, Q), {"P": P, "Q": Q}
+
+
 def _bertrand_verdict(P: float, Q: float) -> SeriesVerdict:
     """Convergence class of sum n^P (ln n)^Q by exponent comparison."""
     if P > -1.0:
@@ -427,8 +426,7 @@ def _stream_series(
     checkpoints = []
     prev = 1
     for h in horizons:
-        for a in range(prev, h + 1, _CHUNK):
-            b = min(a + _CHUNK, h + 1)
+        for a, b in blocks(prev, h + 1):
             acc.add_array(term_block(a, b))
         checkpoints.append((h, acc.total()))
         prev = h + 1
@@ -472,19 +470,8 @@ def test_carleman_i(
         return np.abs(alpha.alphas(a, b)) * dn * dn1 * r_prev * np.sqrt(dn1 + dn2)
 
     checkpoints = _stream_series(term_block, hs)
-    lead = _leading_exponents(alpha)
-    gexp = _gap_exponents(grid)
-    verdict = SeriesVerdict.UNKNOWN
-    witnesses: dict = {}
-    if lead is not None and gexp is not None:
-        c, p, q = lead
-        if c == 0.0:
-            verdict = SeriesVerdict.CONVERGES
-            witnesses["analytic"] = "zero coupling"
-        else:
-            P, Q = p + 3.0 * gexp[0], q + 3.0 * gexp[1]
-            verdict = _bertrand_verdict(P, Q)
-            witnesses["analytic"] = {"P": P, "Q": Q}
+    verdict, analytic = _cubed_gap_verdict(grid, alpha)
+    witnesses = {} if analytic is None else {"analytic": analytic}
     return SeriesProbe(
         test="carleman-i",
         params={"grid": grid.describe(), "alpha": alpha.describe()},
@@ -518,18 +505,10 @@ def test_condition_I(
         and summ.in_ell2 is TriState.TRUE
         and summ.in_ell1 is TriState.FALSE
     )
-    lead = _leading_exponents(alpha)
-    gexp = _gap_exponents(grid)
-    verdict = SeriesVerdict.UNKNOWN
+    verdict, analytic = _cubed_gap_verdict(grid, alpha)
     witnesses: dict = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
-    if lead is not None and gexp is not None:
-        c, p, q = lead
-        if c == 0.0:
-            verdict = SeriesVerdict.CONVERGES
-        else:
-            P, Q = p + 3.0 * gexp[0], q + 3.0 * gexp[1]
-            verdict = _bertrand_verdict(P, Q)
-            witnesses["analytic"] = {"P": P, "Q": Q}
+    if isinstance(analytic, dict):  # no witness for a zero coupling here
+        witnesses["analytic"] = analytic
     return SeriesProbe(
         test="condition-I",
         params={"grid": grid.describe(), "alpha": alpha.describe()},
@@ -618,15 +597,6 @@ class GLimits:
     L2: float
     L3: float
     samples: dict
-
-    def to_json(self) -> dict:
-        return {
-            "eta": self.eta,
-            "L1": self.L1,
-            "L2": self.L2,
-            "L3": self.L3,
-            "samples": self.samples,
-        }
 
 
 def verify_G_limits(grid: PowerLogGrid, horizon: int = 10**6) -> GLimits:
@@ -783,18 +753,11 @@ def check_condition_B(
     else:
         error_order = _B_ERROR_ORDER
 
-    def rho_at(n: int) -> float:
-        inv = np.logaddexp(-grid.log_gap(n), -grid.log_gap(n + 1))
-        try:
-            return math.exp(float(inv) + 2.0 * t.log_abs(n))
-        except OverflowError:
-            return math.inf
-
     # two largest probed indices of each parity: H-ish and H/2-ish
     def parity_estimate(parity: int) -> tuple[float, list]:
         n1 = H if H % 2 == parity else H - 1
         n0 = H // 2 if (H // 2) % 2 == parity else H // 2 - 1
-        r0, r1 = rho_at(n0), rho_at(n1)
+        r0, r1 = rho(grid, n0, t), rho(grid, n1, t)
         est = richardson_pair(r0, r1, n1 / n0, error_order)
         return est, [[n0, r0], [n1, r1]]
 

@@ -30,7 +30,7 @@ from .criteria import (
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence
-from .numerics import TriState, keep_heap
+from .numerics import TriState
 
 __all__ = [
     "RecurrenceSolution",
@@ -48,7 +48,7 @@ __all__ = [
 _SCALE_BITS = 100  # rescale when |h| leaves [2^-100, 2^100]
 _SCALE_UP = 2.0**_SCALE_BITS
 _SCALE_DOWN = 2.0**-_SCALE_BITS
-_CHUNK = 2048  # rows per block of operator entries, marched as Python lists
+_CHUNK = 2048  # rows of operator entries per block: bounds the Python lists the march reads
 
 # l2_probe: the last _L2_WINDOW block-mass ratios must all stay below
 # 1 - _L2_MARGIN or all above 1 + _L2_MARGIN, over _L2_MIN_BLOCKS blocks or more
@@ -483,10 +483,7 @@ def deficiency_verdict(
       3. scaled-gap couplings near the critical line: conditions A and
          B plus the Floquet discriminant strictly inside a band.
       4. the lambda = +-i oracle, always advisory.
-
-    The first call sets the process-wide heap policy of keep_heap.
     """
-    keep_heap()
     cfg = cfg or VerdictConfig()
     diagnostics: dict = {"config": cfg.to_json()}
     flags: list[str] = []

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import ChunkedSum, TriState
+from .numerics import ChunkedSum, TriState, blocks
 
 __all__ = [
     "GridError",
@@ -37,7 +37,6 @@ __all__ = [
     "classify_summability",
 ]
 
-_CHUNK = 1 << 15
 # classify_summability: the last partial-sum checkpoint for grids
 # without a closed-form summability class
 _SUMMABILITY_HORIZON = 1 << 16
@@ -78,15 +77,12 @@ class GridSequence:
         d = self.gaps(lo, hi)
         return d, np.log(d)
 
-    def gap_log_ratio(self, n: int, k: int) -> Optional[float]:
-        """log(d_{n+k}/d_n) in a cancellation-free form, when available.
+    def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> Optional[np.ndarray]:
+        """log(d_{n+k}/d_n) for lo <= n < hi in a cancellation-free form, when available.
 
         Families that cannot do better than log(gap) arithmetic return
         None and callers fall back to direct differences.
         """
-        return None
-
-    def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> Optional[np.ndarray]:
         return None
 
     def r(self, n: int) -> float:
@@ -96,17 +92,6 @@ class GridSequence:
         if n < 0:
             raise GridError(f"r index must be >= 0, got {n}")
         return math.sqrt(self.gap(n) + self.gap(n + 1))
-
-    def x(self, n: int) -> float:
-        """Point position x_n = d_1 + ... + d_n."""
-        if n == 0:
-            return 0.0
-        if n < 0:
-            raise GridError(f"x index must be >= 0, got {n}")
-        acc = ChunkedSum()
-        for lo in range(1, n + 1, _CHUNK):
-            acc.add_array(self.gaps(lo, min(lo + _CHUNK, n + 1)))
-        return acc.total()
 
     def _in_ell1(self) -> TriState:
         return TriState.UNKNOWN
@@ -183,13 +168,6 @@ class PowerLogGrid(GridSequence):
         ld = self.log_gaps(lo, hi)
         return np.exp(ld), ld
 
-    def gap_log_ratio(self, n: int, k: int) -> Optional[float]:
-        if n < 2 or n + k < 2:
-            return None
-        t = math.log1p(k / n)
-        w = math.log1p(t / math.log(n))
-        return -self.gamma * t - self.eta * w
-
     def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> Optional[np.ndarray]:
         if lo < 2 or lo + k < 2:
             return None
@@ -230,16 +208,8 @@ class ConstantGrid(GridSequence):
         self._check_range(lo, hi)
         return np.full(hi - lo, self.d)
 
-    def gap_log_ratio(self, n: int, k: int) -> float:
-        return 0.0
-
     def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> np.ndarray:
         return np.zeros(hi - lo)
-
-    def x(self, n: int) -> float:
-        if n < 0:
-            raise GridError(f"x index must be >= 0, got {n}")
-        return self.d * n
 
     def _in_ell1(self) -> TriState:
         return TriState.FALSE
@@ -372,8 +342,7 @@ def ratio_stats(grid: GridSequence, horizon: int) -> RatioStats:
     mn, mx = math.inf, -math.inf
     logsum = ChunkedSum()
     count = 0
-    for a in range(lo, horizon + 1, _CHUNK):
-        b = min(a + _CHUNK, horizon + 1)
+    for a, b in blocks(lo, horizon + 1):
         d = grid.gaps(a, b + 1)
         ratios = d[1:] / d[:-1]
         mn = min(mn, float(ratios.min()))

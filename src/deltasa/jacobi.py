@@ -45,7 +45,7 @@ __all__ = [
     "scaled_operator",
 ]
 
-_CHUNK = 4096
+_CHUNK = 4096  # rows per tilde chunk: the chunk bases fix the bits of every rtilde read
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,6 @@ class TildeSequence:
         self._extend(lo + 1, terms)
         s = np.concatenate(([base], base + np.cumsum(terms[: hi - lo - 1])))
         return self._alternate(s, lo)
-
-    sign_block = staticmethod(PeriodPair(odd=1.0, even=-1.0).block)
 
 
 class AlphaSequence:
@@ -551,13 +549,16 @@ def alpha_zero(
 
 
 def rho(grid: GridSequence, n: int, tilde: Optional[TildeSequence] = None) -> float:
-    """rho_n = (1/d_n + 1/d_{n+1}) * rtilde_n^2, evaluated in log space."""
+    """rho_n = (1/d_n + 1/d_{n+1}) * rtilde_n^2 in log space; inf beyond the float range."""
     if tilde is None:
         tilde = TildeSequence(grid)
     ldn = grid.log_gap(n)
     ldn1 = grid.log_gap(n + 1)
     inv_log = np.logaddexp(-ldn, -ldn1)
-    return math.exp(float(inv_log) + 2.0 * tilde.log_abs(n))
+    try:
+        return math.exp(float(inv_log) + 2.0 * tilde.log_abs(n))
+    except OverflowError:
+        return math.inf
 
 
 def rho_block(

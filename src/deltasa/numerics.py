@@ -15,7 +15,7 @@ import ctypes
 import math
 import os
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "ChunkedSum",
     "exact_row_sums",
     "keep_heap",
+    "blocks",
     "richardson_pair",
     "aitken",
     "tail_windows",
@@ -40,7 +41,7 @@ __all__ = [
 # earlier-window sup.  Shrinking is always stable.
 DRIFT_TOL = 0.05
 
-# rows per block of a window scan
+# rows per probe block: one float64 array of a block is 256 KiB
 _CHUNK = 1 << 15
 
 # exact_row_sums: terms with 2^-28 <= |x| < 2^11 are multiples of 2^-80
@@ -92,9 +93,6 @@ class ChunkedSum:
     def __init__(self) -> None:
         self._parts: list[float] = []
 
-    def add(self, value: float) -> None:
-        self._parts.append(float(value))
-
     def add_array(self, arr: np.ndarray) -> None:
         if len(arr):
             self._parts.append(float(np.sum(arr)))
@@ -138,6 +136,16 @@ def exact_row_sums(x2d) -> list[float]:
     return [math.fsum(x[i].tolist()) if v is None else v for i, v in enumerate(out)]
 
 
+def blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The 32768-row blocks [a, b) that cover [lo, hi), starting at lo; every probe scan walks these.
+
+    The first block sets keep_heap's policy, before any block array is allocated.
+    """
+    keep_heap()
+    for a in range(lo, hi, _CHUNK):
+        yield a, min(a + _CHUNK, hi)
+
+
 def keep_heap() -> bool:
     """Stop glibc from trimming the heap top between probe blocks.
 
@@ -147,8 +155,10 @@ def keep_heap() -> bool:
     verdict depending on the heap layout.  This sets M_TRIM_THRESHOLD to
     64 MiB and M_MMAP_THRESHOLD to 4 MiB through mallopt, once per
     process: up to 64 MiB of freed heap top then stays mapped, and only
-    allocations of 4 MiB or more get their own mapping.  The setting is
-    process-wide and outlives the verdict.  It does nothing elsewhere
+    allocations of 4 MiB or more get their own mapping.  blocks() calls
+    it, so the policy starts with the first probe block, whether a
+    verdict or a probe called on its own scans it.  The setting is
+    process-wide and outlives the scan.  It does nothing elsewhere
     than on glibc, and nothing where the environment already sets
     either threshold (MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_,
     or glibc.malloc.trim_threshold / mmap_threshold in GLIBC_TUNABLES).
@@ -221,7 +231,7 @@ def window_sups(
     hi: int,
     windows: tuple[tuple[int, int], ...],
 ) -> tuple[float, int, tuple[float, ...]]:
-    """Scan block(a, b) over [lo, hi) in 32768-row blocks starting at lo.
+    """Scan block(a, b) over the blocks(lo, hi) of [lo, hi).
 
     Returns the global sup, its index (lo when no value beats -inf), and
     one sup per half-open window (wa, wb); an empty window reads -inf.
@@ -231,8 +241,7 @@ def window_sups(
     sup = -math.inf
     arg = lo
     sups = [-math.inf] * len(windows)
-    for a in range(lo, hi, _CHUNK):
-        b = min(a + _CHUNK, hi)
+    for a, b in blocks(lo, hi):
         vals = block(a, b)
         m = int(np.argmax(vals))
         if vals[m] > sup:

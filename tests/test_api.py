@@ -10,7 +10,9 @@ from deltasa.deficiency import CriterionVerdict, VerdictKind
 
 MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verify")
 
-# the gap-regularity layer, which no verdict, battery check or CLI path ran
+# names that no verdict, battery check or CLI path used: the
+# gap-regularity layer, and the scalar twins of the block forms; a
+# "module.Class" key lists removed attributes of that class
 REMOVED = {
     "criteria": (
         "check_asymptotic_eq10",
@@ -19,9 +21,16 @@ REMOVED = {
         "DConditions",
         "check_d4",
         "D4Result",
+        "G_nlog",
     ),
     "grid": ("SmoothFamilyDerivatives",),
     "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder"),
+    "grid.GridSequence": ("gap_log_ratio", "x"),
+    "grid.PowerLogGrid": ("gap_log_ratio", "x"),
+    "grid.ConstantGrid": ("gap_log_ratio", "x"),
+    "criteria.GLimits": ("to_json",),
+    "numerics.ChunkedSum": ("add",),
+    "jacobi.TildeSequence": ("sign_block",),
 }
 
 # perfbench/instrument.py wraps these by name for its --trace spans
@@ -50,8 +59,12 @@ def test_all_names_resolve(name):
 
 def test_removed_names_are_gone():
     for name, attrs in REMOVED.items():
-        mod = importlib.import_module(f"deltasa.{name}")
+        module, _, cls = name.partition(".")
+        mod = importlib.import_module(f"deltasa.{module}")
         for attr in attrs:
+            if cls:
+                assert not hasattr(getattr(mod, cls), attr), f"deltasa.{name}.{attr}"
+                continue
             assert not hasattr(mod, attr), f"deltasa.{name}.{attr}"
             assert attr not in mod.__all__
             assert not hasattr(deltasa, attr)

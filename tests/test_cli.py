@@ -145,6 +145,12 @@ class TestAnalyze:
         )
         assert json.loads(out)["horizons"] == [10000]
 
+    def test_oracle_horizon_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--oracle-horizon", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle-horizon" in capsys.readouterr().err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(self.ARGS + ["--output", str(target)], capsys)
@@ -218,6 +224,13 @@ class TestVerifyPaper:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True
+
+    def test_bad_env_horizon(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTA_SPEC_HORIZON", "abc")
+        for argv in (["verify-paper", "--only", "wallis"], ["analyze", "--gamma", "1.0", "--alpha", "zero"]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err == "error: bad DELTA_SPEC_HORIZON 'abc'\n"
 
     def test_unknown_filter_fails(self, capsys):
         code, _, err = run(

@@ -57,23 +57,17 @@ class TestPowerLogGrid:
     def test_gap_log_ratio_consistency(self):
         g = PowerLogGrid(gamma=0.6, eta=0.3)
         for n, k in [(3, 1), (3, -1), (10, 2), (1000, 1)]:
-            lr = g.gap_log_ratio(n, k)
+            lr = g.gap_log_ratio_block(n, n + 1, k)
             assert lr is not None
-            assert math.exp(lr) == pytest.approx(g.gap(n + k) / g.gap(n), rel=1e-13)
+            assert math.exp(lr[0]) == pytest.approx(g.gap(n + k) / g.gap(n), rel=1e-13)
         blk = g.gap_log_ratio_block(5, 15, 1)
-        want = [g.gap_log_ratio(n, 1) for n in range(5, 15)]
-        np.testing.assert_allclose(blk, want, rtol=1e-14)
+        want = [g.gap(n + 1) / g.gap(n) for n in range(5, 15)]
+        np.testing.assert_allclose(np.exp(blk), want, rtol=1e-13)
 
     def test_ratio_involving_first_gap_declines(self):
         g = PowerLogGrid(gamma=0.6)
-        assert g.gap_log_ratio(1, 1) is None
-        assert g.gap_log_ratio(2, -1) is None
-
-    def test_positions_are_harmonic_numbers(self):
-        g = PowerLogGrid(gamma=1.0)
-        with mpmath.workdps(40):
-            want = float(mpmath.harmonic(100))
-        assert g.x(100) == pytest.approx(want, rel=1e-13)
+        assert g.gap_log_ratio_block(1, 5, 1) is None
+        assert g.gap_log_ratio_block(2, 5, -1) is None
 
     def test_r_convention(self):
         g = PowerLogGrid(gamma=0.75)
@@ -97,7 +91,6 @@ class TestOtherGrids:
         g = ConstantGrid(d=0.5)
         assert g.gap(1) == 0.5
         assert g.gap(10**6) == 0.5
-        assert g.x(10) == pytest.approx(5.0)
         with pytest.raises(GridError):
             ConstantGrid(d=-1.0)
 

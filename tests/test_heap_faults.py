@@ -4,8 +4,10 @@ The probes free their 256 KiB block arrays between blocks.  Under
 glibc's default dynamic thresholds the freed heap top is returned to
 the system and the next block faults it back in: 10^4 to 5*10^4 minor
 faults per verdict.  keep_heap() turns that off, so after a warm-up
-verdict each further one stays under a small fault budget.  The loop
-runs in a fresh interpreter, whose heap no earlier test has shaped.
+verdict each further one stays under a small fault budget.  The first
+probe block sets that policy, so probes called without a verdict keep
+the heap too.  Each loop runs in a fresh interpreter, whose heap no
+earlier test has shaped.
 A process whose environment sets glibc's trim or mmap threshold keeps
 its own policy: keep_heap() then leaves the allocator alone.
 """
@@ -22,6 +24,7 @@ pytest.importorskip("resource")  # the loop counts faults with it
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAULT_BUDGET = 2000  # minor faults per verdict after warm-up
+PROBE_FAULT_BUDGET = 200  # minor faults per condition B and bound II pair after warm-up
 
 LOOP = """
 import json, resource
@@ -41,6 +44,28 @@ if out["kept"]:
         if k:  # the first verdict warms up
             out["faults"].append(faults() - before)
             out["certificates"].append(v.certificate)
+print(json.dumps(out))
+"""
+
+# the probes on their own, with no verdict to set the policy first
+PROBE_LOOP = """
+import json, resource
+from deltasa import PowerLogGrid, ScaledInverseGapsAlpha, check_condition_B, select_G, test_bound_II
+from deltasa.numerics import keep_heap
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+out = {"faults": []}
+for k, gamma in enumerate((0.7, 0.8, 0.9, 0.95)):
+    g = PowerLogGrid(gamma)
+    alpha = ScaledInverseGapsAlpha(g, -0.5)
+    before = faults()
+    check_condition_B(g, 10**6)
+    test_bound_II(g, alpha, select_G(g), N=10**5)
+    if k:  # the first pair warms up
+        out["faults"].append(faults() - before)
+out["kept"] = keep_heap()
 print(json.dumps(out))
 """
 
@@ -75,6 +100,13 @@ def test_interior_verdicts_stay_under_fault_budget():
         pytest.skip("no glibc mallopt in this process")
     assert out["certificates"] == ["periodic-comparison"] * 3
     assert max(out["faults"]) < FAULT_BUDGET, out["faults"]
+
+
+def test_probes_without_a_verdict_stay_under_fault_budget():
+    out = run_child(PROBE_LOOP)
+    if not out["kept"]:
+        pytest.skip("no glibc mallopt in this process")
+    assert max(out["faults"]) < PROBE_FAULT_BUDGET, out["faults"]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from deltasa import (
     AlphaZeroAlpha,
     ConstantGrid,
     CustomAlpha,
+    CustomGrid,
     ExplicitAlpha,
     GridError,
     JacobiOperator,
@@ -62,10 +63,8 @@ class TestTildeSequence:
         t = TildeSequence(PowerLogGrid(gamma=0.6, eta=0.3))
         for lo, hi in [(1, 40), (1000, 1080)]:
             la = t.log_abs_block(lo, hi)
-            sgn = t.sign_block(lo, hi)
             for i, n in enumerate(range(lo, hi)):
                 assert la[i] == pytest.approx(t.log_abs(n), abs=1e-12)
-                assert sgn[i] == t.sign(n)
 
     def test_module_helper(self):
         g = PowerLogGrid(gamma=1.0)
@@ -91,6 +90,14 @@ class TestRho:
         blk = rho_block(g, 3, 20, t)
         for i, n in enumerate(range(3, 20)):
             assert blk[i] == pytest.approx(rho(g, n, t), rel=1e-12)
+
+    def test_overflow_reads_inf(self):
+        # parity-unbalanced gaps: 2 log|rtilde_n| ~ 0.04 n along the odd
+        # parity, so exp overflows near n = 18000
+        g = CustomGrid(lambda n: (1.02 if n % 2 else 0.98) / n)
+        t = TildeSequence(g)
+        assert math.isfinite(rho(g, 1001, t))
+        assert rho(g, 20001, t) == math.inf
 
 
 class TestPeriodPair:

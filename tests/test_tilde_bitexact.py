@@ -89,9 +89,6 @@ class ReferenceTilde:
         signs = np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
         return signs * s
 
-    def sign_block(self, lo, hi):
-        return np.where(np.arange(lo, hi) % 2 == 1, 1.0, -1.0)
-
 
 def condition_a_reads(horizons):
     """Blocks of the series probes: BLOCK rows, restarting after each horizon."""
@@ -246,9 +243,6 @@ def test_short_blocks():
     grid = GRIDS["power-eta0.3"]
     reads = [("block", lo, lo + w) for lo in (1, 2, 4096, 4097, 4098, 9000) for w in (0, 1, 2, 4096)]
     assert_same(grid, reads)
-    t, ref = TildeSequence(grid), ReferenceTilde(grid)
-    for lo, hi in ((1, 1), (2, 3), (7, 20), (8, 20)):
-        assert t.sign_block(lo, hi).tobytes() == ref.sign_block(lo, hi).tobytes()
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 1), (2, 2), (5, 4), (1, 2), (2, 3), (1, 9), (2, 9), (3, 10), (4, 10)])
