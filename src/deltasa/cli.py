@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -65,8 +66,6 @@ from .jacobi import (
 from .verify import run_battery
 
 __all__ = ["main", "parse_alpha", "build_grid"]
-
-_DEFAULT_LADDER = (10**4, 10**5, 10**6)
 
 
 class CliError(Exception):
@@ -184,22 +183,20 @@ def build_grid(args: argparse.Namespace) -> GridSequence:
         raise CliError(str(e))
 
 
-def _horizon_ladder(args: argparse.Namespace) -> tuple[int, ...]:
+def _verdict_config(args: argparse.Namespace) -> VerdictConfig:
+    """The ladder from --horizons, else up to DELTA_SPEC_HORIZON, else the default."""
     raw = getattr(args, "horizons", None)
     if raw:
         try:
-            hs = tuple(int(h) for h in raw.split(","))
-        except ValueError:
-            raise CliError(f"bad --horizons {raw!r}")
-        if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
-            raise CliError("--horizons must be strictly increasing integers")
-        return hs
+            return VerdictConfig(tuple(int(h) for h in raw.split(",")))
+        except ValueError as e:
+            raise CliError(f"bad --horizons {raw!r}: {e}")
     top = _env_horizon(None)
     if top is None:
-        return _DEFAULT_LADDER
+        return VerdictConfig()
     if top < 10**3:
         raise CliError("DELTA_SPEC_HORIZON must be >= 1000")
-    return tuple(h for h in _DEFAULT_LADDER if h < top) + (top,)
+    return VerdictConfig.up_to(top)
 
 
 def _env_horizon(default: Optional[int]) -> Optional[int]:
@@ -242,8 +239,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t_start = time.time()
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
-    horizons = _horizon_ladder(args)
-    cfg = VerdictConfig(horizons=horizons, oracle_horizon=min(10**5, horizons[-1]))
+    cfg = _verdict_config(args)
     t0 = time.time()
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
@@ -251,7 +247,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "schema": "deltasa-analyze-v1",
         "grid": grid.describe(),
         "alpha": alpha.describe(),
-        "horizons": list(horizons),
+        "horizons": list(cfg.horizons),
         "verdict": verdict.to_json(),
     }
     if args.timings:
@@ -271,16 +267,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"bad sweep values: {e}")
     if not gammas or not a_values:
         raise CliError("sweep needs at least one gamma and one a value")
-    horizons = _horizon_ladder(args)
-    cfg = VerdictConfig(horizons=horizons, oracle_horizon=min(10**5, horizons[-1]))
+    cfg = _verdict_config(args)
     pert = PowerSumAlpha(terms=_parse_power_sum(args.alpha_pert.replace(" ", ""))) if args.alpha_pert else None
 
     rows = []
-    bound_N = horizons[-1] if len(horizons) == 1 else horizons[-2]
     for gamma in gammas:
         grid = PowerLogGrid(gamma=gamma, eta=args.eta, d1=args.d1)
-        cond_b = check_condition_B(grid, horizon=horizons[-1])
-        G = select_G(grid, horizon=min(bound_N, 10**5))
+        cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
+        G = select_G(grid, horizon=cfg.bound_horizon)
         for a in a_values:
             alpha = ScaledInverseGapsAlpha(grid, a, perturbation=pert)
             verdict = deficiency_verdict(grid, alpha, cfg)
@@ -291,8 +285,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 certifying = verdict.certificate
             fl = floquet_discriminant(cond_b.u, a)
-            b2 = test_bound_II(grid, alpha, G, N=bound_N)
-            b3 = test_bound_III(grid, alpha, G, N=bound_N)
+            b2 = test_bound_II(grid, alpha, G, N=cfg.bound_horizon)
+            b3 = test_bound_III(grid, alpha, G, N=cfg.bound_horizon)
             rows.append(
                 {
                     "gamma": gamma,
@@ -328,10 +322,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = _env_horizon(10**6)
-    try:
-        report = run_battery(only=args.only, horizon=horizon)
-    except ValueError as e:
-        raise CliError(str(e))
+    report = run_battery(only=args.only, horizon=horizon)
     if args.json:
         _emit(report.to_json(), args.output)
     else:
@@ -345,8 +336,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _log_sample(lo: int, hi: int, points: int) -> np.ndarray:
-    ns = np.unique(np.geomspace(lo, hi, points).astype(np.int64))
-    return ns
+    return np.unique(np.geomspace(lo, hi, points).astype(np.int64))
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
@@ -365,7 +355,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     elif q == "rho":
         tilde = TildeSequence(grid)
         for n in _log_sample(max(lo, 1), hi, args.points):
-            samples.append([int(n), float(rho_block(grid, int(n), int(n) + 1, tilde)[0])])
+            v = float(rho_block(grid, int(n), int(n) + 1, tilde)[0])
+            samples.append([int(n), v if math.isfinite(v) else None])  # JSON has no inf
     elif q in ("block_norms", "residuals"):
         if args.alpha is None:
             raise CliError(f"--alpha is required for {q}")
@@ -483,10 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (GridError, ValueError) as e:
+    except (CliError, ValueError) as e:  # GridError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

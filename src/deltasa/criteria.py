@@ -40,6 +40,9 @@ from .grid import (
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
     DRIFT_TOL,
+    HORIZONS,
+    MIN_HORIZON,
+    WINDOW_CAP,
     ChunkedSum,
     TriState,
     aitken,
@@ -317,13 +320,14 @@ def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> FOverDProbe:
     )
 
 
-def select_G(grid: GridSequence, horizon: int = 10**5) -> GFunction:
+def select_G(grid: GridSequence, horizon: int = WINDOW_CAP) -> GFunction:
     """Pick the comparison function G for the envelope bounds.
 
     Flat grids and profiles with bounded F/d take G = 0.  The
     gamma = 1, eta in (0,1] profile takes the closed two-branch form.
     Everything else falls back to the measured F itself (slack zero),
-    keeping the bounds sharp but empirical.
+    keeping the bounds sharp but empirical.  The tail probe that decides
+    between the two scans up to horizon, capped at WINDOW_CAP.
     """
     if isinstance(grid, ConstantGrid):
         return GFunction(GKind.ZERO, provenance="flat-gaps")
@@ -333,7 +337,7 @@ def select_G(grid: GridSequence, horizon: int = 10**5) -> GFunction:
             return GFunction(GKind.NLOG, eta=e, provenance="nlog-family")
         if 0.5 < g < 1.0 or (g == 1.0 and e <= 0.0):
             return GFunction(GKind.ZERO, provenance="smooth-family-bounded-F")
-    probe = f_over_d_probe(grid, 2, max(64, min(horizon, 10**5)))
+    probe = f_over_d_probe(grid, 2, max(64, min(horizon, WINDOW_CAP)))
     if probe.stable is TriState.TRUE:
         return GFunction(GKind.ZERO, provenance="tail-probe")
 
@@ -354,13 +358,10 @@ def _leading_exponents(alpha: AlphaSequence) -> Optional[tuple[float, float, flo
         return lead
     if isinstance(alpha, ExplicitAlpha) and alpha.tail in ("cycle", "hold"):
         floor = min(abs(v) for v in alpha.values)
-        peak = max(abs(v) for v in alpha.values)
         if floor > 0.0:
             # bounded above and below: any positive constant represents
             # the order; use the floor so divergence claims stay sound
             return (floor, 0.0, 0.0)
-        if peak == 0.0:
-            return (0.0, 0.0, 0.0)
     return None
 
 
@@ -441,7 +442,7 @@ def _normalize_horizons(horizons) -> tuple[int, ...]:
 
 
 def test_carleman_i(
-    grid: GridSequence, alpha: AlphaSequence, horizons=(10**4, 10**5, 10**6)
+    grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS
 ) -> SeriesProbe:
     """Probe of sum |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1}.
 
@@ -483,13 +484,13 @@ def test_carleman_i(
 
 
 def test_condition_I(
-    grid: GridSequence, alpha: AlphaSequence, horizons=(10**4, 10**5, 10**6)
+    grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS
 ) -> SeriesProbe:
-    """Probe of sum |alpha_n| d_n^3, gated by the gap-ratio condition.
+    """Probe of sum |alpha_n| d_n^3, with the gap-ratio gate of condition I.
 
-    The divergence certificate needs lim inf d_{n+1}/d_n > 0 and gaps
-    in l2 but not l1; outside that gate the probe still reports, with
-    gate_failed set so the pipeline will not certify from it.
+    The gate is lim inf d_{n+1}/d_n > 0 and gaps in l2 but not l1;
+    gate_failed reports it.  The verdict is carleman-i's exponent
+    comparison, so a verdict reads this probe as diagnostics only.
     """
     hs = _normalize_horizons(horizons)
 
@@ -498,7 +499,7 @@ def test_condition_I(
         return np.abs(alpha.alphas(a, b)) * d**3
 
     checkpoints = _stream_series(term_block, hs)
-    stats = ratio_stats(grid, min(hs[-1], 10**5))
+    stats = ratio_stats(grid, min(hs[-1], WINDOW_CAP))
     summ = classify_summability(grid)
     gate_failed = not (
         stats.min_ratio > 1e-6
@@ -659,7 +660,7 @@ def verify_G_limits(grid: PowerLogGrid, horizon: int = 10**6) -> GLimits:
 
 
 def check_condition_A(
-    grid: GridSequence, horizons=(10**4, 10**5, 10**6), tilde: Optional[TildeSequence] = None
+    grid: GridSequence, horizons=HORIZONS, tilde: Optional[TildeSequence] = None
 ) -> SeriesProbe:
     """l2 test for the sequence r_n rtilde_n: partial sums of (r_n rtilde_n)^2.
 
@@ -745,8 +746,8 @@ def check_condition_B(
     inf, and the check reports unknown.
     """
     H = int(horizon)
-    if H < 256:
-        raise ValueError("check_condition_B needs horizon >= 256")
+    if H < MIN_HORIZON:
+        raise ValueError(f"check_condition_B needs horizon >= {MIN_HORIZON}")
     t = tilde if tilde is not None else TildeSequence(grid)
     if isinstance(grid, PowerLogGrid):
         error_order = 2.0 * grid.gamma

@@ -20,6 +20,7 @@ import numpy as np
 from .criteria import (
     _B_CEILING,
     SeriesVerdict,
+    _normalize_horizons,
     check_condition_A,
     check_condition_B,
     select_G,
@@ -30,7 +31,7 @@ from .criteria import (
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence
-from .numerics import TriState
+from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, TriState
 
 __all__ = [
     "RecurrenceSolution",
@@ -363,10 +364,32 @@ class VerdictKind(str, Enum):
 
 @dataclass(frozen=True)
 class VerdictConfig:
-    """The horizons a verdict scans to; every threshold is a fixed constant."""
+    """The horizon ladder a verdict scans; every other scan length derives from it.
 
-    horizons: tuple[int, ...] = (10**4, 10**5, 10**6)
-    oracle_horizon: int = 10**5
+    A ladder that is empty, not strictly increasing or below MIN_HORIZON
+    raises ValueError.  Every threshold is a fixed constant.
+    """
+
+    horizons: tuple[int, ...] = HORIZONS
+
+    def __post_init__(self) -> None:
+        if _normalize_horizons(self.horizons)[0] < MIN_HORIZON:
+            raise ValueError(f"every horizon must be at least {MIN_HORIZON}, the shortest condition-B scan")
+
+    @classmethod
+    def up_to(cls, top: int) -> "VerdictConfig":
+        """The default ladder below top, then top."""
+        return cls(tuple(h for h in HORIZONS if h < top) + (top,))
+
+    @property
+    def bound_horizon(self) -> int:
+        """The envelope bounds' scan length: the second-to-last horizon, or the only one."""
+        return self.horizons[-2] if len(self.horizons) > 1 else self.horizons[0]
+
+    @property
+    def oracle_horizon(self) -> int:
+        """The oracle's march and the gap-ratio window: the top horizon, at most WINDOW_CAP."""
+        return min(WINDOW_CAP, self.horizons[-1])
 
     def to_json(self) -> dict:
         """The horizons and every fixed threshold the verdict ran with."""
@@ -429,7 +452,7 @@ def _certified(
     )
 
 
-# the oracle's verdict when both probe points agree on a class
+# the oracle's verdict for each decisive class
 _ORACLE_OUTCOMES = {
     "in_ell2": (VerdictKind.DEFICIENT, "oracle-ell2", "is square-summable by dyadic block decay"),
     "not_in_ell2": (
@@ -447,18 +470,15 @@ def _oracle_advisory(
 
     solve_probes marches lambda = +i to the horizon and derives -i from
     it, by the reality of B, so the pair costs one march plus a head
-    march.  Each class lands under the diagnostics key
-    oracle_lambda_+1i or oracle_lambda_-1i.
+    march.  The pair shares its block masses and so its l2_probe class;
+    each lands under the key oracle_lambda_+1i or oracle_lambda_-1i.
     """
-    classes = []
-    for sol in solve_probes(op, cfg.oracle_horizon):
-        probe = l2_probe(sol)
-        classes.append(probe.classification)
-        key = f"oracle_lambda_{sol.lam.imag:+g}i"
-        diagnostics[key] = {"solution": sol.to_json(), "l2": probe.to_json()}
-    agreed = classes[0] if len(set(classes)) == 1 else None
-    if agreed in _ORACLE_OUTCOMES:
-        kind, certificate, found = _ORACLE_OUTCOMES[agreed]
+    plus, minus = solve_probes(op, cfg.oracle_horizon)
+    probe = l2_probe(plus)
+    for sol in (plus, minus):
+        diagnostics[f"oracle_lambda_{sol.lam.imag:+g}i"] = {"solution": sol.to_json(), "l2": probe.to_json()}
+    if probe.classification in _ORACLE_OUTCOMES:
+        kind, certificate, found = _ORACLE_OUTCOMES[probe.classification]
         provenance = f"numerical-advisory: the forward solution at each nonreal probe point {found}"
     else:
         kind, certificate = VerdictKind.INCONCLUSIVE, None
@@ -477,12 +497,12 @@ def deficiency_verdict(
     Certificate order (strongest first):
       0. gaps summable -> outside the model, Inconclusive;
          gaps not square-summable -> SelfAdjoint for every coupling.
-      1. divergent coupling series (carleman-i; condition-I when its
-         gate holds).
+      1. divergent coupling series (carleman-i; condition I compares the
+         same exponents, so it only adds diagnostics).
       2. envelope bounds II / III with the selected G.
       3. scaled-gap couplings near the critical line: conditions A and
          B plus the Floquet discriminant strictly inside a band.
-      4. the lambda = +-i oracle, always advisory.
+      4. the lambda = +-i oracle to cfg.oracle_horizon, always advisory.
     """
     cfg = cfg or VerdictConfig()
     diagnostics: dict = {"config": cfg.to_json()}
@@ -509,8 +529,7 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    horizons = cfg.horizons
-    carleman = test_carleman_i(grid, alpha, horizons=horizons)
+    carleman = test_carleman_i(grid, alpha, horizons=cfg.horizons)
     diagnostics["carleman_i"] = carleman.to_json()
     if carleman.verdict is SeriesVerdict.DIVERGES:
         return _certified(
@@ -521,21 +540,11 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    cond_i = test_condition_I(grid, alpha, horizons=horizons)
-    diagnostics["condition_I"] = cond_i.to_json()
-    if cond_i.verdict is SeriesVerdict.DIVERGES and not cond_i.gate_failed:
-        return _certified(
-            VerdictKind.SELF_ADJOINT,
-            "weighted-gap-series",
-            "the cubed-gap coupling series diverges and the gap-ratio gate holds",
-            flags,
-            diagnostics,
-        )
+    diagnostics["condition_I"] = test_condition_I(grid, alpha, horizons=cfg.horizons).to_json()
 
-    N_bound = horizons[-1] if len(horizons) == 1 else horizons[-2]
-    G = select_G(grid, horizon=min(N_bound, 10**5))
+    G = select_G(grid, horizon=cfg.bound_horizon)
     diagnostics["G"] = G.to_json()
-    bound2 = test_bound_II(grid, alpha, G, N=N_bound)
+    bound2 = test_bound_II(grid, alpha, G, N=cfg.bound_horizon)
     diagnostics["bound_II"] = bound2.to_json()
     if bound2.holds is TriState.TRUE:
         return _certified(
@@ -546,7 +555,7 @@ def deficiency_verdict(
             flags,
             diagnostics,
         )
-    bound3 = test_bound_III(grid, alpha, G, N=N_bound)
+    bound3 = test_bound_III(grid, alpha, G, N=cfg.bound_horizon)
     diagnostics["bound_III"] = bound3.to_json()
     if bound3.holds is TriState.TRUE:
         return _certified(
@@ -563,7 +572,7 @@ def deficiency_verdict(
     scaled = alpha.scaled_gap_form()
     if scaled is not None:
         a, pert_ok = scaled
-        stats = ratio_stats(grid, min(horizons[-1], 10**5))
+        stats = ratio_stats(grid, cfg.oracle_horizon)
         diagnostics["ratio_stats"] = stats.to_json()
         ratio_ok = (
             abs(stats.limit_estimate - 1.0) <= _RATIO_LIMIT_TOL
@@ -575,9 +584,9 @@ def deficiency_verdict(
             flags.append("perturbation-order-unknown")
         if ratio_ok and pert_ok is not TriState.FALSE:
             tilde = TildeSequence(grid)
-            cond_a = check_condition_A(grid, horizons=horizons, tilde=tilde)
+            cond_a = check_condition_A(grid, horizons=cfg.horizons, tilde=tilde)
             diagnostics["condition_A"] = cond_a.to_json()
-            cond_b = check_condition_B(grid, horizon=horizons[-1], tilde=tilde)
+            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1], tilde=tilde)
             diagnostics["condition_B"] = cond_b.to_json()
             if cond_a.verdict is SeriesVerdict.CONVERGES and cond_b.holds is TriState.TRUE:
                 fl = floquet_discriminant(cond_b.u, a)

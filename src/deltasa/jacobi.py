@@ -564,12 +564,14 @@ def rho(grid: GridSequence, n: int, tilde: Optional[TildeSequence] = None) -> fl
 def rho_block(
     grid: GridSequence, lo: int, hi: int, tilde: Optional[TildeSequence] = None
 ) -> np.ndarray:
+    """rho_n for lo <= n < hi, as rho computes it: inf beyond the float range, silently."""
     if tilde is None:
         tilde = TildeSequence(grid)
     ld = grid.log_gaps(lo, hi + 1)
     inv_log = np.logaddexp(-ld[:-1], -ld[1:])
     L = tilde.log_abs_block(lo, hi)
-    return np.exp(inv_log + 2.0 * L)
+    with np.errstate(over="ignore"):
+        return np.exp(inv_log + 2.0 * L)
 
 
 def scaled_operator(

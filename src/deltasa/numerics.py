@@ -34,12 +34,21 @@ __all__ = [
     "sqrt1p_minus_1",
     "sqrt1p_tail",
     "DRIFT_TOL",
+    "HORIZONS",
+    "WINDOW_CAP",
+    "MIN_HORIZON",
 ]
 
 # Stability threshold shared by every two-window probe: a statistic is
 # window-stable when its later-window sup grows by less than 5% of the
 # earlier-window sup.  Shrinking is always stable.
 DRIFT_TOL = 0.05
+
+# The default horizon ladder; where scans of a tail window stop (select_G's
+# F/d probe, the gap ratios, the oracle); the shortest scan condition B takes.
+HORIZONS = (10**4, 10**5, 10**6)
+WINDOW_CAP = 10**5
+MIN_HORIZON = 256
 
 # rows per probe block: one float64 array of a block is 256 KiB
 _CHUNK = 1 << 15

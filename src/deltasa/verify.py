@@ -32,7 +32,6 @@ from .deficiency import (
     deficiency_verdict,
     floquet_discriminant,
     l2_probe,
-    solve_probes,
     solve_recurrence,
 )
 from .grid import PowerLogGrid
@@ -45,7 +44,7 @@ from .jacobi import (
     rho,
     scaled_operator,
 )
-from .numerics import DRIFT_TOL, TriState, signed_drift, tail_windows, window_sups
+from .numerics import DRIFT_TOL, WINDOW_CAP, TriState, signed_drift, tail_windows, window_sups
 
 __all__ = ["CheckResult", "BatteryReport", "run_battery", "CHECK_NAMES"]
 
@@ -156,7 +155,7 @@ def _check_3_ratio_scaling(H: int) -> CheckResult:
     """(n^g + (n+1)^g)/(2n+1)^g approaches 2^{1-g} at rate n^-2, g = 0.75."""
     t0 = time.time()
     g = 0.75
-    lo, hi = 10**3, min(10**5, H)
+    lo, hi = 10**3, min(WINDOW_CAP, H)
     ns = np.arange(lo, hi + 1, dtype=float)
     vals = np.abs((ns**g + (ns + 1.0) ** g) / (2.0 * ns + 1.0) ** g - 2.0 ** (1.0 - g)) * ns**2
     worst = float(np.max(vals))
@@ -189,7 +188,7 @@ def _check_4_f_limits(H: int) -> CheckResult:
 def _check_5_f_over_gap(H: int) -> CheckResult:
     """sup F/d window-stable on three bounded families, growing on (1, 0.5)."""
     t0 = time.time()
-    hi = min(10**5, H)
+    hi = min(WINDOW_CAP, H)
     details: list[str] = []
     ok = True
     for gamma, eta in ((0.6, 0.0), (0.75, 3.0), (1.0, -1.0)):
@@ -214,7 +213,7 @@ def _check_6_remainder(H: int) -> CheckResult:
     """|F - F_expansion(n,3)| n^2 ln^2 n window-stable for gaps 1/(n ln n)."""
     t0 = time.time()
     grid = PowerLogGrid(1.0, 1.0, 1.0)
-    hi = min(10**5, H)
+    hi = min(WINDOW_CAP, H)
     (w1a, w1b), w2 = tail_windows(hi)
 
     def scaled_remainder(lo: int, h: int) -> np.ndarray:
@@ -254,16 +253,11 @@ def _check_7_zero_energy(H: int) -> CheckResult:
     return CheckResult(7, "zero-energy-decay", ok, details, rt)
 
 
-def _verdict_cfg(H: int) -> VerdictConfig:
-    horizons = tuple(h for h in (10**4, 10**5, 10**6) if h < H) + (H,)
-    return VerdictConfig(horizons=horizons, oracle_horizon=min(10**5, H))
-
-
 def _check_8_verdicts(H: int) -> CheckResult:
     """Verdict phases on d = 1/n and the discriminant identity."""
     t0 = time.time()
     grid = PowerLogGrid(1.0, 0.0, 1.0)
-    cfg = _verdict_cfg(min(H, 10**5))
+    cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
     details: list[str] = []
     ok = True
     pert = PowerSumAlpha(terms=((1.0, -1.0, 0.0),))
@@ -324,9 +318,8 @@ def _check_9_scaling_identity(H: int) -> CheckResult:
 def _check_10_oracle_agreement(H: int) -> CheckResult:
     """Nonreal-energy oracle agrees with every analytic certificate.
 
-    The lambda = -i class is derived from the lambda = +i march by
-    conjugation (B is real), so the two classes are one witness shown
-    twice, not two independent ones.
+    The lambda = -i solution is the conjugate of the +i one (B is real),
+    so the two classes are one witness shown twice, not two independent ones.
     """
     t0 = time.time()
     inv = PowerLogGrid(1.0, 0.0, 1.0)
@@ -339,22 +332,19 @@ def _check_10_oracle_agreement(H: int) -> CheckResult:
         ("alpha=-2(2n+1)+1/n", inv, ScaledInverseGapsAlpha(inv, -2.0, perturbation=pert), VerdictKind.SELF_ADJOINT),
         ("gamma=0.75 a=-0.5", g75, ScaledInverseGapsAlpha(g75, -0.5), VerdictKind.DEFICIENT),
     ]
-    cfg = _verdict_cfg(min(H, 10**5))
-    N = min(10**5, max(H, 10**4))
+    cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
     details: list[str] = []
     ok = True
     for label, grid, alpha, expected in cases:
         v = deficiency_verdict(grid, alpha, cfg)
         analytic_ok = v.verdict is expected and not v.advisory
-        op = JacobiOperator(grid, alpha)
-        classes = [l2_probe(sol).classification for sol in solve_probes(op, N)]
+        cls = l2_probe(solve_recurrence(JacobiOperator(grid, alpha), 1j, cfg.oracle_horizon)).classification
         want = "in_ell2" if expected is VerdictKind.DEFICIENT else "not_in_ell2"
-        oracle_ok = all(c == want for c in classes)
-        good = analytic_ok and oracle_ok
+        good = analytic_ok and cls == want
         ok &= good
         details.append(
             f"{label}: analytic={v.verdict.value}({v.certificate}) "
-            f"oracle={classes[0]}/{classes[1]} {'ok' if good else 'VIOLATED'}"
+            f"oracle={cls}/{cls} {'ok' if good else 'VIOLATED'}"
         )
     return CheckResult(10, "oracle-agreement", ok, details, time.time() - t0)
 

@@ -105,6 +105,7 @@ REMOVED_PARAMETERS = {
             "ratio_limit_tol",
             "ratio_spread_max",
             "l2_margin",
+            "oracle_horizon",
         )
     },
     "check_condition_B.ceiling": lambda: deltasa.check_condition_B(GRID, 256, ceiling=10.0),
@@ -127,9 +128,9 @@ def test_removed_parameter_raises(label):
         REMOVED_PARAMETERS[label]()
 
 
-def test_verdict_config_has_two_fields_and_reports_every_threshold():
+def test_verdict_config_has_one_field_and_reports_every_threshold():
     cfg = deltasa.VerdictConfig()
-    assert [f for f in cfg.__dataclass_fields__] == ["horizons", "oracle_horizon"]
+    assert [f for f in cfg.__dataclass_fields__] == ["horizons"]
     # dumped, so that the -0.0 real part of the -i probe is compared too
     assert json.dumps(cfg.to_json()) == json.dumps(
         {

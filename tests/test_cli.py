@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -151,6 +152,24 @@ class TestAnalyze:
         assert exc.value.code == 2
         assert "unrecognized arguments: --oracle-horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ladder,alpha,rule",
+        [
+            ("-5,3", "-0.5*(1/d_n+1/d_{n+1})", "at least 256"),
+            ("0", "-0.5*(1/d_n+1/d_{n+1})", "at least 256"),
+            ("100", "-0.5*(1/d_n+1/d_{n+1})", "at least 256"),
+            ("100", "n^2", "at least 256"),  # carleman settles it, yet the ladder is bad
+            ("20000,10000", "zero", "strictly increasing"),
+        ],
+    )
+    def test_bad_ladder_is_one_error_line(self, capsys, ladder, alpha, rule):
+        code, out, err = run(
+            ["analyze", "--gamma", "1.0", f"--alpha={alpha}", f"--horizons={ladder}"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert rule in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(self.ARGS + ["--output", str(target)], capsys)
@@ -253,6 +272,52 @@ class TestPlotData:
         ns = [n for n, _ in payload["samples"]]
         assert ns == sorted(ns) and len(ns) <= 12
         assert payload["quantity"] == "F"
+
+    def test_rho_parity_limits(self, capsys):
+        # d = 1/n: rho tends to pi along odd n and to 4/pi along even n
+        code, out, _ = run(
+            [
+                "plot-data", "--gamma", "1", "--quantity", "rho",
+                "--lo", "9999", "--hi", "10000", "--points", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        samples = dict(json.loads(out)["samples"])
+        assert samples[9999] == pytest.approx(math.pi, abs=1e-3)
+        assert samples[10000] == pytest.approx(4.0 / math.pi, abs=1e-3)
+
+    def test_rho_overflow_is_json_null(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(
+                [
+                    "plot-data", "--grid", "explicit:1,2", "--quantity", "rho",
+                    "--lo", "2", "--hi", "10000", "--points", "8",
+                ],
+                capsys,
+            )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        samples = json.loads(out, parse_constant=reject)["samples"]
+        assert samples[-1] == [10000, None]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("lam", [["--lam", "1j"], []], ids=["lam=1j", "lam=0"])
+    def test_residuals_are_at_rounding_level(self, capsys, lam):
+        code, out, _ = run(
+            [
+                "plot-data", "--gamma", "1", "--quantity", "residuals",
+                "--alpha=-0.5*(1/d_n+1/d_{n+1})", *lam,
+            ],
+            capsys,
+        )
+        assert code == 0
+        values = [v for _, v in json.loads(out)["samples"]]
+        assert values and all(math.isfinite(v) and v < 1e-12 for v in values)
 
     def test_block_norms_need_alpha(self, capsys):
         code, _, err = run(

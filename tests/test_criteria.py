@@ -24,6 +24,7 @@ from deltasa import (
     GKind,
     PowerLogGrid,
     PowerSumAlpha,
+    ScaledInverseGapsAlpha,
     SeriesVerdict,
     check_condition_A,
     check_condition_B,
@@ -239,6 +240,28 @@ class TestSeriesProbes:
             horizons=(10**4,),
         )
         assert p.gate_failed is True
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            PowerLogGrid(gamma=0.75),
+            ConstantGrid(1.0),
+            ExplicitGrid(values=(0.5, 0.25), tail="cycle"),
+            CustomGrid(lambda n: 1.0 / n),
+        ],
+        ids=["power", "constant", "explicit", "custom"],
+    )
+    @pytest.mark.parametrize("coupling", ["critical", "power-sum", "zero"])
+    def test_condition_I_verdict_is_carleman_verdict(self, grid, coupling):
+        # the verdict never certifies from condition I: it can only
+        # diverge where carleman-i already has
+        alpha = {
+            "critical": lambda: ScaledInverseGapsAlpha(grid, -0.5),
+            "power-sum": lambda: PowerSumAlpha(terms=((1.0, 2.0, 0.0),)),
+            "zero": lambda: PowerSumAlpha(terms=((0.0, 0.0, 0.0),)),
+        }[coupling]()
+        hs = (10**3,)
+        assert test_condition_I(grid, alpha, hs).verdict is test_carleman_i(grid, alpha, hs).verdict
 
 
 class TestEnvelopeBounds:

@@ -147,8 +147,38 @@ class TestFloquet:
         assert floquet_discriminant(u, -2.0).inside_band is TriState.UNKNOWN
 
 
+class TestVerdictConfig:
+    @pytest.mark.parametrize(
+        "horizons,rule",
+        [
+            ((), "strictly increasing"),
+            ((10**5, 10**4), "strictly increasing"),
+            ((10**4, 10**4), "strictly increasing"),
+            ((255, 10**4), "at least 256"),
+            ((-5, 3), "at least 256"),
+        ],
+    )
+    def test_bad_ladder_raises_when_built(self, horizons, rule):
+        with pytest.raises(ValueError, match=rule):
+            VerdictConfig(horizons)
+
+    @pytest.mark.parametrize(
+        "cfg,ladder,bound,oracle",
+        [
+            (VerdictConfig(), (10**4, 10**5, 10**6), 10**5, 10**5),
+            (VerdictConfig((256,)), (256,), 256, 256),
+            (VerdictConfig((10**4, 10**5)), (10**4, 10**5), 10**4, 10**5),
+            (VerdictConfig.up_to(20000), (10**4, 20000), 10**4, 20000),
+            (VerdictConfig.up_to(10**4), (10**4,), 10**4, 10**4),
+            (VerdictConfig.up_to(3 * 10**6), (10**4, 10**5, 10**6, 3 * 10**6), 10**6, 10**5),
+        ],
+    )
+    def test_scan_lengths_derive_from_the_ladder(self, cfg, ladder, bound, oracle):
+        assert (cfg.horizons, cfg.bound_horizon, cfg.oracle_horizon) == (ladder, bound, oracle)
+
+
 class TestVerdictPipeline:
-    CFG = VerdictConfig(horizons=(10**4,), oracle_horizon=10**4)
+    CFG = VerdictConfig(horizons=(10**4,))
 
     def grid(self):
         return PowerLogGrid(gamma=1.0)
@@ -186,7 +216,7 @@ class TestVerdictPipeline:
         # condition B cannot estimate the period pair when rho_n
         # overflows along one parity; the verdict moves on, advisory
         g = CustomGrid(lambda n: (1.02 if n % 2 else 0.98) / n)
-        cfg = VerdictConfig(horizons=(10**4, 10**5), oracle_horizon=10**4)
+        cfg = VerdictConfig(horizons=(10**4, 10**5))
         v = deficiency_verdict(g, ScaledInverseGapsAlpha(g, -0.5), cfg)
         assert v.advisory
         assert v.diagnostics["condition_B"]["holds"] == "unknown"
