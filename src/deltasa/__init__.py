@@ -13,7 +13,6 @@ from .criteria import (
     ConditionB,
     F,
     F_block,
-    F_expansion,
     GFunction,
     GKind,
     GLimits,
@@ -110,7 +109,6 @@ __all__ = [
     "GFunction",
     "F",
     "F_block",
-    "F_expansion",
     "f_over_d_probe",
     "select_G",
     "test_carleman_i",

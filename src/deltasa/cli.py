@@ -194,9 +194,10 @@ def _verdict_config(args: argparse.Namespace) -> VerdictConfig:
     top = _env_horizon(None)
     if top is None:
         return VerdictConfig()
-    if top < 10**3:
-        raise CliError("DELTA_SPEC_HORIZON must be >= 1000")
-    return VerdictConfig.up_to(top)
+    try:
+        return VerdictConfig.up_to(top)
+    except ValueError as e:
+        raise CliError(f"bad DELTA_SPEC_HORIZON '{top}': {e}")
 
 
 def _env_horizon(default: Optional[int]) -> Optional[int]:

@@ -3,7 +3,8 @@
 Three families of machinery live here:
 
 * divergence probes for the weighted coupling series (test_carleman_i,
-  test_condition_I) and for the tail series of condition A;
+  test_condition_I, both read from one scan) and for the tail series of
+  condition A;
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
   alpha stays below / above an explicit envelope built from the gap
   profile and a comparison function G, which comes from the curvature
@@ -51,7 +52,6 @@ from .numerics import (
     signed_drift,
     sqrt1p_minus_1,
     sqrt1p_tail,
-    sqrt_series_coeffs,
     tail_windows,
     window_sups,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "select_G",
     "F",
     "F_block",
-    "F_expansion",
     "expansion_remainder_block",
     "FOverDProbe",
     "f_over_d_probe",
@@ -241,21 +240,11 @@ def F_block(grid: GridSequence, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([head, vals]) if head else vals
 
 
-def F_expansion(grid: GridSequence, n: int, k: int) -> float:
-    """Truncated expansion (1/d_n) sum_{i<k} C_i u^i + (1/d_{n+1}) sum_{i<k} C_i v^i."""
-    if n < 2:
-        raise GridError(f"F_expansion needs n >= 2, got {n}")
-    if k < 2:
-        raise GridError(f"F_expansion needs k >= 2, got {k}")
-    u, v = _uv_block(grid, n, n + 1)
-    coeffs = sqrt_series_coeffs(k)
-    su = sum(coeffs[i] * u[0] ** i for i in range(1, k))
-    sv = sum(coeffs[i] * v[0] ** i for i in range(1, k))
-    return float(su / grid.gap(n) + sv / grid.gap(n + 1))
-
-
 def expansion_remainder_block(grid: GridSequence, lo: int, hi: int, k: int) -> np.ndarray:
-    """F(n) - F_expansion(n, k) evaluated in fused form.
+    """F(n) minus its k-term expansion, evaluated in fused form.
+
+    The expansion is (1/d_n) sum_{i<k} C_i u^i + (1/d_{n+1}) sum_{i<k} C_i v^i,
+    with C_i the Taylor coefficients of sqrt(1+x) and u, v from _uv_block.
 
     The direct difference is hopeless: at n ~ 1e5 on slowly varying
     grids the remainder sits fifteen orders below the leading term.
@@ -421,15 +410,22 @@ def _growth_description(checkpoints: list[tuple[int, float]]) -> str:
 
 
 def _stream_series(
-    term_block: Callable[[int, int], np.ndarray], horizons: tuple[int, ...]
-) -> list[tuple[int, float]]:
-    acc = ChunkedSum()
-    checkpoints = []
+    term_blocks: Callable[[int, int], tuple[np.ndarray, ...]], horizons: tuple[int, ...], width: int = 1
+) -> list[list[tuple[int, float]]]:
+    """The checkpoints of each of the width term arrays term_blocks(a, b) returns.
+
+    Each series has its own ChunkedSum over the same block starts, so its
+    partial sums keep their bits whether it is scanned alone or beside others.
+    """
+    accs = [ChunkedSum() for _ in range(width)]
+    checkpoints: list[list[tuple[int, float]]] = [[] for _ in range(width)]
     prev = 1
     for h in horizons:
         for a, b in blocks(prev, h + 1):
-            acc.add_array(term_block(a, b))
-        checkpoints.append((h, acc.total()))
+            for acc, terms in zip(accs, term_blocks(a, b)):
+                acc.add_array(terms)
+        for acc, series in zip(accs, checkpoints):
+            series.append((h, acc.total()))
         prev = h + 1
     return checkpoints
 
@@ -441,84 +437,72 @@ def _normalize_horizons(horizons) -> tuple[int, ...]:
     return hs
 
 
-def test_carleman_i(
-    grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS
-) -> SeriesProbe:
-    """Probe of sum |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1}.
+def _coupling_series(
+    grid: GridSequence, alpha: AlphaSequence, horizons, condition_I: Optional[bool] = None
+) -> tuple[SeriesProbe, Optional[SeriesProbe]]:
+    """Carleman-i's probe and condition I's, from one scan of the gaps and couplings.
+
+    Each block reads grid.gaps(a - 1, b + 2) and alpha.alphas(a, b) once;
+    carleman-i's terms |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1} and condition
+    I's |alpha_n| d_n^3 both come from those reads.  Both verdicts are the
+    exponent comparison _cubed_gap_verdict.  condition_I None scans
+    condition I exactly when that comparison does not diverge, which is
+    when deficiency_verdict reads it; a probe left out is None.
+    """
+    hs = _normalize_horizons(horizons)
+    verdict, analytic = _cubed_gap_verdict(grid, alpha)
+    if condition_I is None:
+        condition_I = verdict is not SeriesVerdict.DIVERGES
+
+    def term_blocks(a: int, b: int) -> tuple[np.ndarray, ...]:
+        m, lo = b - a, max(a - 1, 1)
+        d = grid.gaps(lo, b + 2)  # gaps d_lo .. d_{b+1}
+        r = np.sqrt(d[:-1] + d[1:])  # r_lo .. r_b
+        if a == 1:
+            r = np.concatenate(([1.0], r))  # the r_0 = 1 convention
+        dn, dn1 = d[a - lo : a - lo + m], d[a - lo + 1 : a - lo + 1 + m]
+        abs_alpha = np.abs(alpha.alphas(a, b))
+        carleman = abs_alpha * dn * dn1 * r[:m] * r[2 : m + 2]
+        return (carleman, abs_alpha * dn**3) if condition_I else (carleman,)
+
+    sums = _stream_series(term_blocks, hs, 2 if condition_I else 1)
+    params = {"grid": grid.describe(), "alpha": alpha.describe()}
+    witnesses = {} if analytic is None else {"analytic": analytic}
+    growth = [_growth_description(series) for series in sums]
+    carleman = SeriesProbe("carleman-i", params, tuple(sums[0]), growth[0], verdict, witnesses=witnesses)
+    if not condition_I:
+        return carleman, None
+    # condition I's gate: lim inf d_{n+1}/d_n > 0, and gaps in l2 but not l1
+    stats = ratio_stats(grid, min(hs[-1], WINDOW_CAP))
+    summ = classify_summability(grid)
+    gate_failed = not (
+        stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
+    )
+    witnesses = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
+    if isinstance(analytic, dict):  # no witness for a zero coupling here
+        witnesses["analytic"] = analytic
+    return carleman, SeriesProbe("condition-I", params, tuple(sums[1]), growth[1], verdict, gate_failed, witnesses)
+
+
+def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
+    """Probe of sum |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1}: _coupling_series without condition I.
 
     Divergence of this series certifies self-adjointness on its own.
     The verdict comes from exponent comparison when both the coupling
     and the gap family expose their leading orders; otherwise the probe
     reports partial sums and a trend only.
     """
-    hs = _normalize_horizons(horizons)
-
-    def term_block(a: int, b: int) -> np.ndarray:
-        lo = max(a - 1, 1)
-        d = grid.gaps(lo, b + 2)  # gaps d_lo .. d_{b+1}
-        idx = a - lo  # position of d_a in the fetched slice
-        dn = d[idx : idx + (b - a)]
-        dn1 = d[idx + 1 : idx + 1 + (b - a)]
-        dn2 = d[idx + 2 : idx + 2 + (b - a)]
-        if a >= 2:
-            r_prev = np.sqrt(d[idx - 1 : idx - 1 + (b - a)] + dn)
-        else:
-            # r_0 = 1 convention at the first site
-            r_prev = np.empty(b - a)
-            r_prev[0] = 1.0
-            if b > 2:
-                r_prev[1:] = np.sqrt(d[0 : b - 2] + d[1 : b - 1])
-        return np.abs(alpha.alphas(a, b)) * dn * dn1 * r_prev * np.sqrt(dn1 + dn2)
-
-    checkpoints = _stream_series(term_block, hs)
-    verdict, analytic = _cubed_gap_verdict(grid, alpha)
-    witnesses = {} if analytic is None else {"analytic": analytic}
-    return SeriesProbe(
-        test="carleman-i",
-        params={"grid": grid.describe(), "alpha": alpha.describe()},
-        checkpoints=tuple(checkpoints),
-        fitted_growth=_growth_description(checkpoints),
-        verdict=verdict,
-        witnesses=witnesses,
-    )
+    return _coupling_series(grid, alpha, horizons, condition_I=False)[0]
 
 
-def test_condition_I(
-    grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS
-) -> SeriesProbe:
-    """Probe of sum |alpha_n| d_n^3, with the gap-ratio gate of condition I.
+def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
+    """Probe of sum |alpha_n| d_n^3 with condition I's gate, read from _coupling_series.
 
-    The gate is lim inf d_{n+1}/d_n > 0 and gaps in l2 but not l1;
-    gate_failed reports it.  The verdict is carleman-i's exponent
-    comparison, so a verdict reads this probe as diagnostics only.
+    gate_failed reports the gate: lim inf d_{n+1}/d_n > 0 and gaps in l2
+    but not l1.  The verdict is carleman-i's exponent comparison, so a
+    verdict reads this probe as diagnostics only, from its phase-1 scan.
     """
-    hs = _normalize_horizons(horizons)
-
-    def term_block(a: int, b: int) -> np.ndarray:
-        d = grid.gaps(a, b)
-        return np.abs(alpha.alphas(a, b)) * d**3
-
-    checkpoints = _stream_series(term_block, hs)
-    stats = ratio_stats(grid, min(hs[-1], WINDOW_CAP))
-    summ = classify_summability(grid)
-    gate_failed = not (
-        stats.min_ratio > 1e-6
-        and summ.in_ell2 is TriState.TRUE
-        and summ.in_ell1 is TriState.FALSE
-    )
-    verdict, analytic = _cubed_gap_verdict(grid, alpha)
-    witnesses: dict = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
-    if isinstance(analytic, dict):  # no witness for a zero coupling here
-        witnesses["analytic"] = analytic
-    return SeriesProbe(
-        test="condition-I",
-        params={"grid": grid.describe(), "alpha": alpha.describe()},
-        checkpoints=tuple(checkpoints),
-        fitted_growth=_growth_description(checkpoints),
-        verdict=verdict,
-        gate_failed=gate_failed,
-        witnesses=witnesses,
-    )
+    return _coupling_series(grid, alpha, horizons, condition_I=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +662,9 @@ def check_condition_A(
         # parity-unbalanced grids push 2L past the float range; saturate
         # the terms instead of overflowing (the verdict there is analytic
         # anyway, and saturated partial sums still read as divergence)
-        return (d[:-1] + d[1:]) * np.exp(np.minimum(2.0 * L, 500.0))
+        return ((d[:-1] + d[1:]) * np.exp(np.minimum(2.0 * L, 500.0)),)
 
-    checkpoints = _stream_series(term_block, hs)
+    (checkpoints,) = _stream_series(term_block, hs)
     verdict = SeriesVerdict.UNKNOWN
     witnesses: dict = {}
     if isinstance(grid, PowerLogGrid):

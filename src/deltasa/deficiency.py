@@ -20,14 +20,13 @@ import numpy as np
 from .criteria import (
     _B_CEILING,
     SeriesVerdict,
+    _coupling_series,
     _normalize_horizons,
     check_condition_A,
     check_condition_B,
     select_G,
     test_bound_II,
     test_bound_III,
-    test_carleman_i,
-    test_condition_I,
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence
@@ -164,8 +163,8 @@ def solve_recurrence(
     while n < N - 1:
         hi = min(n + _CHUNK, N - 1)
         diags = op.diag_block(n + 1, hi + 1)
-        offs_prev = op.off_block(n, hi)
-        offs_cur = op.off_block(n + 1, hi + 1)
+        offs = op.off_block(n, hi + 1)  # off(n) .. off(hi); elementwise, so slices keep every bit
+        offs_prev, offs_cur = offs[:-1], offs[1:]
         coefs = (lam_c - diags).tolist()
         if complex_lam:
             # complex(off, 0) products, then Smith's division by off
@@ -497,8 +496,9 @@ def deficiency_verdict(
     Certificate order (strongest first):
       0. gaps summable -> outside the model, Inconclusive;
          gaps not square-summable -> SelfAdjoint for every coupling.
-      1. divergent coupling series (carleman-i; condition I compares the
-         same exponents, so it only adds diagnostics).
+      1. divergent coupling series (carleman-i).  Condition I compares the
+         same exponents, so it only adds diagnostics, read from the same
+         scan of the gaps and couplings.
       2. envelope bounds II / III with the selected G.
       3. scaled-gap couplings near the critical line: conditions A and
          B plus the Floquet discriminant strictly inside a band.
@@ -529,7 +529,7 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    carleman = test_carleman_i(grid, alpha, horizons=cfg.horizons)
+    carleman, condition_I = _coupling_series(grid, alpha, cfg.horizons)
     diagnostics["carleman_i"] = carleman.to_json()
     if carleman.verdict is SeriesVerdict.DIVERGES:
         return _certified(
@@ -540,7 +540,7 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    diagnostics["condition_I"] = test_condition_I(grid, alpha, horizons=cfg.horizons).to_json()
+    diagnostics["condition_I"] = condition_I.to_json()
 
     G = select_G(grid, horizon=cfg.bound_horizon)
     diagnostics["G"] = G.to_json()

@@ -13,6 +13,7 @@ scale factor); the checks themselves are horizon-independent claims.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -210,7 +211,7 @@ def _check_5_f_over_gap(H: int) -> CheckResult:
 
 
 def _check_6_remainder(H: int) -> CheckResult:
-    """|F - F_expansion(n,3)| n^2 ln^2 n window-stable for gaps 1/(n ln n)."""
+    """|F minus its 3-term expansion| n^2 ln^2 n window-stable for gaps 1/(n ln n)."""
     t0 = time.time()
     grid = PowerLogGrid(1.0, 1.0, 1.0)
     hi = min(WINDOW_CAP, H)
@@ -253,16 +254,32 @@ def _check_7_zero_energy(H: int) -> CheckResult:
     return CheckResult(7, "zero-energy-decay", ok, details, rt)
 
 
+@functools.lru_cache(maxsize=1)
+def _inverse_gap_verdicts(H: int) -> tuple:
+    """(label, alpha, expected kind, verdict) of the four d = 1/n cases checks 8 and 10 read.
+
+    run_battery clears the cache, so each run computes them once.
+    """
+    grid = PowerLogGrid(1.0, 0.0, 1.0)
+    cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
+    pert = PowerSumAlpha(terms=((1.0, -1.0, 0.0),))
+    cases = (
+        ("a=-1.5+1/n", ScaledInverseGapsAlpha(grid, -1.5, perturbation=pert), VerdictKind.DEFICIENT),
+        ("a=-0.5+1/n", ScaledInverseGapsAlpha(grid, -0.5, perturbation=pert), VerdictKind.DEFICIENT),
+        ("alpha=-1/n", PowerSumAlpha(terms=((-1.0, -1.0, 0.0),)), VerdictKind.SELF_ADJOINT),
+        ("alpha=-2(2n+1)+1/n", ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert), VerdictKind.SELF_ADJOINT),
+    )
+    return tuple((*case, deficiency_verdict(grid, case[1], cfg)) for case in cases)
+
+
 def _check_8_verdicts(H: int) -> CheckResult:
     """Verdict phases on d = 1/n and the discriminant identity."""
     t0 = time.time()
     grid = PowerLogGrid(1.0, 0.0, 1.0)
-    cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
     details: list[str] = []
     ok = True
-    pert = PowerSumAlpha(terms=((1.0, -1.0, 0.0),))
-    for a in (-1.5, -0.5):
-        v = deficiency_verdict(grid, ScaledInverseGapsAlpha(grid, a, perturbation=pert), cfg)
+    cases = _inverse_gap_verdicts(H)
+    for label, _, _, v in cases[:2]:
         good = (
             v.verdict is VerdictKind.DEFICIENT
             and not v.advisory
@@ -270,19 +287,13 @@ def _check_8_verdicts(H: int) -> CheckResult:
         )
         ok &= good
         details.append(
-            f"a={a}+1/n: {v.verdict.value} cert={v.certificate} "
+            f"{label}: {v.verdict.value} cert={v.certificate} "
             f"n=({v.n_plus},{v.n_minus}) {'ok' if good else 'VIOLATED'}"
         )
-    v = deficiency_verdict(grid, PowerSumAlpha(terms=((-1.0, -1.0, 0.0),)), cfg)
-    good = v.verdict is VerdictKind.SELF_ADJOINT and v.certificate == "lower-envelope-bound"
-    ok &= good
-    details.append(f"alpha=-1/n: {v.verdict.value} cert={v.certificate} {'ok' if good else 'VIOLATED'}")
-    v = deficiency_verdict(grid, ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert), cfg)
-    good = v.verdict is VerdictKind.SELF_ADJOINT and v.certificate == "upper-envelope-bound"
-    ok &= good
-    details.append(
-        f"alpha=-2(2n+1)+1/n: {v.verdict.value} cert={v.certificate} {'ok' if good else 'VIOLATED'}"
-    )
+    for (label, _, _, v), cert in zip(cases[2:], ("lower-envelope-bound", "upper-envelope-bound")):
+        good = v.verdict is VerdictKind.SELF_ADJOINT and v.certificate == cert
+        ok &= good
+        details.append(f"{label}: {v.verdict.value} cert={v.certificate} {'ok' if good else 'VIOLATED'}")
     # measured-u discriminant vs the closed form 2(a+1)^2 - 1
     tol = 1e-6 * max(1.0, (10**6 / H)) ** 1.2
     cb = check_condition_B(grid, horizon=H)
@@ -324,19 +335,14 @@ def _check_10_oracle_agreement(H: int) -> CheckResult:
     t0 = time.time()
     inv = PowerLogGrid(1.0, 0.0, 1.0)
     g75 = PowerLogGrid(0.75, 0.0, 1.0)
-    pert = PowerSumAlpha(terms=((1.0, -1.0, 0.0),))
-    cases = [
-        ("a=-1.5+1/n", inv, ScaledInverseGapsAlpha(inv, -1.5, perturbation=pert), VerdictKind.DEFICIENT),
-        ("a=-0.5+1/n", inv, ScaledInverseGapsAlpha(inv, -0.5, perturbation=pert), VerdictKind.DEFICIENT),
-        ("alpha=-1/n", inv, PowerSumAlpha(terms=((-1.0, -1.0, 0.0),)), VerdictKind.SELF_ADJOINT),
-        ("alpha=-2(2n+1)+1/n", inv, ScaledInverseGapsAlpha(inv, -2.0, perturbation=pert), VerdictKind.SELF_ADJOINT),
-        ("gamma=0.75 a=-0.5", g75, ScaledInverseGapsAlpha(g75, -0.5), VerdictKind.DEFICIENT),
-    ]
     cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
+    g75_alpha = ScaledInverseGapsAlpha(g75, -0.5)
+    cases = [(label, inv, *rest) for label, *rest in _inverse_gap_verdicts(H)]
+    g75_verdict = deficiency_verdict(g75, g75_alpha, cfg)
+    cases.append(("gamma=0.75 a=-0.5", g75, g75_alpha, VerdictKind.DEFICIENT, g75_verdict))
     details: list[str] = []
     ok = True
-    for label, grid, alpha, expected in cases:
-        v = deficiency_verdict(grid, alpha, cfg)
+    for label, grid, alpha, expected, v in cases:
         analytic_ok = v.verdict is expected and not v.advisory
         cls = l2_probe(solve_recurrence(JacobiOperator(grid, alpha), 1j, cfg.oracle_horizon)).classification
         want = "in_ell2" if expected is VerdictKind.DEFICIENT else "not_in_ell2"
@@ -368,6 +374,7 @@ def run_battery(only: Optional[str] = None, horizon: int = 10**6) -> BatteryRepo
     H = int(horizon)
     if H < 10**4:
         raise ValueError("battery horizon must be at least 10^4")
+    _inverse_gap_verdicts.cache_clear()
     results = []
     for name in CHECK_NAMES:
         if only and only not in name:

@@ -22,6 +22,7 @@ REMOVED = {
         "check_d4",
         "D4Result",
         "G_nlog",
+        "F_expansion",
     ),
     "grid": ("SmoothFamilyDerivatives",),
     "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder"),

@@ -138,6 +138,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["horizons"] == [10000, 20000]
 
+    def test_env_horizon_has_the_ladder_floor(self, capsys, monkeypatch):
+        # the environment and --horizons share VerdictConfig's one floor
+        monkeypatch.setenv("DELTA_SPEC_HORIZON", "500")
+        code, out, _ = run(["analyze", "--gamma", "1", "--alpha", "zero"], capsys)
+        assert code == 0
+        assert json.loads(out)["horizons"] == [500]
+        monkeypatch.setenv("DELTA_SPEC_HORIZON", "100")
+        code, out, err = run(["analyze", "--gamma", "1", "--alpha", "zero"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad DELTA_SPEC_HORIZON '100': every horizon must be at least 256")
+        assert err.count("\n") == 1
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("DELTA_SPEC_HORIZON", "20000")
         code, out, _ = run(

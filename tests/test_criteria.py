@@ -19,7 +19,6 @@ from deltasa import (
     ExplicitGrid,
     F,
     F_block,
-    F_expansion,
     GFunction,
     GKind,
     PowerLogGrid,
@@ -36,8 +35,21 @@ from deltasa import (
     test_condition_I,
     verify_G_limits,
 )
-from deltasa.criteria import expansion_remainder_block
-from deltasa.numerics import TriState
+from deltasa.criteria import _uv_block, expansion_remainder_block
+from deltasa.numerics import TriState, sqrt_series_coeffs
+
+
+def F_expansion(grid, n, k):
+    """Truncated expansion (1/d_n) sum_{i<k} C_i u^i + (1/d_{n+1}) sum_{i<k} C_i v^i.
+
+    The direct reference for expansion_remainder_block: F(n) minus this
+    is the remainder the fused form computes.
+    """
+    u, v = _uv_block(grid, n, n + 1)
+    coeffs = sqrt_series_coeffs(k)
+    su = sum(coeffs[i] * u[0] ** i for i in range(1, k))
+    sv = sum(coeffs[i] * v[0] ** i for i in range(1, k))
+    return float(su / grid.gap(n) + sv / grid.gap(n + 1))
 
 
 def mp_F(grid, n):
