@@ -438,21 +438,19 @@ def _normalize_horizons(horizons) -> tuple[int, ...]:
 
 
 def _coupling_series(
-    grid: GridSequence, alpha: AlphaSequence, horizons, condition_I: Optional[bool] = None
+    grid: GridSequence, alpha: AlphaSequence, horizons, gate: Optional[tuple] = None
 ) -> tuple[SeriesProbe, Optional[SeriesProbe]]:
     """Carleman-i's probe and condition I's, from one scan of the gaps and couplings.
 
     Each block reads grid.gaps(a - 1, b + 2) and alpha.alphas(a, b) once;
     carleman-i's terms |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1} and condition
     I's |alpha_n| d_n^3 both come from those reads.  Both verdicts are the
-    exponent comparison _cubed_gap_verdict.  condition_I None scans
-    condition I exactly when that comparison does not diverge, which is
-    when deficiency_verdict reads it; a probe left out is None.
+    exponent comparison _cubed_gap_verdict.  gate is the (ratio_stats,
+    classify_summability) pair condition I's gate reads; condition I is
+    scanned exactly when it is given, and is None otherwise.
     """
     hs = _normalize_horizons(horizons)
     verdict, analytic = _cubed_gap_verdict(grid, alpha)
-    if condition_I is None:
-        condition_I = verdict is not SeriesVerdict.DIVERGES
 
     def term_blocks(a: int, b: int) -> tuple[np.ndarray, ...]:
         m, lo = b - a, max(a - 1, 1)
@@ -463,18 +461,17 @@ def _coupling_series(
         dn, dn1 = d[a - lo : a - lo + m], d[a - lo + 1 : a - lo + 1 + m]
         abs_alpha = np.abs(alpha.alphas(a, b))
         carleman = abs_alpha * dn * dn1 * r[:m] * r[2 : m + 2]
-        return (carleman, abs_alpha * dn**3) if condition_I else (carleman,)
+        return (carleman,) if gate is None else (carleman, abs_alpha * dn**3)
 
-    sums = _stream_series(term_blocks, hs, 2 if condition_I else 1)
+    sums = _stream_series(term_blocks, hs, 1 if gate is None else 2)
     params = {"grid": grid.describe(), "alpha": alpha.describe()}
     witnesses = {} if analytic is None else {"analytic": analytic}
     growth = [_growth_description(series) for series in sums]
     carleman = SeriesProbe("carleman-i", params, tuple(sums[0]), growth[0], verdict, witnesses=witnesses)
-    if not condition_I:
+    if gate is None:
         return carleman, None
     # condition I's gate: lim inf d_{n+1}/d_n > 0, and gaps in l2 but not l1
-    stats = ratio_stats(grid, min(hs[-1], WINDOW_CAP))
-    summ = classify_summability(grid)
+    stats, summ = gate
     gate_failed = not (
         stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
     )
@@ -492,17 +489,19 @@ def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS)
     and the gap family expose their leading orders; otherwise the probe
     reports partial sums and a trend only.
     """
-    return _coupling_series(grid, alpha, horizons, condition_I=False)[0]
+    return _coupling_series(grid, alpha, horizons)[0]
 
 
 def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
     """Probe of sum |alpha_n| d_n^3 with condition I's gate, read from _coupling_series.
 
-    gate_failed reports the gate: lim inf d_{n+1}/d_n > 0 and gaps in l2
-    but not l1.  The verdict is carleman-i's exponent comparison, so a
-    verdict reads this probe as diagnostics only, from its phase-1 scan.
+    gate_failed reports the gate: lim inf d_{n+1}/d_n > 0 (ratios up to
+    min(top horizon, WINDOW_CAP)) and gaps in l2 but not l1.  The verdict
+    is carleman-i's exponent comparison: diagnostics only in a verdict.
     """
-    return _coupling_series(grid, alpha, horizons, condition_I=True)[1]
+    hs = _normalize_horizons(horizons)
+    gate = (ratio_stats(grid, min(hs[-1], WINDOW_CAP)), classify_summability(grid))
+    return _coupling_series(grid, alpha, hs, gate)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +667,8 @@ def check_condition_A(
     verdict = SeriesVerdict.UNKNOWN
     witnesses: dict = {}
     if isinstance(grid, PowerLogGrid):
-        # terms behave like d_n^2 up to a parity constant
-        v = _bertrand_verdict(-2.0 * grid.gamma, -2.0 * grid.eta)
-        # the series CONVERGING is the good case for the comparison
-        verdict = v
+        # terms behave like d_n^2 up to a parity constant; converging is the good case
+        verdict = _bertrand_verdict(-2.0 * grid.gamma, -2.0 * grid.eta)
         witnesses["analytic"] = {"P": -2.0 * grid.gamma, "Q": -2.0 * grid.eta}
     elif isinstance(grid, ConstantGrid) or (
         isinstance(grid, ExplicitGrid) and grid.tail in ("cycle", "hold")

@@ -21,6 +21,7 @@ from .criteria import (
     _B_CEILING,
     SeriesVerdict,
     _coupling_series,
+    _cubed_gap_verdict,
     _normalize_horizons,
     check_condition_A,
     check_condition_B,
@@ -493,7 +494,7 @@ def deficiency_verdict(
     """Decide SelfAdjoint / Deficient(1,1) / Inconclusive for B built on
     (grid, alpha).
 
-    Certificate order (strongest first):
+    Certificate order (strongest first; partial sums decide nothing and stop at the first rung):
       0. gaps summable -> outside the model, Inconclusive;
          gaps not square-summable -> SelfAdjoint for every coupling.
       1. divergent coupling series (carleman-i).  Condition I compares the
@@ -529,9 +530,12 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    carleman, condition_I = _coupling_series(grid, alpha, cfg.horizons)
+    # condition I's gate reads the summability above and the gap ratios phase 3 reads
+    diverges = _cubed_gap_verdict(grid, alpha)[0] is SeriesVerdict.DIVERGES
+    stats = None if diverges else ratio_stats(grid, cfg.oracle_horizon)
+    carleman, condition_I = _coupling_series(grid, alpha, cfg.horizons[:1], None if diverges else (stats, summ))
     diagnostics["carleman_i"] = carleman.to_json()
-    if carleman.verdict is SeriesVerdict.DIVERGES:
+    if diverges:
         return _certified(
             VerdictKind.SELF_ADJOINT,
             "carleman-series",
@@ -572,7 +576,6 @@ def deficiency_verdict(
     scaled = alpha.scaled_gap_form()
     if scaled is not None:
         a, pert_ok = scaled
-        stats = ratio_stats(grid, cfg.oracle_horizon)
         diagnostics["ratio_stats"] = stats.to_json()
         ratio_ok = (
             abs(stats.limit_estimate - 1.0) <= _RATIO_LIMIT_TOL
@@ -584,7 +587,7 @@ def deficiency_verdict(
             flags.append("perturbation-order-unknown")
         if ratio_ok and pert_ok is not TriState.FALSE:
             tilde = TildeSequence(grid)
-            cond_a = check_condition_A(grid, horizons=cfg.horizons, tilde=tilde)
+            cond_a = check_condition_A(grid, horizons=cfg.horizons[:1], tilde=tilde)
             diagnostics["condition_A"] = cond_a.to_json()
             cond_b = check_condition_B(grid, horizon=cfg.horizons[-1], tilde=tilde)
             diagnostics["condition_B"] = cond_b.to_json()

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096  # rows per tilde chunk: the chunk bases fix the bits of every rtilde read
+_BATCH = 8  # chunks a cold read evaluates and sums at once: one 32768-row probe block
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,10 @@ class TildeSequence:
     million-term spans.  A block read takes the bases of the chunks it
     covers from its own terms, summing all of them in one call.  Rows
     are evaluated again only for random access, for reads that start
-    past the known bases, and for the head of the chunk that straddles a
-    block's first row lo (the rows up to lo, which S_lo needs); the rest
-    of that chunk comes from the block's own terms.
+    past the known bases (eight chunks per call, up to the last chunk the
+    read needs), and for the head of the chunk that straddles a block's
+    first row lo (the rows up to lo, which S_lo needs); the rest of that
+    chunk comes from the block's own terms.
     """
 
     CHUNK = _CHUNK
@@ -115,17 +117,14 @@ class TildeSequence:
             for s in sums:
                 self._bases.append(self._bases[-1] + s)
 
-    def _ensure(self, j: int) -> None:
-        while len(self._bases) <= j:
-            n0 = 1 + (len(self._bases) - 1) * self.CHUNK
-            self._extend(n0 + 1, self._terms(n0 + 1, n0 + self.CHUNK + 1))
-
     def _S(self, n: int) -> tuple[float, np.ndarray]:
         """S_n and the head terms it read: rows n0 + 1 .. n, where n0 starts n's chunk."""
         if n < 1:
             raise GridError(f"tilde index must be >= 1, got {n}")
         j = (n - 1) // self.CHUNK
-        self._ensure(j)
+        while len(self._bases) <= j:  # the missing bases, _BATCH chunks per read, none past base j
+            b0 = 1 + (len(self._bases) - 1) * self.CHUNK
+            self._extend(b0 + 1, self._terms(b0 + 1, min(b0 + _BATCH * self.CHUNK, 1 + j * self.CHUNK) + 1))
         n0 = 1 + j * self.CHUNK
         if n == n0:
             return self._bases[j], np.empty(0)

@@ -23,13 +23,15 @@ from deltasa import (
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
     VerdictConfig,
+    check_condition_A,
     deficiency_verdict,
     test_carleman_i,
     test_condition_I,
 )
+from deltasa import criteria, deficiency
 from deltasa.criteria import SeriesProbe, _cubed_gap_verdict, _growth_description
 from deltasa.grid import classify_summability, ratio_stats
-from deltasa.numerics import WINDOW_CAP, ChunkedSum, TriState, blocks
+from deltasa.numerics import HORIZONS, WINDOW_CAP, ChunkedSum, TriState, blocks
 
 
 def _reference_stream(term_block, horizons):
@@ -138,18 +140,32 @@ def test_probes_match_their_own_scans(grid, coupling, ladder):
 
 
 class _CountingGrid(PowerLogGrid):
-    """PowerLogGrid that counts the rows its gaps() serves."""
+    """PowerLogGrid that counts the rows its gaps() and log_gaps() serve.
+
+    gaps() and gaps_and_logs() evaluate their rows through log_gaps(), so
+    rows[1] counts every row the grid evaluates.
+    """
 
     def gaps(self, lo, hi):
         self.rows[0] += hi - lo
         return super().gaps(lo, hi)
 
+    def log_gaps(self, lo, hi):
+        self.rows[1] += hi - lo
+        return super().log_gaps(lo, hi)
+
+
+def _verdict_rows(alpha_for, cfg):
+    """The verdict, its gaps() rows and its log_gaps() rows on a counting PowerLogGrid(0.8)."""
+    grid = _CountingGrid(0.8)
+    object.__setattr__(grid, "rows", [0, 0])
+    v = deficiency_verdict(grid, alpha_for(grid), cfg)
+    return v, *grid.rows
+
 
 def _verdict_gap_rows(alpha_for):
-    grid = _CountingGrid(0.8)
-    object.__setattr__(grid, "rows", [0])
-    v = deficiency_verdict(grid, alpha_for(grid), VerdictConfig((10**4, 10**5)))
-    return v, grid.rows[0]
+    v, rows, _ = _verdict_rows(alpha_for, VerdictConfig((10**4, 10**5)))
+    return v, rows
 
 
 def test_outside_verdict_reads_the_coupling_series_once():
@@ -165,3 +181,88 @@ def test_carleman_verdict_reads_only_carleman_rows():
     assert v.certificate == "carleman-series"
     assert "condition_I" not in v.diagnostics
     assert rows <= 100_011
+
+
+# Rows a verdict evaluates at the default ladder (10^4, 10^5, 10^6).  The
+# phase-1 series and condition A's partial sums stop at 10^4, so
+# condition B is the only scan that reaches 10^6.  With full-ladder
+# series these verdicts evaluated 4,308,124, 2,450,142 and 1,000,095 rows.
+@pytest.mark.parametrize(
+    "alpha_for,certificate,limit",
+    [
+        (lambda g: ScaledInverseGapsAlpha(g, -0.5), "periodic-comparison", 2_500_000),
+        (lambda g: ScaledInverseGapsAlpha(g, 0.5), "lower-envelope-bound", 500_000),
+        (lambda g: PowerSumAlpha(((1.0, 2.0, 0.0),)), "carleman-series", 20_000),
+    ],
+    ids=["interior", "outside", "carleman"],
+)
+def test_default_ladder_verdict_rows(alpha_for, certificate, limit):
+    v, _, rows = _verdict_rows(alpha_for, VerdictConfig())
+    assert v.certificate == certificate
+    assert rows < limit
+
+
+# the verdict's records of the full-ladder probes, and the probe that wrote each
+_SERIES_RECORDS = {
+    "carleman_i": test_carleman_i,
+    "condition_I": test_condition_I,
+    "condition_A": lambda g, alpha, hs: check_condition_A(g, hs),
+}
+
+
+def _without_growth(record):
+    """A series record less what depends on how many checkpoints it holds."""
+    w = {k: v for k, v in record["witnesses"].items() if k not in ("fitted_growth", "tail_mass")}
+    return {k: v for k, v in record.items() if k != "checkpoints"} | {"witnesses": w}
+
+
+# flat and cyclic gaps are not square-summable, so those verdicts stop in phase 0
+PHASE_1_GRIDS = [g for g in GRIDS if g not in ("constant", "explicit")]
+
+
+@pytest.mark.parametrize(
+    "grid,coupling,ladder",
+    [(g, c, (10**3, 40000)) for g in PHASE_1_GRIDS for c in COUPLINGS]
+    + [("power-1", c, HORIZONS) for c in ("critical", "perturbed", "zero")],
+    ids=str,
+)
+def test_verdict_series_stop_at_the_first_rung(grid, coupling, ladder):
+    g = GRIDS[grid]()
+    alpha = COUPLINGS[coupling](g)
+    diagnostics = deficiency_verdict(g, alpha, VerdictConfig(ladder)).diagnostics
+    assert "carleman_i" in diagnostics
+    for key, probe in _SERIES_RECORDS.items():
+        if key not in diagnostics:
+            continue
+        record, full = diagnostics[key], probe(g, alpha, ladder).to_json()
+        assert len(record["checkpoints"]) == 1
+        (n, s), (n_full, s_full) = record["checkpoints"][0], full["checkpoints"][0]
+        assert n == n_full == ladder[0]
+        assert np.float64(s).tobytes() == np.float64(s_full).tobytes()
+        assert record["verdict"] == full["verdict"]
+        assert record["witnesses"]["fitted_growth"] == "single checkpoint"
+        assert _without_growth(record) == _without_growth(full)
+
+
+def _counted(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("grid", ["power-0.6", "custom"])
+def test_verdict_reads_the_gap_statistics_once(monkeypatch, grid):
+    # condition I's gate and phase 3 read the verdict's one summability
+    # class and one gap-ratio window
+    calls = {"classify_summability": 0, "ratio_stats": 0}
+    for module in (criteria, deficiency):
+        for name in calls:
+            _counted(monkeypatch, calls, module, name)
+    g = GRIDS[grid]()
+    v = deficiency_verdict(g, ScaledInverseGapsAlpha(g, -0.5), VerdictConfig((10**3, 40000)))
+    assert "condition_I" in v.diagnostics and "ratio_stats" in v.diagnostics
+    assert calls == {"classify_summability": 1, "ratio_stats": 1}

@@ -12,12 +12,21 @@ must agree with them byte for byte, over the block patterns the verdict
 probes use.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from deltasa import ConstantGrid, CustomGrid, ExplicitGrid, PeriodPair, PowerLogGrid, TildeSequence
+from deltasa import (
+    ConstantGrid,
+    CustomGrid,
+    ExplicitGrid,
+    PeriodPair,
+    PowerLogGrid,
+    TildeSequence,
+    check_condition_B,
+)
 from deltasa.grid import GridError, GridSequence
 
 H = 10**5
@@ -201,13 +210,14 @@ def test_custom_grid():
 
 
 class CountingGrid(GridSequence):
-    """Delegates log_gaps and counts the rows it evaluates."""
+    """Delegates log_gaps and counts the calls and the rows it evaluates."""
 
     def __init__(self, grid):
-        self.grid, self.rows = grid, 0
+        self.grid, self.rows, self.calls = grid, 0, 0
 
     def log_gaps(self, lo, hi):
         self.rows += hi - lo
+        self.calls += 1
         return self.grid.log_gaps(lo, hi)
 
 
@@ -237,6 +247,56 @@ def test_block_inside_a_chunk_rereads_only_its_head(caller_logs):
         # whose first row lo lies inside the chunk starting at n0
         assert grid.rows == H + sum((lo - 1) % 4096 for _, lo, _ in reads)
     assert len(t._bases) == H // 4096 + 1
+
+
+# A read past the known bases builds the missing ones from the grid: eight
+# 4096-row chunks (one 32768-row probe block) per log_gaps call, each
+# chunk's correctly rounded sum added to the base before it.  Condition B
+# meets this cold ladder whenever nothing has scanned the rows below it.
+FAR = 10**6
+
+
+@pytest.mark.parametrize("n", [FAR - 4097, FAR - 1, FAR])
+@pytest.mark.parametrize("name", ["power-eta0", "power-eta0.3", "explicit-cycle"])
+def test_cold_point_read_far_out(name, n):
+    assert_same(GRIDS[name], [("point", n)])
+
+
+def test_cold_point_read_batches_the_chunks():
+    grid = CountingGrid(GRIDS["power-eta0"])
+    t = TildeSequence(grid)
+    t.log_abs(FAR)
+    # 244 chunk bases, eight per call (245 calls one chunk at a time),
+    # then the head of the last chunk; rows 2 .. FAR once each
+    assert grid.calls <= 32
+    assert grid.rows == FAR - 1
+    assert len(t._bases) == (FAR - 1) // 4096 + 1
+
+
+class ReferenceBlocks(ReferenceTilde):
+    """ReferenceTilde read the way check_condition_B reads a tilde sequence."""
+
+    def log_abs_block(self, lo, hi, log_gaps=None):
+        return super().log_abs_block(lo, hi)
+
+
+@pytest.mark.parametrize("name", ["power-eta0", "power-eta0.3"])
+def test_cold_condition_B_matches_reference(name):
+    grid = GRIDS[name]
+    got = check_condition_B(grid, FAR)
+    want = check_condition_B(grid, FAR, tilde=ReferenceBlocks(grid))
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@pytest.mark.parametrize("chunks,extra", [(3, 0), (3, 16), (9, 0), (9, 100)])
+def test_cold_point_read_stops_at_max_index(chunks, extra):
+    m = 1 + chunks * 4096 + extra
+    rng = np.random.default_rng(chunks + extra)
+    grid = ExplicitGrid(tuple(rng.uniform(0.2, 2.0, m).tolist()), tail="error")
+    # the last base the read needs ends at row 1 + chunks * 4096 <= m:
+    # a batch of eight chunks from row 2 would run past max_index
+    assert_same(grid, [("point", m)])
+    assert_same(grid, [("point", m), ("block", m - 3, m + 1)])
 
 
 def test_short_blocks():
