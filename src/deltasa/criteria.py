@@ -438,19 +438,20 @@ def _normalize_horizons(horizons) -> tuple[int, ...]:
 
 
 def _coupling_series(
-    grid: GridSequence, alpha: AlphaSequence, horizons, gate: Optional[tuple] = None
+    grid: GridSequence, alpha: AlphaSequence, horizons, gate: Optional[Callable] = None
 ) -> tuple[SeriesProbe, Optional[SeriesProbe]]:
     """Carleman-i's probe and condition I's, from one scan of the gaps and couplings.
 
     Each block reads grid.gaps(a - 1, b + 2) and alpha.alphas(a, b) once;
     carleman-i's terms |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1} and condition
     I's |alpha_n| d_n^3 both come from those reads.  Both verdicts are the
-    exponent comparison _cubed_gap_verdict.  gate is the (ratio_stats,
-    classify_summability) pair condition I's gate reads; condition I is
-    scanned exactly when it is given, and is None otherwise.
+    exponent comparison _cubed_gap_verdict.  gate(verdict) returns the
+    (ratio_stats, classify_summability) pair condition I's gate reads, or
+    None to leave condition I out; without a gate, condition I is None.
     """
     hs = _normalize_horizons(horizons)
     verdict, analytic = _cubed_gap_verdict(grid, alpha)
+    pair = None if gate is None else gate(verdict)
 
     def term_blocks(a: int, b: int) -> tuple[np.ndarray, ...]:
         m, lo = b - a, max(a - 1, 1)
@@ -461,17 +462,17 @@ def _coupling_series(
         dn, dn1 = d[a - lo : a - lo + m], d[a - lo + 1 : a - lo + 1 + m]
         abs_alpha = np.abs(alpha.alphas(a, b))
         carleman = abs_alpha * dn * dn1 * r[:m] * r[2 : m + 2]
-        return (carleman,) if gate is None else (carleman, abs_alpha * dn**3)
+        return (carleman,) if pair is None else (carleman, abs_alpha * dn**3)
 
-    sums = _stream_series(term_blocks, hs, 1 if gate is None else 2)
+    sums = _stream_series(term_blocks, hs, 1 if pair is None else 2)
     params = {"grid": grid.describe(), "alpha": alpha.describe()}
     witnesses = {} if analytic is None else {"analytic": analytic}
     growth = [_growth_description(series) for series in sums]
     carleman = SeriesProbe("carleman-i", params, tuple(sums[0]), growth[0], verdict, witnesses=witnesses)
-    if gate is None:
+    if pair is None:
         return carleman, None
     # condition I's gate: lim inf d_{n+1}/d_n > 0, and gaps in l2 but not l1
-    stats, summ = gate
+    stats, summ = pair
     gate_failed = not (
         stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
     )
@@ -500,7 +501,7 @@ def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS
     is carleman-i's exponent comparison: diagnostics only in a verdict.
     """
     hs = _normalize_horizons(horizons)
-    gate = (ratio_stats(grid, min(hs[-1], WINDOW_CAP)), classify_summability(grid))
+    gate = lambda _verdict: (ratio_stats(grid, min(hs[-1], WINDOW_CAP)), classify_summability(grid))
     return _coupling_series(grid, alpha, hs, gate)[1]
 
 

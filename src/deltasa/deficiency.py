@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from itertools import repeat
 from typing import Optional, Union
 
@@ -21,7 +22,6 @@ from .criteria import (
     _B_CEILING,
     SeriesVerdict,
     _coupling_series,
-    _cubed_gap_verdict,
     _normalize_horizons,
     check_condition_A,
     check_condition_B,
@@ -530,12 +530,11 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    # condition I's gate reads the summability above and the gap ratios phase 3 reads
-    diverges = _cubed_gap_verdict(grid, alpha)[0] is SeriesVerdict.DIVERGES
-    stats = None if diverges else ratio_stats(grid, cfg.oracle_horizon)
-    carleman, condition_I = _coupling_series(grid, alpha, cfg.horizons[:1], None if diverges else (stats, summ))
+    gap_ratios = cache(lambda: ratio_stats(grid, cfg.oracle_horizon))  # condition I's gate and phase 3
+    gate = lambda verdict: None if verdict is SeriesVerdict.DIVERGES else (gap_ratios(), summ)
+    carleman, condition_I = _coupling_series(grid, alpha, cfg.horizons[:1], gate)
     diagnostics["carleman_i"] = carleman.to_json()
-    if diverges:
+    if carleman.verdict is SeriesVerdict.DIVERGES:
         return _certified(
             VerdictKind.SELF_ADJOINT,
             "carleman-series",
@@ -576,6 +575,7 @@ def deficiency_verdict(
     scaled = alpha.scaled_gap_form()
     if scaled is not None:
         a, pert_ok = scaled
+        stats = gap_ratios()
         diagnostics["ratio_stats"] = stats.to_json()
         ratio_ok = (
             abs(stats.limit_estimate - 1.0) <= _RATIO_LIMIT_TOL
