@@ -3,8 +3,8 @@
 Three families of machinery live here:
 
 * divergence probes for the weighted coupling series (test_carleman_i,
-  test_condition_I, both read from one scan) and for the tail series of
-  condition A;
+  which phase 1 of a verdict reads, and test_condition_I) and for the
+  tail series of condition A (check_condition_A);
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
   alpha stays below / above an explicit envelope built from the gap
   profile and a comparison function G, which comes from the curvature
@@ -12,6 +12,11 @@ Three families of machinery live here:
 * the period-two tail structure: parity limits of rho_n
   (check_condition_B) and the l2 test on r_n*rtilde_n
   (check_condition_A).
+
+test_condition_I and check_condition_A are standalone probes: no verdict
+reads them.  Condition I's verdict is carleman-i's exponent comparison,
+and a verdict takes condition A from the gaps' l2 class, given
+condition B (see deficiency_verdict).
 
 Numerical honesty rule: a series is declared divergent only by exponent
 comparison on recognized families.  Partial sums alone never upgrade a
@@ -410,99 +415,77 @@ def _growth_description(checkpoints: list[tuple[int, float]]) -> str:
 
 
 def _stream_series(
-    term_blocks: Callable[[int, int], tuple[np.ndarray, ...]], horizons: tuple[int, ...], width: int = 1
-) -> list[list[tuple[int, float]]]:
-    """The checkpoints of each of the width term arrays term_blocks(a, b) returns.
-
-    Each series has its own ChunkedSum over the same block starts, so its
-    partial sums keep their bits whether it is scanned alone or beside others.
-    """
-    accs = [ChunkedSum() for _ in range(width)]
-    checkpoints: list[list[tuple[int, float]]] = [[] for _ in range(width)]
+    term_block: Callable[[int, int], np.ndarray], horizons: tuple[int, ...]
+) -> list[tuple[int, float]]:
+    """The partial sums of term_block(a, b) over the blocks of each horizon."""
+    acc = ChunkedSum()
+    checkpoints = []
     prev = 1
     for h in horizons:
         for a, b in blocks(prev, h + 1):
-            for acc, terms in zip(accs, term_blocks(a, b)):
-                acc.add_array(terms)
-        for acc, series in zip(accs, checkpoints):
-            series.append((h, acc.total()))
+            acc.add_array(term_block(a, b))
+        checkpoints.append((h, acc.total()))
         prev = h + 1
     return checkpoints
 
 
 def _normalize_horizons(horizons) -> tuple[int, ...]:
-    hs = tuple(int(h) for h in horizons)
+    raw = tuple(horizons)
+    hs = tuple(int(h) for h in raw)
+    if hs != raw:
+        raise ValueError("every horizon must be an integer")
     if not hs or any(b <= a for a, b in zip(hs, hs[1:])):
         raise ValueError("horizons must be nonempty and strictly increasing")
     return hs
 
 
-def _coupling_series(
-    grid: GridSequence, alpha: AlphaSequence, horizons, gate: Optional[Callable] = None
-) -> tuple[SeriesProbe, Optional[SeriesProbe]]:
-    """Carleman-i's probe and condition I's, from one scan of the gaps and couplings.
-
-    Each block reads grid.gaps(a - 1, b + 2) and alpha.alphas(a, b) once;
-    carleman-i's terms |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1} and condition
-    I's |alpha_n| d_n^3 both come from those reads.  Both verdicts are the
-    exponent comparison _cubed_gap_verdict.  gate(verdict) returns the
-    (ratio_stats, classify_summability) pair condition I's gate reads, or
-    None to leave condition I out; without a gate, condition I is None.
-    """
-    hs = _normalize_horizons(horizons)
-    verdict, analytic = _cubed_gap_verdict(grid, alpha)
-    pair = None if gate is None else gate(verdict)
-
-    def term_blocks(a: int, b: int) -> tuple[np.ndarray, ...]:
-        m, lo = b - a, max(a - 1, 1)
-        d = grid.gaps(lo, b + 2)  # gaps d_lo .. d_{b+1}
-        r = np.sqrt(d[:-1] + d[1:])  # r_lo .. r_b
-        if a == 1:
-            r = np.concatenate(([1.0], r))  # the r_0 = 1 convention
-        dn, dn1 = d[a - lo : a - lo + m], d[a - lo + 1 : a - lo + 1 + m]
-        abs_alpha = np.abs(alpha.alphas(a, b))
-        carleman = abs_alpha * dn * dn1 * r[:m] * r[2 : m + 2]
-        return (carleman,) if pair is None else (carleman, abs_alpha * dn**3)
-
-    sums = _stream_series(term_blocks, hs, 1 if pair is None else 2)
-    params = {"grid": grid.describe(), "alpha": alpha.describe()}
-    witnesses = {} if analytic is None else {"analytic": analytic}
-    growth = [_growth_description(series) for series in sums]
-    carleman = SeriesProbe("carleman-i", params, tuple(sums[0]), growth[0], verdict, witnesses=witnesses)
-    if pair is None:
-        return carleman, None
-    # condition I's gate: lim inf d_{n+1}/d_n > 0, and gaps in l2 but not l1
-    stats, summ = pair
-    gate_failed = not (
-        stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
-    )
-    witnesses = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
-    if isinstance(analytic, dict):  # no witness for a zero coupling here
-        witnesses["analytic"] = analytic
-    return carleman, SeriesProbe("condition-I", params, tuple(sums[1]), growth[1], verdict, gate_failed, witnesses)
-
-
 def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
-    """Probe of sum |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1}: _coupling_series without condition I.
+    """Probe of sum |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1}.
 
     Divergence of this series certifies self-adjointness on its own.
     The verdict comes from exponent comparison when both the coupling
     and the gap family expose their leading orders; otherwise the probe
     reports partial sums and a trend only.
     """
-    return _coupling_series(grid, alpha, horizons)[0]
+    hs = _normalize_horizons(horizons)
+    verdict, analytic = _cubed_gap_verdict(grid, alpha)
+
+    def term_block(a: int, b: int) -> np.ndarray:
+        m, lo = b - a, max(a - 1, 1)
+        d = grid.gaps(lo, b + 2)  # gaps d_lo .. d_{b+1}
+        r = np.sqrt(d[:-1] + d[1:])  # r_lo .. r_b
+        if a == 1:
+            r = np.concatenate(([1.0], r))  # the r_0 = 1 convention
+        dn, dn1 = d[a - lo : a - lo + m], d[a - lo + 1 : a - lo + 1 + m]
+        return np.abs(alpha.alphas(a, b)) * dn * dn1 * r[:m] * r[2 : m + 2]
+
+    checkpoints = _stream_series(term_block, hs)
+    params = {"grid": grid.describe(), "alpha": alpha.describe()}
+    witnesses = {} if analytic is None else {"analytic": analytic}
+    growth = _growth_description(checkpoints)
+    return SeriesProbe("carleman-i", params, tuple(checkpoints), growth, verdict, witnesses=witnesses)
 
 
 def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
-    """Probe of sum |alpha_n| d_n^3 with condition I's gate, read from _coupling_series.
+    """Probe of sum |alpha_n| d_n^3 behind condition I's gate.
 
     gate_failed reports the gate: lim inf d_{n+1}/d_n > 0 (ratios up to
     min(top horizon, WINDOW_CAP)) and gaps in l2 but not l1.  The verdict
-    is carleman-i's exponent comparison: diagnostics only in a verdict.
+    is carleman-i's exponent comparison, so no verdict reads this probe.
     """
     hs = _normalize_horizons(horizons)
-    gate = lambda _verdict: (ratio_stats(grid, min(hs[-1], WINDOW_CAP)), classify_summability(grid))
-    return _coupling_series(grid, alpha, hs, gate)[1]
+    verdict, analytic = _cubed_gap_verdict(grid, alpha)
+    checkpoints = _stream_series(lambda a, b: np.abs(alpha.alphas(a, b)) * grid.gaps(a, b) ** 3, hs)
+    stats, summ = ratio_stats(grid, min(hs[-1], WINDOW_CAP)), classify_summability(grid)
+    gate_failed = not (
+        stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
+    )
+    witnesses = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
+    if isinstance(analytic, dict):  # no witness for a zero coupling here
+        witnesses["analytic"] = analytic
+    params = {"grid": grid.describe(), "alpha": alpha.describe()}
+    growth = _growth_description(checkpoints)
+    return SeriesProbe("condition-I", params, tuple(checkpoints), growth, verdict, gate_failed, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +626,18 @@ def verify_G_limits(grid: PowerLogGrid, horizon: int = 10**6) -> GLimits:
 # tail structure: conditions A and B
 
 
-def check_condition_A(
-    grid: GridSequence, horizons=HORIZONS, tilde: Optional[TildeSequence] = None
-) -> SeriesProbe:
+def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
     """l2 test for the sequence r_n rtilde_n: partial sums of (r_n rtilde_n)^2.
 
     Convergence here is what lets the periodic comparison argument map
     bounded solutions to l2 ones.  Closed-form families get an analytic
     verdict; flat and cyclic grids always diverge (the terms have a
-    positive floor along one parity).
+    positive floor along one parity).  A verdict reads condition A from
+    the gaps' l2 class instead (see deficiency_verdict), so this probe
+    stands alone.
     """
     hs = _normalize_horizons(horizons)
-    t = tilde if tilde is not None else TildeSequence(grid)
+    t = TildeSequence(grid)
 
     def term_block(a: int, b: int) -> np.ndarray:
         d, ld = grid.gaps_and_logs(a, b + 1)
@@ -662,9 +645,9 @@ def check_condition_A(
         # parity-unbalanced grids push 2L past the float range; saturate
         # the terms instead of overflowing (the verdict there is analytic
         # anyway, and saturated partial sums still read as divergence)
-        return ((d[:-1] + d[1:]) * np.exp(np.minimum(2.0 * L, 500.0)),)
+        return (d[:-1] + d[1:]) * np.exp(np.minimum(2.0 * L, 500.0))
 
-    (checkpoints,) = _stream_series(term_block, hs)
+    checkpoints = _stream_series(term_block, hs)
     verdict = SeriesVerdict.UNKNOWN
     witnesses: dict = {}
     if isinstance(grid, PowerLogGrid):

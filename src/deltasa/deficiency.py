@@ -10,9 +10,8 @@ the oracle, whose conclusions are always labeled advisory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from itertools import repeat
 from typing import Optional, Union
 
@@ -21,16 +20,15 @@ import numpy as np
 from .criteria import (
     _B_CEILING,
     SeriesVerdict,
-    _coupling_series,
     _normalize_horizons,
-    check_condition_A,
     check_condition_B,
     select_G,
     test_bound_II,
     test_bound_III,
+    test_carleman_i,
 )
 from .grid import GridSequence, classify_summability, ratio_stats
-from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence
+from .jacobi import AlphaSequence, JacobiOperator, PeriodPair
 from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, TriState
 
 __all__ = [
@@ -244,22 +242,6 @@ def solve_recurrence(
     )
 
 
-def solve_probes(op: JacobiOperator, N: int) -> tuple[RecurrenceSolution, RecurrenceSolution]:
-    """solve_recurrence at lambda = +i and lambda = -i, marching the pair once.
-
-    B is real, so the solution at -i is the conjugate of the solution
-    at +i.  Every magnitude of the two marches agrees bit for bit (IEEE
-    rounding is symmetric in sign), so block masses, rescale events,
-    residuals and meta are taken from the +i march.  Only the head is
-    marched again at -i (keep rows, about 4% of a 10^5 horizon):
-    conjugation can leave +0.0 where the direct march produces -0.0.
-    The -i result is therefore derived, not an independent witness.
-    """
-    plus = solve_recurrence(op, 1j, N)
-    front = solve_recurrence(op, -1j, len(plus.head))
-    return plus, replace(plus, lam=front.lam, head=front.head, meta=dict(plus.meta))
-
-
 @dataclass(frozen=True)
 class L2Verdict:
     classification: str  # "in_ell2" | "not_in_ell2" | "unknown"
@@ -366,15 +348,18 @@ class VerdictKind(str, Enum):
 class VerdictConfig:
     """The horizon ladder a verdict scans; every other scan length derives from it.
 
-    A ladder that is empty, not strictly increasing or below MIN_HORIZON
-    raises ValueError.  Every threshold is a fixed constant.
+    A ladder that is empty, not strictly increasing, not integral or
+    below MIN_HORIZON raises ValueError; horizons holds the ladder as a
+    tuple of ints.  Every threshold is a fixed constant.
     """
 
     horizons: tuple[int, ...] = HORIZONS
 
     def __post_init__(self) -> None:
-        if _normalize_horizons(self.horizons)[0] < MIN_HORIZON:
+        hs = _normalize_horizons(self.horizons)
+        if hs[0] < MIN_HORIZON:
             raise ValueError(f"every horizon must be at least {MIN_HORIZON}, the shortest condition-B scan")
+        object.__setattr__(self, "horizons", hs)
 
     @classmethod
     def up_to(cls, top: int) -> "VerdictConfig":
@@ -396,7 +381,7 @@ class VerdictConfig:
         return {
             "horizons": list(self.horizons),
             "oracle_horizon": self.oracle_horizon,
-            "lambda_probes": [[z.real, z.imag] for z in (1j, -1j)],
+            "lambda_probes": [[0.0, 1.0]],
             "floquet_margin": _FLOQUET_MARGIN,
             "condition_b_ceiling": _B_CEILING,
             "ratio_limit_tol": _RATIO_LIMIT_TOL,
@@ -466,23 +451,21 @@ _ORACLE_OUTCOMES = {
 def _oracle_advisory(
     op: JacobiOperator, cfg: VerdictConfig, diagnostics: dict, flags: list
 ) -> CriterionVerdict:
-    """Numerical fallback: classify the solutions at lambda = +-i, always advisory.
+    """Numerical fallback: classify the solution at lambda = +i, always advisory.
 
-    solve_probes marches lambda = +i to the horizon and derives -i from
-    it, by the reality of B, so the pair costs one march plus a head
-    march.  The pair shares its block masses and so its l2_probe class;
-    each lands under the key oracle_lambda_+1i or oracle_lambda_-1i.
+    B is real, so the solution at -i is the conjugate of the one at +i
+    and has the same block masses and l2_probe class: one march to
+    cfg.oracle_horizon decides, recorded under oracle_lambda_+1i.
     """
-    plus, minus = solve_probes(op, cfg.oracle_horizon)
-    probe = l2_probe(plus)
-    for sol in (plus, minus):
-        diagnostics[f"oracle_lambda_{sol.lam.imag:+g}i"] = {"solution": sol.to_json(), "l2": probe.to_json()}
+    sol = solve_recurrence(op, 1j, cfg.oracle_horizon)
+    probe = l2_probe(sol)
+    diagnostics["oracle_lambda_+1i"] = {"solution": sol.to_json(), "l2": probe.to_json()}
     if probe.classification in _ORACLE_OUTCOMES:
         kind, certificate, found = _ORACLE_OUTCOMES[probe.classification]
-        provenance = f"numerical-advisory: the forward solution at each nonreal probe point {found}"
+        provenance = f"numerical-advisory: the forward solution at lambda = +i {found}"
     else:
         kind, certificate = VerdictKind.INCONCLUSIVE, None
-        provenance = "inconclusive: oracle block trends disagree or are ambiguous"
+        provenance = "inconclusive: the oracle block trend is ambiguous"
     return CriterionVerdict(kind, certificate, True, provenance, tuple(flags), diagnostics)
 
 
@@ -497,13 +480,12 @@ def deficiency_verdict(
     Certificate order (strongest first; partial sums decide nothing and stop at the first rung):
       0. gaps summable -> outside the model, Inconclusive;
          gaps not square-summable -> SelfAdjoint for every coupling.
-      1. divergent coupling series (carleman-i).  Condition I compares the
-         same exponents, so it only adds diagnostics, read from the same
-         scan of the gaps and couplings.
+      1. divergent coupling series (carleman-i), by exponent comparison.
       2. envelope bounds II / III with the selected G.
-      3. scaled-gap couplings near the critical line: conditions A and
-         B plus the Floquet discriminant strictly inside a band.
-      4. the lambda = +-i oracle to cfg.oracle_horizon, always advisory.
+      3. scaled-gap couplings near the critical line: condition B, then
+         condition A read from the gaps' l2 class, plus the Floquet
+         discriminant strictly inside a band.
+      4. the lambda = +i oracle to cfg.oracle_horizon, always advisory.
     """
     cfg = cfg or VerdictConfig()
     diagnostics: dict = {"config": cfg.to_json()}
@@ -530,9 +512,7 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    gap_ratios = cache(lambda: ratio_stats(grid, cfg.oracle_horizon))  # condition I's gate and phase 3
-    gate = lambda verdict: None if verdict is SeriesVerdict.DIVERGES else (gap_ratios(), summ)
-    carleman, condition_I = _coupling_series(grid, alpha, cfg.horizons[:1], gate)
+    carleman = test_carleman_i(grid, alpha, cfg.horizons[:1])
     diagnostics["carleman_i"] = carleman.to_json()
     if carleman.verdict is SeriesVerdict.DIVERGES:
         return _certified(
@@ -542,8 +522,6 @@ def deficiency_verdict(
             flags,
             diagnostics,
         )
-
-    diagnostics["condition_I"] = condition_I.to_json()
 
     G = select_G(grid, horizon=cfg.bound_horizon)
     diagnostics["G"] = G.to_json()
@@ -575,7 +553,7 @@ def deficiency_verdict(
     scaled = alpha.scaled_gap_form()
     if scaled is not None:
         a, pert_ok = scaled
-        stats = gap_ratios()
+        stats = ratio_stats(grid, cfg.oracle_horizon)
         diagnostics["ratio_stats"] = stats.to_json()
         ratio_ok = (
             abs(stats.limit_estimate - 1.0) <= _RATIO_LIMIT_TOL
@@ -586,12 +564,20 @@ def deficiency_verdict(
         if pert_ok is TriState.UNKNOWN:
             flags.append("perturbation-order-unknown")
         if ratio_ok and pert_ok is not TriState.FALSE:
-            tilde = TildeSequence(grid)
-            cond_a = check_condition_A(grid, horizons=cfg.horizons[:1], tilde=tilde)
-            diagnostics["condition_A"] = cond_a.to_json()
-            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1], tilde=tilde)
+            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
             diagnostics["condition_B"] = cond_b.to_json()
-            if cond_a.verdict is SeriesVerdict.CONVERGES and cond_b.holds is TriState.TRUE:
+            # condition A, r rtilde in l2: (r_n rtilde_n)^2 = rho_n d_n d_{n+1}, rho is
+            # bounded on the tail given B, and d_n d_{n+1} <= (d_n^2 + d_{n+1}^2)/2
+            cond_a = SeriesVerdict.CONVERGES if summ.in_ell2 is TriState.TRUE else SeriesVerdict.UNKNOWN
+            diagnostics["condition_A"] = {
+                "test": "condition-A",
+                "verdict": cond_a.value,
+                "witnesses": {
+                    "identity": "(r_n rtilde_n)^2 = rho_n d_n d_{n+1}, rho bounded given condition B",
+                    "summability_in_ell2": summ.in_ell2.value,
+                },
+            }
+            if cond_a is SeriesVerdict.CONVERGES and cond_b.holds is TriState.TRUE:
                 fl = floquet_discriminant(cond_b.u, a)
                 diagnostics["floquet"] = fl.to_json()
                 if fl.inside_band is TriState.TRUE and pert_ok is TriState.TRUE:
@@ -611,7 +597,7 @@ def deficiency_verdict(
                 else:
                     flags.append("discriminant-outside-band")
             else:
-                if cond_a.verdict is not SeriesVerdict.CONVERGES:
+                if cond_a is not SeriesVerdict.CONVERGES:
                     flags.append("scaling-sequence-not-square-summable")
                 if cond_b.holds is not TriState.TRUE:
                     flags.append("period-two-structure-not-established")

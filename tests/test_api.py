@@ -11,8 +11,9 @@ from deltasa.deficiency import CriterionVerdict, VerdictKind
 MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verify")
 
 # names that no verdict, battery check or CLI path used: the
-# gap-regularity layer, and the scalar twins of the block forms; a
-# "module.Class" key lists removed attributes of that class
+# gap-regularity layer, the scalar twins of the block forms, the shared
+# phase-1 scan and the -i oracle twin; a "module.Class" key lists
+# removed attributes of that class
 REMOVED = {
     "criteria": (
         "check_asymptotic_eq10",
@@ -23,7 +24,9 @@ REMOVED = {
         "D4Result",
         "G_nlog",
         "F_expansion",
+        "_coupling_series",
     ),
+    "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives",),
     "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder"),
     "grid.GridSequence": ("gap_log_ratio", "x"),
@@ -132,12 +135,11 @@ def test_removed_parameter_raises(label):
 def test_verdict_config_has_one_field_and_reports_every_threshold():
     cfg = deltasa.VerdictConfig()
     assert [f for f in cfg.__dataclass_fields__] == ["horizons"]
-    # dumped, so that the -0.0 real part of the -i probe is compared too
     assert json.dumps(cfg.to_json()) == json.dumps(
         {
             "horizons": [10000, 100000, 1000000],
             "oracle_horizon": 100000,
-            "lambda_probes": [[0.0, 1.0], [-0.0, -1.0]],
+            "lambda_probes": [[0.0, 1.0]],
             "floquet_margin": 1e-06,
             "condition_b_ceiling": 10.0,
             "ratio_limit_tol": 0.02,

@@ -162,6 +162,24 @@ class TestVerdictConfig:
         with pytest.raises(ValueError, match=rule):
             VerdictConfig(horizons)
 
+    @pytest.mark.parametrize("horizons", [(10000.5,), (10**4, 2.5e4 + 0.25)], ids=str)
+    def test_non_integral_horizon_raises_when_built(self, horizons):
+        with pytest.raises(ValueError, match="integer"):
+            VerdictConfig(horizons)
+
+    @pytest.mark.parametrize(
+        "ladder", [(1e4, 1e5), [10**4, 10**5], [1e4, 10**5]], ids=["float", "list", "mixed"]
+    )
+    def test_ladder_is_kept_as_a_tuple_of_ints(self, ladder):
+        cfg = VerdictConfig(ladder)
+        assert cfg.horizons == (10**4, 10**5)
+        assert all(type(h) is int for h in cfg.horizons)
+        assert hash(cfg) == hash(VerdictConfig((10**4, 10**5)))
+        g = PowerLogGrid(0.8)
+        alpha = ScaledInverseGapsAlpha(g, 0.5)
+        want = deficiency_verdict(g, alpha, VerdictConfig((10**4, 10**5)))
+        assert json.dumps(deficiency_verdict(g, alpha, cfg).to_json()) == json.dumps(want.to_json())
+
     @pytest.mark.parametrize(
         "cfg,ladder,bound,oracle",
         [

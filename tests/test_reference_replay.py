@@ -8,11 +8,16 @@ two steps:
 
 * the exit code and the six decision fields must equal the recorded
   ones;
-* the v1 bytes must reconstruct exactly.  Schema v2 stops the phase-1
-  series (carleman-i, condition I) and condition A's partial sums at
-  the first rung of the ladder; v1 recorded them over every rung.
-  Putting the probes run on the full ladder back in their place and the
-  schema back to v1 must give the recorded sha256.
+* the v1 bytes must reconstruct exactly from the v3 report.  v1
+  recorded carleman-i's partial sums over every rung of the ladder, a
+  condition-I record wherever carleman-i does not diverge, condition
+  A's partial sums, and a lambda = -i oracle record beside the +i one.
+  v3 stops carleman-i at the first rung, drops condition I, reads
+  condition A from the gaps' l2 class and marches only +i.  Putting the
+  full-ladder probes back, rebuilding the -i record from the +i one
+  (B is real; only the head is marched again, for its signed zeros),
+  and restoring v1's probe list, provenance and schema must give the
+  recorded sha256.
 
 Float bits depend on the interpreter and numpy, so the replay runs only
 under the versions the pools were recorded with.
@@ -28,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltasa import check_condition_A, test_carleman_i, test_condition_I
+from deltasa import JacobiOperator, check_condition_A, solve_recurrence, test_carleman_i, test_condition_I
 from deltasa.cli import _build_parser, _emit, _verdict_config, build_grid, main, parse_alpha
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -67,21 +72,41 @@ def analyze(argv):
     return rc, buf.getvalue()
 
 
+# the oracle provenance prefixes v3 writes, and the ones v1 wrote
+V1_PROVENANCE = {
+    "numerical-advisory: the forward solution at lambda = +i ": (
+        "numerical-advisory: the forward solution at each nonreal probe point "
+    ),
+    "inconclusive: the oracle block trend is ambiguous": (
+        "inconclusive: oracle block trends disagree or are ambiguous"
+    ),
+}
+
+
 def v1_bytes(argv, report):
-    """The v1 output of an analyze run: the full-ladder series records and the v1 schema."""
+    """The v1 output of an analyze run, rebuilt from its v3 report."""
     args = _build_parser().parse_args(["analyze", *argv])
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
     hs = _verdict_config(args).horizons
-    diagnostics = report["verdict"]["diagnostics"]
-    full = {
-        "carleman_i": lambda: test_carleman_i(grid, alpha, hs),
-        "condition_I": lambda: test_condition_I(grid, alpha, hs),
-        "condition_A": lambda: check_condition_A(grid, hs),
-    }
-    for key, probe in full.items():
-        if key in diagnostics:
-            diagnostics[key] = probe().to_json()
+    verdict = report["verdict"]
+    diagnostics = verdict["diagnostics"]
+    if "carleman_i" in diagnostics:
+        diagnostics["carleman_i"] = test_carleman_i(grid, alpha, hs).to_json()
+        if diagnostics["carleman_i"]["verdict"] != "diverges":
+            diagnostics["condition_I"] = test_condition_I(grid, alpha, hs).to_json()
+    if "condition_A" in diagnostics:
+        diagnostics["condition_A"] = check_condition_A(grid, hs).to_json()
+    if "oracle_lambda_+1i" in diagnostics:
+        minus = json.loads(json.dumps(diagnostics["oracle_lambda_+1i"]))
+        solution = minus["solution"]
+        front = solve_recurrence(JacobiOperator(grid, alpha), -1j, solution["meta"]["keep"]).to_json()
+        solution["lambda"], solution["head"] = front["lambda"], front["head"]
+        diagnostics["oracle_lambda_-1i"] = minus
+    diagnostics["config"]["lambda_probes"] = [[0.0, 1.0], [-0.0, -1.0]]
+    for v3, v1 in V1_PROVENANCE.items():
+        if verdict["provenance"].startswith(v3):
+            verdict["provenance"] = v1 + verdict["provenance"][len(v3):]
     report["schema"] = "deltasa-analyze-v1"
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -95,7 +120,7 @@ def test_analyze_output_matches_recorded_sha256(workload):
         rc, out = analyze(item["input"])
         assert rc == item["ref"]["rc"], item["id"]
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v2"
+        assert report["schema"] == "deltasa-analyze-v3"
         verdict = report["verdict"]
         assert {k: verdict[k] for k in DECISION} == item["ref"]["output_decision"], item["id"]
         digest = hashlib.sha256(v1_bytes(item["input"], report).encode()).hexdigest()

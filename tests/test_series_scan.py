@@ -1,12 +1,15 @@
-"""Phase 1 scans the coupling series once.
+"""The coupling series probes, and the series work a verdict does.
 
-carleman-i and condition I read each block's gaps and couplings from one
-scan.  The references below are the two probes as they were when each
-made its own scan, kept verbatim; both probes must serialise to the same
-bytes as their reference.  A grid that counts the gap rows it serves
-pins how many rows a verdict reads.
+carleman-i and condition I each make their own scan.  The references
+below are the two probes' scans kept verbatim; both probes must
+serialise to the same bytes as their reference.  A verdict reads only
+carleman-i, to the first rung of its ladder: it keeps no condition-I
+record and takes condition A from the gaps' l2 class.  A grid that
+counts the gap rows it serves, and counters on the gap statistics and
+the oracle march, pin how much work a verdict does.
 """
 
+import itertools
 import json
 import math
 
@@ -169,11 +172,12 @@ def _verdict_gap_rows(alpha_for):
 
 
 def test_outside_verdict_reads_the_coupling_series_once():
-    # carleman-i's scan alone reads 100,011 gap rows here and condition
-    # I's own scan read 200,004 more (its gaps and the coupling's)
+    # carleman-i's first rung reads 10,002 gap rows here and the bounds
+    # 50,004; condition I's gate read 50,003 more for its gap ratios
     v, rows = _verdict_gap_rows(lambda g: ScaledInverseGapsAlpha(g, 0.5))
-    assert "condition_I" in v.diagnostics
-    assert rows < 300_000
+    assert v.certificate == "lower-envelope-bound"
+    assert "condition_I" not in v.diagnostics
+    assert rows <= 60_006
 
 
 def test_carleman_verdict_reads_only_carleman_rows():
@@ -202,17 +206,9 @@ def test_default_ladder_verdict_rows(alpha_for, certificate, limit):
     assert rows < limit
 
 
-# the verdict's records of the full-ladder probes, and the probe that wrote each
-_SERIES_RECORDS = {
-    "carleman_i": test_carleman_i,
-    "condition_I": test_condition_I,
-    "condition_A": lambda g, alpha, hs: check_condition_A(g, hs),
-}
-
-
 def _without_growth(record):
     """A series record less what depends on how many checkpoints it holds."""
-    w = {k: v for k, v in record["witnesses"].items() if k not in ("fitted_growth", "tail_mass")}
+    w = {k: v for k, v in record["witnesses"].items() if k != "fitted_growth"}
     return {k: v for k, v in record.items() if k != "checkpoints"} | {"witnesses": w}
 
 
@@ -230,18 +226,35 @@ def test_verdict_series_stop_at_the_first_rung(grid, coupling, ladder):
     g = GRIDS[grid]()
     alpha = COUPLINGS[coupling](g)
     diagnostics = deficiency_verdict(g, alpha, VerdictConfig(ladder)).diagnostics
-    assert "carleman_i" in diagnostics
-    for key, probe in _SERIES_RECORDS.items():
-        if key not in diagnostics:
-            continue
-        record, full = diagnostics[key], probe(g, alpha, ladder).to_json()
-        assert len(record["checkpoints"]) == 1
-        (n, s), (n_full, s_full) = record["checkpoints"][0], full["checkpoints"][0]
-        assert n == n_full == ladder[0]
-        assert np.float64(s).tobytes() == np.float64(s_full).tobytes()
-        assert record["verdict"] == full["verdict"]
-        assert record["witnesses"]["fitted_growth"] == "single checkpoint"
-        assert _without_growth(record) == _without_growth(full)
+    assert "condition_I" not in diagnostics
+    record, full = diagnostics["carleman_i"], test_carleman_i(g, alpha, ladder).to_json()
+    assert len(record["checkpoints"]) == 1
+    (n, s), (n_full, s_full) = record["checkpoints"][0], full["checkpoints"][0]
+    assert n == n_full == ladder[0]
+    assert np.float64(s).tobytes() == np.float64(s_full).tobytes()
+    assert record["verdict"] == full["verdict"]
+    assert record["witnesses"]["fitted_growth"] == "single checkpoint"
+    assert _without_growth(record) == _without_growth(full)
+
+
+def test_condition_A_verdict_matches_its_scan():
+    # the verdict reads condition A from the gaps' l2 class; the
+    # standalone probe takes it from a closed form or leaves it unknown,
+    # as on a custom grid whose gap ratios are flat enough for phase 3
+    grids = {g: GRIDS[g] for g in PHASE_1_GRIDS} | {"custom-flat": lambda: CustomGrid(lambda n: n**-0.8)}
+    ladder = (10**3, 40000)
+    reached = {}
+    for grid, coupling in itertools.product(grids, COUPLINGS):
+        g = grids[grid]()
+        diagnostics = deficiency_verdict(g, COUPLINGS[coupling](g), VerdictConfig(ladder)).diagnostics
+        if "condition_A" in diagnostics:
+            record = diagnostics["condition_A"]
+            assert "checkpoints" not in record
+            reached[grid, coupling] = record["verdict"]
+            assert record["verdict"] == check_condition_A(g, ladder).verdict.value, (grid, coupling)
+    # the scaled-gap couplings on every grid with flat gap ratios
+    assert set(reached) == {(g, c) for g in grids if g != "custom" for c in ("critical", "perturbed")}
+    assert set(reached.values()) == {"converges", "unknown"}
 
 
 def _counted(monkeypatch, calls, module, name):
@@ -254,15 +267,35 @@ def _counted(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counting)
 
 
-@pytest.mark.parametrize("grid", ["power-0.6", "custom"])
-def test_verdict_reads_the_gap_statistics_once(monkeypatch, grid):
-    # condition I's gate and phase 3 read the verdict's one summability
-    # class and one gap-ratio window
-    calls = {"classify_summability": 0, "ratio_stats": 0}
+def _verdict_calls(monkeypatch, names, g, alpha):
+    calls = dict.fromkeys(names, 0)
     for module in (criteria, deficiency):
         for name in calls:
-            _counted(monkeypatch, calls, module, name)
+            if hasattr(module, name):
+                _counted(monkeypatch, calls, module, name)
+    return deficiency_verdict(g, alpha, VerdictConfig((10**3, 40000))), calls
+
+
+@pytest.mark.parametrize("grid", ["power-0.6", "custom"])
+def test_verdict_reads_the_gap_statistics_once(monkeypatch, grid):
+    # phase 3 reads the summability class of phase 0 and one gap-ratio window
     g = GRIDS[grid]()
-    v = deficiency_verdict(g, ScaledInverseGapsAlpha(g, -0.5), VerdictConfig((10**3, 40000)))
-    assert "condition_I" in v.diagnostics and "ratio_stats" in v.diagnostics
+    names = ("classify_summability", "ratio_stats")
+    v, calls = _verdict_calls(monkeypatch, names, g, ScaledInverseGapsAlpha(g, -0.5))
+    assert "condition_I" not in v.diagnostics and "ratio_stats" in v.diagnostics
     assert calls == {"classify_summability": 1, "ratio_stats": 1}
+
+
+def test_envelope_verdict_reads_no_gap_ratios(monkeypatch):
+    g = PowerLogGrid(0.8)
+    v, calls = _verdict_calls(monkeypatch, ("ratio_stats",), g, ScaledInverseGapsAlpha(g, 0.5))
+    assert v.certificate == "lower-envelope-bound"
+    assert calls == {"ratio_stats": 0}
+
+
+def test_oracle_verdict_marches_once(monkeypatch):
+    g = PowerLogGrid(0.8)
+    v, calls = _verdict_calls(monkeypatch, ("solve_recurrence",), g, COUPLINGS["explicit"](g))
+    assert v.advisory
+    assert [k for k in v.diagnostics if k.startswith("oracle_lambda")] == ["oracle_lambda_+1i"]
+    assert calls == {"solve_recurrence": 1}
