@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import Optional, Union
 
 import numpy as np
@@ -47,7 +46,9 @@ __all__ = [
 _SCALE_BITS = 100  # rescale when |h| leaves [2^-100, 2^100]
 _SCALE_UP = 2.0**_SCALE_BITS
 _SCALE_DOWN = 2.0**-_SCALE_BITS
-_CHUNK = 2048  # rows of operator entries per block: bounds the Python lists the march reads
+# |re| + |im| <= sqrt(2) |h|, so a row the march does not stop at needs no rescale
+_GUARD_LO = 1.5 * _SCALE_DOWN
+_CHUNK = 2048  # rows per march block: its operator entries, marched values and bookkeeping arrays
 
 # l2_probe: the last _L2_WINDOW block-mass ratios must all stay below
 # 1 - _L2_MARGIN or all above 1 + _L2_MARGIN, over _L2_MIN_BLOCKS blocks or more
@@ -98,6 +99,11 @@ class RecurrenceSolution:
         }
 
 
+def _log_mass(acc: float, sigma: float) -> float:
+    """ln of a block mass held as acc in the scale frame sigma."""
+    return math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf
+
+
 def solve_recurrence(
     op: JacobiOperator,
     lam: Union[float, complex],
@@ -118,15 +124,17 @@ def solve_recurrence(
     they streamed past; meta["head_pure_until"] marks the last index
     before the first rescale, up to which head carries true values.
 
-    The operator entries are evaluated in numpy blocks of _CHUNK rows
-    (elementwise, so the block size does not change a bit) and the
-    rows are marched on Python scalars, with the operations and operand
-    order of numpy scalar arithmetic, so every float is the one numpy
-    scalars give.
-    For nonreal lambda the division by off(n) is written out in the
-    form numpy uses for complex / real (Smith's: multiply by 1/off(n)
-    with a signed-zero ratio); Python's own complex division differs
-    from it in the last bit.
+    The march takes _CHUNK rows at a time, and its Python loop does
+    only the recurrence: on the float pair (re, im) for nonreal lambda,
+    on one float for real lambda.  Every float is the one numpy scalar
+    arithmetic gives: the pair is CPython's complex product written out,
+    then numpy's complex / real division (Smith's: multiply by
+    1/off(n) with the signed-zero ratio 0/off(n)).  The loop stops only
+    at a row where |re| + |im| leaves (1.5 * 2^-100, 2^100), which every
+    rescale needs; there the exact test runs and the march resumes.
+    The block masses (a sequential cumsum, cut at block edges and
+    rescales), the residual spot checks and the head are then read off
+    the chunk's marched values with numpy.
     """
     if N < 8:
         raise ValueError("solve_recurrence needs N >= 8")
@@ -136,14 +144,13 @@ def solve_recurrence(
         lam = lam.real  # a lambda on the real axis is marched as a real one
     complex_lam = isinstance(lam, complex)
     lam_c = complex(lam) if complex_lam else float(lam)
-    dtype = np.complex128 if complex_lam else np.float64
+    scalar = complex if complex_lam else lambda x, _: x  # h from its (re, im)
     keep = min(keep, N)
 
-    h_prev = 1.0 + 0.0j if complex_lam else 1.0
-    diag1 = op.diag(1)
-    off1 = op.off(1)
-    h_cur = -(diag1 - lam_c) * h_prev / off1
-    head = [h_prev, h_cur][:keep]
+    h = -(op.diag(1) - lam_c) * scalar(1.0, 0.0) / op.off(1)
+    pr, pi, hr, hi = 1.0, 0.0, h.real, h.imag  # h_n and h_{n+1} in the current scale frame
+    w = 2 if complex_lam else 1  # floats per h in the lists below: re, or re and im
+    head = ([pr, pi, hr, hi] if complex_lam else [pr, hr])[: w * keep]
 
     sigma = 0.0  # true h = stored h * exp(sigma)
     scale_events = 0
@@ -152,85 +159,113 @@ def solve_recurrence(
     first_rescale = N + 1
 
     block_logs: list[tuple[int, float]] = []
-    acc = abs(h_prev) ** 2  # running block mass, current scale frame
+    acc = 1.0  # running block mass |h_1|^2, current scale frame
     cur_block = 0  # block [1, 2) holds n = 1
     next_edge = 2  # first index of block cur_block + 1
     next_check = max(residual_stride, 2) if residual_stride else N  # next spot-checked row
-    a_cur = abs(h_cur)
+    ci, up = lam_c.imag, _SCALE_UP
+    lo = math.inf  # the first row always takes the exact test, which also reads |h_2|
 
-    n = 1  # h_cur is h at index n+1
+    n = 1  # the march is at row n: (pr, pi) holds h_n, (hr, hi) holds h_{n+1}
     while n < N - 1:
-        hi = min(n + _CHUNK, N - 1)
-        diags = op.diag_block(n + 1, hi + 1)
-        offs = op.off_block(n, hi + 1)  # off(n) .. off(hi); elementwise, so slices keep every bit
+        top = min(n + _CHUNK, N - 1)
+        diags = op.diag_block(n + 1, top + 1)
+        offs = op.off_block(n, top + 1)  # off(n) .. off(top); elementwise, so slices keep every bit
         offs_prev, offs_cur = offs[:-1], offs[1:]
-        coefs = (lam_c - diags).tolist()
+        # the loop reads Python floats; a memoryview yields them without building lists
         if complex_lam:
-            # complex(off, 0) products, then Smith's division by off
-            prevs = offs_prev.astype(np.complex128).tolist()
-            divs = (1.0 / offs_cur).tolist()
-            rats = (0.0 / offs_cur).tolist()
+            cols = (lam_c.real - diags, offs_prev, 1.0 / offs_cur, 0.0 / offs_cur)
         else:
-            prevs = offs_prev.tolist()
-            divs = offs_cur.tolist()
-            rats = repeat(0.0)
-        m = n  # index of h_cur, less one
-        for c, o, s, r in zip(coefs, prevs, divs, rats):
-            m += 1
-            if m == next_edge:
-                block_logs.append((cur_block, math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf))
-                acc = 0.0
-                cur_block += 1
-                next_edge <<= 1
-            acc += a_cur * a_cur
-            h_next = c * h_cur - o * h_prev
+            cols = (lam_c - diags, offs_prev, offs_cur)
+        rows = zip(*map(memoryview, cols))
+        out = [pr, pi, hr, hi] if complex_lam else [pr, hr]  # h_n .. h_{top+1} as marched, before rescales
+        put = out.append
+        events: dict[int, tuple[float, Union[float, complex]]] = {}  # row -> shift, rescaled h_{row+1}
+        while True:
             if complex_lam:
-                re = h_next.real
-                im = h_next.imag
-                h_next = complex((re + im * r) * s, (im - re * r) * s)
+                for c, o, s, r in rows:
+                    x = (c * hr - ci * hi) - (o * pr - 0.0 * pi)
+                    y = (c * hi + ci * hr) - (o * pi + 0.0 * pr)
+                    pr = hr
+                    pi = hi
+                    hr = (x + y * r) * s
+                    hi = (y - x * r) * s
+                    put(hr)
+                    put(hi)
+                    if not lo < abs(hr) + abs(hi) < up:
+                        break
+                else:
+                    break
             else:
-                h_next = h_next / s
-            if m == next_check:
-                next_check += residual_stride
-                if m - last_rescale > 1:
-                    j = m - n - 1
-                    row = offs_prev[j] * h_prev + (diags[j] - lam_c) * h_cur + offs_cur[j] * h_next
-                    scale = abs(offs_prev[j] * h_prev) + abs((diags[j] - lam_c) * h_cur) + abs(
-                        offs_cur[j] * h_next
-                    )
-                    if scale > 0.0:
-                        residual_max = max(residual_max, abs(row) / scale)
-            h_prev = h_cur
-            h_cur = h_next
-            if m < keep:
-                head.append(h_cur)  # h at index m+1 lands at position m (0-based)
-            a_prev = a_cur
-            a_cur = abs(h_cur)
+                for c, o, s in rows:
+                    pr, hr = hr, (c * hr - o * pr) / s
+                    put(hr)
+                    if not lo < abs(hr) < up:
+                        break
+                else:
+                    break
+            lo = _GUARD_LO
+            p, h = scalar(pr, pi), scalar(hr, hi)
+            a_prev, a_cur = abs(p), abs(h)
             peak = a_prev if a_prev > a_cur else a_cur
             if peak > _SCALE_UP or (0.0 < peak < _SCALE_DOWN):
                 shift = math.ldexp(1.0, -int(math.frexp(peak)[1]))
                 # numpy scales a complex h by the full product with complex(shift, 0)
                 factor = complex(shift, 0.0) if complex_lam else shift
-                h_prev *= factor
-                h_cur *= factor
-                a_cur = abs(h_cur)
-                acc *= shift * shift
-                sigma -= math.log(shift)
-                scale_events += 1
-                last_rescale = m
-                first_rescale = min(first_rescale, m)
-        n = hi
-    # h_cur is h_N; close its block, keeping it only if complete
+                p, h = p * factor, h * factor
+                pr, pi, hr, hi = p.real, p.imag, h.real, h.imag
+                events[n + len(out) // w - 2] = (shift, h)
+
+        # |h| of rows n .. top+1, in the frame each row's mass was added in
+        v = np.fromiter(out, np.float64, len(out))  # no type discovery: faster than np.array
+        mags = np.hypot(v[0::2], v[1::2]) if complex_lam else np.abs(v)
+        for m, (_, h) in events.items():
+            mags[m + 1 - n] = abs(h)
+        # sq[m - n] = |h_m|^2; the slot before a run's first row holds acc, so a
+        # cumsum over the slice adds the run to acc left to right
+        sq = mags[:-1] * mags[:-1]
+        pos = n + 1  # first row not yet in acc
+        for m, (shift, _) in [*events.items(), (top, (1.0, 0.0))]:
+            while next_edge <= m:
+                sq[pos - n - 1] = acc
+                acc = float(sq[pos - n - 1 : next_edge - n].cumsum()[-1])
+                block_logs.append((cur_block, _log_mass(acc, sigma)))
+                acc, cur_block, pos, next_edge = 0.0, cur_block + 1, next_edge, next_edge << 1
+            sq[pos - n - 1] = acc
+            acc = float(sq[pos - n - 1 : m - n + 1].cumsum()[-1]) * (shift * shift)
+            sigma -= math.log(shift)
+            pos = m + 1
+
+        at = (lambda t: complex(out[2 * t], out[2 * t + 1])) if complex_lam else out.__getitem__
+        while next_check <= top:
+            m, next_check = next_check, next_check + residual_stride
+            if m - 1 in events or m - last_rescale <= 1:
+                continue
+            j = m - n - 1
+            h_prev = events[m - 2][1] if m - 2 in events else at(j)
+            h_cur, h_next = at(j + 1), at(j + 2)
+            row = offs_prev[j] * h_prev + (diags[j] - lam_c) * h_cur + offs_cur[j] * h_next
+            scale = abs(offs_prev[j] * h_prev) + abs((diags[j] - lam_c) * h_cur) + abs(offs_cur[j] * h_next)
+            if scale > 0.0:
+                residual_max = max(residual_max, abs(row) / scale)
+
+        if events:
+            scale_events += len(events)
+            first_rescale = min(first_rescale, *events)
+            last_rescale = max(events)
+        head += out[2 * w : w * (2 + keep) - len(head)]
+        n = top
+    # (hr, hi) is h_N; close its block, keeping it only if complete
     if N == next_edge:
-        block_logs.append((cur_block, math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf))
+        block_logs.append((cur_block, _log_mass(acc, sigma)))
     else:
-        acc += abs(h_cur) ** 2
+        acc += abs(scalar(hr, hi)) ** 2
         if N == next_edge - 1:
-            block_logs.append((cur_block, math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf))
+            block_logs.append((cur_block, _log_mass(acc, sigma)))
     return RecurrenceSolution(
         lam=lam_c if complex_lam else complex(lam_c, 0.0),
         horizon=N,
-        head=np.array(head, dtype=dtype),
+        head=np.array(head).view(np.complex128 if complex_lam else np.float64),
         block_log_masses=tuple(block_logs),
         scale_events=scale_events,
         residual_max=residual_max,

@@ -329,8 +329,8 @@ def _check_9_scaling_identity(H: int) -> CheckResult:
 def _check_10_oracle_agreement(H: int) -> CheckResult:
     """Nonreal-energy oracle agrees with every analytic certificate.
 
-    The lambda = -i solution is the conjugate of the +i one (B is real),
-    so the two classes are one witness shown twice, not two independent ones.
+    The oracle's one witness is the lambda = +i march: B is real, so the
+    -i solution is its conjugate and would add nothing independent.
     """
     t0 = time.time()
     inv = PowerLogGrid(1.0, 0.0, 1.0)
@@ -350,7 +350,7 @@ def _check_10_oracle_agreement(H: int) -> CheckResult:
         ok &= good
         details.append(
             f"{label}: analytic={v.verdict.value}({v.certificate}) "
-            f"oracle={cls}/{cls} {'ok' if good else 'VIOLATED'}"
+            f"oracle={cls} {'ok' if good else 'VIOLATED'}"
         )
     return CheckResult(10, "oracle-agreement", ok, details, time.time() - t0)
 
