@@ -36,10 +36,10 @@ import numpy as np
 
 from .grid import (
     ConstantGrid,
-    ExplicitGrid,
     GridError,
     GridSequence,
     PowerLogGrid,
+    _bertrand,
     classify_summability,
     ratio_stats,
 )
@@ -84,9 +84,9 @@ __all__ = [
     "check_condition_B",
 ]
 
-# condition B: the Richardson error order for grids without a closed
-# form, the order-unity ceiling on the late-window residual sup, and how
-# far that sup may exceed the early one
+# condition B: the Richardson error order for gaps that do not decay
+# like a power, the order-unity ceiling on the late-window residual
+# sup, and how far that sup may exceed the early one
 _B_ERROR_ORDER = 1.0
 _B_CEILING = 10.0
 _B_GROWTH_ALLOWANCE = 4.0
@@ -359,42 +359,29 @@ def _leading_exponents(alpha: AlphaSequence) -> Optional[tuple[float, float, flo
     return None
 
 
-def _gap_exponents(grid: GridSequence) -> Optional[tuple[float, float]]:
-    if isinstance(grid, PowerLogGrid):
-        return (-grid.gamma, -grid.eta)
-    if isinstance(grid, ConstantGrid):
-        return (0.0, 0.0)
-    if isinstance(grid, ExplicitGrid) and grid.tail in ("cycle", "hold"):
-        return (0.0, 0.0)
-    return None
-
-
 def _cubed_gap_verdict(grid: GridSequence, alpha: AlphaSequence) -> tuple[SeriesVerdict, object]:
     """Exponent comparison for sum |alpha_n| d_n^3 (carleman-i's series up to a constant).
 
-    With alpha_n ~ c n^p (ln n)^q and d_n ~ n^g (ln n)^h the terms go like
-    n^P (ln n)^Q, P = p + 3g, Q = q + 3h; a zero coupling converges.
-    Returns the verdict and its analytic witness ({"P", "Q"} or "zero
-    coupling"), or (UNKNOWN, None) when a leading order is unknown.
+    With alpha_n ~ c n^p (ln n)^q and d_n ~ n^g (ln n)^h (grid.order())
+    the terms go like n^P (ln n)^Q, P = p + 3g, Q = q + 3h; a zero
+    coupling converges.  Returns the verdict and its analytic witness
+    ({"P", "Q"} or "zero coupling"), or (UNKNOWN, None) when a leading
+    order is unknown.
     """
     lead = _leading_exponents(alpha)
-    gexp = _gap_exponents(grid)
-    if lead is None or gexp is None:
+    order = grid.order()
+    if lead is None or order is None:
         return SeriesVerdict.UNKNOWN, None
     c, p, q = lead
     if c == 0.0:
         return SeriesVerdict.CONVERGES, "zero coupling"
-    P, Q = p + 3.0 * gexp[0], q + 3.0 * gexp[1]
+    P, Q = p + 3.0 * order[1], q + 3.0 * order[2]
     return _bertrand_verdict(P, Q), {"P": P, "Q": Q}
 
 
 def _bertrand_verdict(P: float, Q: float) -> SeriesVerdict:
     """Convergence class of sum n^P (ln n)^Q by exponent comparison."""
-    if P > -1.0:
-        return SeriesVerdict.DIVERGES
-    if P < -1.0:
-        return SeriesVerdict.CONVERGES
-    return SeriesVerdict.DIVERGES if Q >= -1.0 else SeriesVerdict.CONVERGES
+    return SeriesVerdict.CONVERGES if _bertrand(P, Q) else SeriesVerdict.DIVERGES
 
 
 def _growth_description(checkpoints: list[tuple[int, float]]) -> str:
@@ -630,11 +617,12 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
     """l2 test for the sequence r_n rtilde_n: partial sums of (r_n rtilde_n)^2.
 
     Convergence here is what lets the periodic comparison argument map
-    bounded solutions to l2 ones.  Closed-form families get an analytic
-    verdict; flat and cyclic grids always diverge (the terms have a
-    positive floor along one parity).  A verdict reads condition A from
-    the gaps' l2 class instead (see deficiency_verdict), so this probe
-    stands alone.
+    bounded solutions to l2 ones.  A grid whose order() is known gets an
+    analytic verdict: the terms behave like d_n^2 up to a parity
+    constant, or have a positive floor along one parity on flat and
+    cyclic grids, so the class is Bertrand(2p, 2q).  A verdict reads
+    condition A from the gaps' l2 class instead (see deficiency_verdict),
+    so this probe stands alone.
     """
     hs = _normalize_horizons(horizons)
     t = TildeSequence(grid)
@@ -650,15 +638,11 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
     checkpoints = _stream_series(term_block, hs)
     verdict = SeriesVerdict.UNKNOWN
     witnesses: dict = {}
-    if isinstance(grid, PowerLogGrid):
-        # terms behave like d_n^2 up to a parity constant; converging is the good case
-        verdict = _bertrand_verdict(-2.0 * grid.gamma, -2.0 * grid.eta)
-        witnesses["analytic"] = {"P": -2.0 * grid.gamma, "Q": -2.0 * grid.eta}
-    elif isinstance(grid, ConstantGrid) or (
-        isinstance(grid, ExplicitGrid) and grid.tail in ("cycle", "hold")
-    ):
-        verdict = SeriesVerdict.DIVERGES
-        witnesses["analytic"] = "terms bounded below along a parity"
+    order = grid.order()
+    if order is not None:
+        P, Q = 2.0 * order[1], 2.0 * order[2]
+        verdict = _bertrand_verdict(P, Q)
+        witnesses["analytic"] = {"P": P, "Q": Q}
     if len(checkpoints) >= 2 and checkpoints[-1][1] > checkpoints[-2][1] > 0:
         witnesses["tail_mass"] = checkpoints[-1][1] - checkpoints[-2][1]
     return SeriesProbe(
@@ -697,9 +681,10 @@ def check_condition_B(
     """Period-two structure of rho_n = (1/d_n + 1/d_{n+1}) rtilde_n^2.
 
     Estimates the parity limits u_odd, u_even by Richardson
-    extrapolation along each parity (error order 2*gamma for the
-    power-log family, 1 otherwise), then checks the defining remainder
-    bound: |rho_n - u_parity| / (r_n rtilde_n)^2 bounded over the tail.
+    extrapolation along each parity (error order -2p for gaps
+    d_n ~ c n^p (ln n)^q with p < 0, 1 otherwise), then checks the
+    defining remainder bound: |rho_n - u_parity| / (r_n rtilde_n)^2
+    bounded over the tail.
 
     The remainder statistic is noise-floored: at gamma = 1 the float
     error of the log accumulation is amplified by n^2 to order 0.1-0.5,
@@ -714,10 +699,8 @@ def check_condition_B(
     if H < MIN_HORIZON:
         raise ValueError(f"check_condition_B needs horizon >= {MIN_HORIZON}")
     t = tilde if tilde is not None else TildeSequence(grid)
-    if isinstance(grid, PowerLogGrid):
-        error_order = 2.0 * grid.gamma
-    else:
-        error_order = _B_ERROR_ORDER
+    order = grid.order()
+    error_order = -2.0 * order[1] if order is not None and order[1] < 0.0 else _B_ERROR_ORDER
 
     # two largest probed indices of each parity: H-ish and H/2-ish
     def parity_estimate(parity: int) -> tuple[float, list]:

@@ -99,6 +99,13 @@ class RecurrenceSolution:
         }
 
 
+def _check_offs(offs: np.ndarray, first: int) -> None:
+    """Raise ValueError naming the first n with off(n) = 0; offs[i] holds off(first + i)."""
+    if not offs.all():
+        n = first + int(np.flatnonzero(offs == 0.0)[0])
+        raise ValueError(f"off({n}) = 0: the recurrence does not determine h_{n + 1}")
+
+
 def _log_mass(acc: float, sigma: float) -> float:
     """ln of a block mass held as acc in the scale frame sigma."""
     return math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf
@@ -134,7 +141,8 @@ def solve_recurrence(
     rescale needs; there the exact test runs and the march resumes.
     The block masses (a sequential cumsum, cut at block edges and
     rescales), the residual spot checks and the head are then read off
-    the chunk's marched values with numpy.
+    the chunk's marched values with numpy.  A zero off(n) that the march
+    would divide by raises ValueError naming n, at either kind of lambda.
     """
     if N < 8:
         raise ValueError("solve_recurrence needs N >= 8")
@@ -147,7 +155,9 @@ def solve_recurrence(
     scalar = complex if complex_lam else lambda x, _: x  # h from its (re, im)
     keep = min(keep, N)
 
-    h = -(op.diag(1) - lam_c) * scalar(1.0, 0.0) / op.off(1)
+    off1 = op.off(1)
+    _check_offs(np.array([off1]), 1)
+    h = -(op.diag(1) - lam_c) * scalar(1.0, 0.0) / off1
     pr, pi, hr, hi = 1.0, 0.0, h.real, h.imag  # h_n and h_{n+1} in the current scale frame
     w = 2 if complex_lam else 1  # floats per h in the lists below: re, or re and im
     head = ([pr, pi, hr, hi] if complex_lam else [pr, hr])[: w * keep]
@@ -172,6 +182,7 @@ def solve_recurrence(
         diags = op.diag_block(n + 1, top + 1)
         offs = op.off_block(n, top + 1)  # off(n) .. off(top); elementwise, so slices keep every bit
         offs_prev, offs_cur = offs[:-1], offs[1:]
+        _check_offs(offs_cur, n + 1)
         # the loop reads Python floats; a memoryview yields them without building lists
         if complex_lam:
             cols = (lam_c.real - diags, offs_prev, 1.0 / offs_cur, 0.0 / offs_cur)

@@ -8,10 +8,10 @@ log-gap ratios log(d_{n+k}/d_n) that the stabilized difference
 quotients are built from.
 
 The workhorse family is PowerLogGrid with d_n = d_1 at n = 1 and
-d_n = n^{-gamma} * (ln n)^{-eta} for n >= 2.  Its summability class is
-known in closed form: the gaps are summable iff gamma > 1 or
-(gamma = 1 and eta > 1), and square-summable iff gamma > 1/2 or
-(gamma = 1/2 and eta > 1/2).
+d_n = n^{-gamma} * (ln n)^{-eta} for n >= 2.  Each family states the
+order of its gaps, d_n ~ c n^p (ln n)^q, once in order(), and every
+closed-form decision reads it through one Bertrand rule (_bertrand):
+sum n^P (ln n)^Q converges iff P < -1, or P = -1 and Q < -1.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ __all__ = [
 # classify_summability: the last partial-sum checkpoint for grids
 # without a closed-form summability class
 _SUMMABILITY_HORIZON = 1 << 16
+
+
+def _bertrand(P: float, Q: float) -> bool:
+    """Whether sum n^P (ln n)^Q converges: P < -1, or P = -1 and Q < -1."""
+    return P < -1.0 or (P == -1.0 and Q < -1.0)
 
 
 class GridError(ValueError):
@@ -93,11 +98,9 @@ class GridSequence:
             raise GridError(f"r index must be >= 0, got {n}")
         return math.sqrt(self.gap(n) + self.gap(n + 1))
 
-    def _in_ell1(self) -> TriState:
-        return TriState.UNKNOWN
-
-    def _in_ell2(self) -> TriState:
-        return TriState.UNKNOWN
+    def order(self) -> Optional[tuple[Optional[float], float, float]]:
+        """(c, p, q) with d_n ~ c n^p (ln n)^q; c is None if only the order is known, and None if neither is."""
+        return None
 
     def describe(self) -> dict:
         return {"family": self.name}
@@ -176,13 +179,8 @@ class PowerLogGrid(GridSequence):
         w = np.log1p(t / np.log(ns))
         return -self.gamma * t - self.eta * w
 
-    def _in_ell1(self) -> TriState:
-        g, e = self.gamma, self.eta
-        return TriState.of(g > 1.0 or (g == 1.0 and e > 1.0))
-
-    def _in_ell2(self) -> TriState:
-        g, e = self.gamma, self.eta
-        return TriState.of(g > 0.5 or (g == 0.5 and e > 0.5))
+    def order(self) -> tuple[float, float, float]:
+        return (1.0, -self.gamma, -self.eta)
 
     def describe(self) -> dict:
         return {"family": self.name, "gamma": self.gamma, "eta": self.eta, "d1": self.d1}
@@ -211,11 +209,8 @@ class ConstantGrid(GridSequence):
     def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> np.ndarray:
         return np.zeros(hi - lo)
 
-    def _in_ell1(self) -> TriState:
-        return TriState.FALSE
-
-    def _in_ell2(self) -> TriState:
-        return TriState.FALSE
+    def order(self) -> tuple[float, float, float]:
+        return (self.d, 0.0, 0.0)
 
     def describe(self) -> dict:
         return {"family": self.name, "d": self.d}
@@ -266,13 +261,10 @@ class ExplicitGrid(GridSequence):
         out = vals[np.minimum(idx, m - 1)]
         return out
 
-    def _in_ell1(self) -> TriState:
-        # cycle and hold tails have gaps bounded below by a positive
-        # constant, so neither sum converges; a finite list decides nothing.
-        return TriState.FALSE if self.tail in ("cycle", "hold") else TriState.UNKNOWN
-
-    def _in_ell2(self) -> TriState:
-        return TriState.FALSE if self.tail in ("cycle", "hold") else TriState.UNKNOWN
+    def order(self) -> Optional[tuple[None, float, float]]:
+        # cycle and hold tails keep the gaps between two positive
+        # constants, order n^0; a finite list decides nothing
+        return (None, 0.0, 0.0) if self.tail in ("cycle", "hold") else None
 
     def describe(self) -> dict:
         return {
@@ -374,13 +366,16 @@ class Summability:
 def classify_summability(grid: GridSequence) -> Summability:
     """Decide whether sum d_n and sum d_n^2 converge.
 
-    Closed-form families answer exactly.  For custom grids the partial
-    sums at dyadic checkpoints up to _SUMMABILITY_HORIZON (2^16) are
-    reported as diagnostics but never promoted to a divergence verdict
-    on their own.
+    A grid whose order() is known answers exactly: the l1 class is
+    Bertrand(p, q), the l2 class Bertrand(2p, 2q).  For the others the
+    partial sums at dyadic checkpoints up to _SUMMABILITY_HORIZON (2^16)
+    are reported as diagnostics but never promoted to a divergence
+    verdict on their own.
     """
-    e1, e2 = grid._in_ell1(), grid._in_ell2()
-    if e1 is not TriState.UNKNOWN and e2 is not TriState.UNKNOWN:
+    order = grid.order()
+    if order is not None:
+        _, p, q = order
+        e1, e2 = TriState.of(_bertrand(p, q)), TriState.of(_bertrand(2.0 * p, 2.0 * q))
         return Summability(e1, e2, method="closed-form", diagnostics={})
     horizon = _SUMMABILITY_HORIZON
     if grid.max_index is not None:
@@ -397,8 +392,8 @@ def classify_summability(grid: GridSequence) -> Summability:
         prev = mark + 1
         mark *= 2
     return Summability(
-        e1,
-        e2,
+        TriState.UNKNOWN,
+        TriState.UNKNOWN,
         method="partial-sums",
         diagnostics={"checkpoints": checkpoints, "horizon": horizon},
     )

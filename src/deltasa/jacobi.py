@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import ConstantGrid, GridError, GridSequence, PowerLogGrid
+from .grid import GridError, GridSequence
 from .numerics import TriState, exact_row_sums
 
 __all__ = [
@@ -205,6 +205,15 @@ class AlphaSequence:
         return {"family": self.name}
 
 
+def _inverse_gaps_lead(grid: GridSequence, a: float) -> Optional[tuple[float, float, float]]:
+    """(2a/c, -p, -q), the leading term of a (1/d_n + 1/d_{n+1}) for d_n ~ c n^p (ln n)^q; None if c is unknown."""
+    order = grid.order()
+    if order is None or order[0] is None:
+        return None
+    c, p, q = order
+    return (2.0 * a / c, -p, -q)
+
+
 def _merge_terms(terms) -> list[tuple[float, float, float]]:
     """Combine coefficients of identical (p, q) and drop zeros."""
     acc: dict[tuple[float, float], float] = {}
@@ -262,11 +271,11 @@ class ScaledInverseGapsAlpha(AlphaSequence):
     """alpha_n = a * (1/d_n + 1/d_{n+1}) + perturbation_n.
 
     The critical-coupling candidates all live here.  When the
-    perturbation family and the grid are both recognized, whether the
-    perturbation is O(d_n) is decided by exponent comparison; otherwise
-    it is unknown, and no certificate that needs it fires.  A caller who
-    knows the form of a coupling the code cannot analyse states it with
-    ``CustomAlpha(scaled_form=...)``.
+    perturbation's leading term and the grid's order() are both known,
+    whether the perturbation is O(d_n) is decided by exponent
+    comparison; otherwise it is unknown, and no certificate that needs
+    it fires.  A caller who knows the form of a coupling the code cannot
+    analyse states it with ``CustomAlpha(scaled_form=...)``.
     """
 
     name = "scaled-inverse-gaps"
@@ -303,22 +312,18 @@ class ScaledInverseGapsAlpha(AlphaSequence):
         c, p, q = lead
         if c == 0.0:
             return TriState.TRUE
-        if isinstance(self.grid, PowerLogGrid):
-            gp, gq = -self.grid.gamma, -self.grid.eta
-            return TriState.of((p, q) <= (gp, gq))
-        if isinstance(self.grid, ConstantGrid):
-            return TriState.of((p, q) <= (0.0, 0.0))
-        return TriState.UNKNOWN
+        order = self.grid.order()
+        if order is None:
+            return TriState.UNKNOWN
+        return TriState.of((p, q) <= order[1:])
 
     def leading_term(self) -> Optional[tuple[float, float, float]]:
         candidates = []
         if self.a != 0.0:
-            if isinstance(self.grid, PowerLogGrid):
-                candidates.append((2.0 * self.a, self.grid.gamma, self.grid.eta))
-            elif isinstance(self.grid, ConstantGrid):
-                candidates.append((2.0 * self.a / self.grid.d, 0.0, 0.0))
-            else:
+            lead = _inverse_gaps_lead(self.grid, self.a)
+            if lead is None:
                 return None
+            candidates.append(lead)
         if self.perturbation is not None:
             lead = self.perturbation.leading_term()
             if lead is None:
@@ -381,9 +386,7 @@ class AlphaZeroAlpha(AlphaSequence):
     def leading_term(self) -> Optional[tuple[float, float, float]]:
         # alpha0_n ~ a (1/d_n + 1/d_{n+1}); the gauge term replaces the
         # -(...) part up to O(d)-level corrections.
-        if isinstance(self.grid, PowerLogGrid) and self.a != 0.0:
-            return (2.0 * self.a, self.grid.gamma, self.grid.eta)
-        return None
+        return _inverse_gaps_lead(self.grid, self.a) if self.a != 0.0 else None
 
     def scaled_gap_form(self) -> tuple[float, TriState]:
         return (self.a, TriState.TRUE)

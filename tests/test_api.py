@@ -12,7 +12,8 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 
 # names that no verdict, battery check or CLI path used: the
 # gap-regularity layer, the scalar twins of the block forms, the shared
-# phase-1 scan and the -i oracle twin; a "module.Class" key lists
+# phase-1 scan and the -i oracle twin; and the per-class order ladders
+# that GridSequence.order() replaced.  A "module.Class" key lists
 # removed attributes of that class
 REMOVED = {
     "criteria": (
@@ -25,13 +26,15 @@ REMOVED = {
         "G_nlog",
         "F_expansion",
         "_coupling_series",
+        "_gap_exponents",
     ),
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives",),
     "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder"),
-    "grid.GridSequence": ("gap_log_ratio", "x"),
-    "grid.PowerLogGrid": ("gap_log_ratio", "x"),
-    "grid.ConstantGrid": ("gap_log_ratio", "x"),
+    "grid.GridSequence": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
+    "grid.PowerLogGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
+    "grid.ConstantGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
+    "grid.ExplicitGrid": ("_in_ell1", "_in_ell2"),
     "criteria.GLimits": ("to_json",),
     "numerics.ChunkedSum": ("add",),
     "jacobi.TildeSequence": ("sign_block",),

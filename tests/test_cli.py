@@ -226,6 +226,17 @@ class TestSweep:
             for col in ("minimal_C1", "minimal_C2"):
                 assert row[col] != ""
 
+    def test_gaps_that_do_not_decay(self, capsys):
+        # condition B's Richardson order needs decaying gaps; the verdict
+        # settles these grids in phase 0
+        code, out, err = run(
+            ["sweep", "--gammas", "0,-0.5", "--a-values=-0.5", "--horizons", "10000"], capsys
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["gamma"] for r in rows] == ["0.0", "-0.5"]
+        assert {(r["verdict"], r["certifying_test"]) for r in rows} == {("SelfAdjoint", "non-square-summable-gaps")}
+
     def test_columns_fixed(self, capsys):
         code, out, _ = run(
             ["sweep", "--gammas", "1.0", "--a-values", "0.5", "--horizons", "10000"],

@@ -333,6 +333,18 @@ def test_march_matches_reference_on_special_entries(N, lam, kw, entries):
     assert nan_blind_bytes(sol.head) == nan_blind_bytes(ref.head)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, 1j])
+@pytest.mark.parametrize("zero", [(1, 0.0), (6, 0.0), (6, -0.0), (_CHUNK + 5, 0.0)])
+def test_zero_off_diagonal_raises_naming_its_row(lam, zero):
+    # off(1) is checked before the first row, each chunk's divisors before its march
+    n, value = zero
+    off = [-1.0] * (2 * _CHUNK)
+    off[n - 1] = value
+    with pytest.raises(ValueError, match=rf"^off\({n}\) = 0: the recurrence does not determine h_{n + 1}$"):
+        solve_recurrence(ArrayOperator([0.5] * (2 * _CHUNK), off), lam, 2 * _CHUNK - 8)
+
+
 def nan_blind_bytes(head):
     """head's bytes with one nan for every nan: a nan's sign bit depends on
     whether numpy or Python scalars produced it, and the JSON output does
