@@ -22,7 +22,9 @@ Numerical honesty rule: a series is declared divergent only by exponent
 comparison on recognized families.  Partial sums alone never upgrade a
 trend to a verdict.  Boundedness-style conclusions ("holds with some
 constant") are reported as window-stabilization facts at a stated
-horizon.
+horizon: a BoundProbe, whose drift and holds come from the one two-window
+drift rule, numerics.window_drift.  The envelope bounds and the F/d
+probe (f_over_d_probe, test "F-over-d") all return that bound record.
 """
 
 from __future__ import annotations
@@ -45,19 +47,19 @@ from .grid import (
 )
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
-    DRIFT_TOL,
     HORIZONS,
     MIN_HORIZON,
     WINDOW_CAP,
     ChunkedSum,
+    Record,
     TriState,
     aitken,
     blocks,
     richardson_pair,
-    signed_drift,
     sqrt1p_minus_1,
     sqrt1p_tail,
     tail_windows,
+    window_drift,
     window_sups,
 )
 
@@ -71,7 +73,6 @@ __all__ = [
     "F",
     "F_block",
     "expansion_remainder_block",
-    "FOverDProbe",
     "f_over_d_probe",
     "test_carleman_i",
     "test_condition_I",
@@ -124,7 +125,9 @@ class SeriesProbe:
 
 
 @dataclass(frozen=True)
-class BoundProbe:
+class BoundProbe(Record):
+    """minimal_constant, the sup of a statistic up to horizon, and its numerics.window_drift."""
+
     test: str
     params: dict
     horizon: int
@@ -133,18 +136,6 @@ class BoundProbe:
     drift: float
     holds: TriState
     witnesses: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "test": self.test,
-            "params": self.params,
-            "horizon": self.horizon,
-            "minimal_constant": self.minimal_constant,
-            "window_sups": list(self.window_sups),
-            "drift": self.drift,
-            "holds": self.holds.value,
-            "witnesses": self.witnesses,
-        }
 
 
 class GKind(str, Enum):
@@ -265,52 +256,16 @@ def expansion_remainder_block(grid: GridSequence, lo: int, hi: int, k: int) -> n
     return sqrt1p_tail(u, k) / d[:-1] + sqrt1p_tail(v, k) / d[1:]
 
 
-@dataclass(frozen=True)
-class FOverDProbe:
-    sup: float
-    window_sups: tuple[float, float]
-    drift: float
-    stable: TriState
-    argmax: int
-    window: tuple[int, int]
-
-    def to_json(self) -> dict:
-        return {
-            "sup": self.sup,
-            "window_sups": list(self.window_sups),
-            "drift": self.drift,
-            "stable": self.stable.value,
-            "argmax": self.argmax,
-            "window": list(self.window),
-        }
-
-
-def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> FOverDProbe:
-    """Window-stability probe of sup |F(n)|/d_n over [lo, hi].
-
-    Stability means the [hi/2, hi] sup exceeds the [hi/4, hi/2) sup by
-    less than the shared drift tolerance; a shrinking sup is stable.
-    """
+def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> BoundProbe:
+    """Bound probe "F-over-d" of |F(n)| <= C d_n over [lo, hi]: horizon hi, params["lo"] = lo."""
     if hi < 64 or lo < 2:
         raise GridError("f_over_d_probe needs lo >= 2 and hi >= 64")
-    (w1a, w1b), w2 = tail_windows(hi)
-    sup, argmax, (sup1, sup2) = window_sups(
-        lambda a, b: np.abs(F_block(grid, a, b)) / grid.gaps(a, b),
+    return _bound_probe(
+        "F-over-d",
+        {"grid": grid.describe(), "lo": lo},
         lo,
-        hi + 1,
-        ((max(w1a, lo), w1b), w2),
-    )
-    drift = signed_drift(sup1, sup2)
-    stable = TriState.of(drift < DRIFT_TOL)
-    if not (math.isfinite(sup1) and math.isfinite(sup2)):
-        stable = TriState.UNKNOWN
-    return FOverDProbe(
-        sup=sup,
-        window_sups=(sup1, sup2),
-        drift=drift,
-        stable=stable,
-        argmax=argmax,
-        window=(lo, hi),
+        hi,
+        lambda a, b: np.abs(F_block(grid, a, b)) / grid.gaps(a, b),
     )
 
 
@@ -332,7 +287,7 @@ def select_G(grid: GridSequence, horizon: int = WINDOW_CAP) -> GFunction:
         if 0.5 < g < 1.0 or (g == 1.0 and e <= 0.0):
             return GFunction(GKind.ZERO, provenance="smooth-family-bounded-F")
     probe = f_over_d_probe(grid, 2, max(64, min(horizon, WINDOW_CAP)))
-    if probe.stable is TriState.TRUE:
+    if probe.holds is TriState.TRUE:
         return GFunction(GKind.ZERO, provenance="tail-probe")
 
     def measured_F(lo: int, hi: int) -> np.ndarray:
@@ -481,26 +436,28 @@ def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS
 
 def _bound_probe(
     test: str,
-    grid: GridSequence,
-    alpha: AlphaSequence,
-    G: GFunction,
+    params: dict,
+    lo: int,
     N: int,
     residual_block: Callable[[int, int], np.ndarray],
 ) -> BoundProbe:
+    """The sup of residual_block over [lo, N] and its two-window drift.
+
+    Window 1 starts no earlier than lo.  Below N = 64 there are no
+    windows, and the drift rule reads (nan, UNKNOWN).
+    """
     if N < 4:
         raise ValueError("bound probes need N >= 4")
-    windows = tail_windows(N) if N >= 64 else ()
-    sup, arg, sups = window_sups(residual_block, 1, N + 1, windows)
+    windows = ()
+    if N >= 64:
+        (w1a, w1b), w2 = tail_windows(N)
+        windows = ((max(w1a, lo), w1b), w2)
+    sup, arg, sups = window_sups(residual_block, lo, N + 1, windows)
     sup1, sup2 = sups or (-math.inf, -math.inf)
-    if math.isfinite(sup1) and math.isfinite(sup2):
-        drift = signed_drift(sup1, sup2)
-        holds = TriState.of(drift < DRIFT_TOL)
-    else:
-        drift = math.nan
-        holds = TriState.UNKNOWN
+    drift, holds = window_drift(sup1, sup2)
     return BoundProbe(
         test=test,
-        params={"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()},
+        params=params,
         horizon=N,
         minimal_constant=sup,
         window_sups=(sup1, sup2),
@@ -525,7 +482,8 @@ def test_bound_II(
         g = G.evaluate_block(a, b)
         return (alpha.alphas(a, b) + 2.0 / dn + 2.0 / dn1 + g) / dn
 
-    return _bound_probe("bound-II", grid, alpha, G, N, residual_block)
+    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+    return _bound_probe("bound-II", params, 1, N, residual_block)
 
 
 def test_bound_III(
@@ -538,7 +496,8 @@ def test_bound_III(
         g = G.evaluate_block(a, b)
         return (g - alpha.alphas(a, b)) / d
 
-    return _bound_probe("bound-III", grid, alpha, G, N, residual_block)
+    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+    return _bound_probe("bound-III", params, 1, N, residual_block)
 
 
 # ---------------------------------------------------------------------------
@@ -656,23 +615,13 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
 
 
 @dataclass(frozen=True)
-class ConditionB:
+class ConditionB(Record):
     u: PeriodPair
     residual_order: float
     holds: TriState
     window_sups: tuple[float, float]
     horizon: int
     witnesses: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "u": self.u.to_json(),
-            "residual_order": self.residual_order,
-            "holds": self.holds.value,
-            "window_sups": list(self.window_sups),
-            "horizon": self.horizon,
-            "witnesses": self.witnesses,
-        }
 
 
 def check_condition_B(

@@ -28,7 +28,7 @@ from .criteria import (
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair
-from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, TriState
+from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, Record, TriState
 
 __all__ = [
     "RecurrenceSolution",
@@ -289,23 +289,13 @@ def solve_recurrence(
 
 
 @dataclass(frozen=True)
-class L2Verdict:
+class L2Verdict(Record):
     classification: str  # "in_ell2" | "not_in_ell2" | "unknown"
     decay_ratio: float
     block_norms: tuple[tuple[int, float], ...]
     margin: float
     window: int
     notes: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "classification": self.classification,
-            "decay_ratio": self.decay_ratio,
-            "block_norms": [[k, m] for k, m in self.block_norms],
-            "margin": self.margin,
-            "window": self.window,
-            "notes": self.notes,
-        }
 
 
 def l2_probe(sol: RecurrenceSolution) -> L2Verdict:
@@ -445,7 +435,7 @@ _INDICES = {
 
 
 @dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(Record):
     verdict: VerdictKind
     certificate: Optional[str]
     advisory: bool
@@ -462,16 +452,7 @@ class CriterionVerdict:
         return _INDICES[self.verdict][1]
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "certificate": self.certificate,
-            "advisory": self.advisory,
-            "provenance": self.provenance,
-            "flags": list(self.flags),
-            "diagnostics": self.diagnostics,
-        }
+        return super().to_json() | {"n_plus": self.n_plus, "n_minus": self.n_minus}
 
 
 def _certified(

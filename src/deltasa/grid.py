@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numerics import ChunkedSum, TriState, blocks
+from .numerics import ChunkedSum, Record, TriState, blocks
 
 __all__ = [
     "GridError",
@@ -124,7 +124,7 @@ class PowerLogGrid(GridSequence):
     gamma: float
     eta: float = 0.0
     d1: float = 1.0
-    name: str = "power-log"
+    name: ClassVar[str] = "power-log"
 
     def __post_init__(self) -> None:
         if not (self.d1 > 0.0 and math.isfinite(self.d1)):
@@ -191,7 +191,7 @@ class ConstantGrid(GridSequence):
     """Equally spaced points: d_n = d for all n."""
 
     d: float = 1.0
-    name: str = "constant"
+    name: ClassVar[str] = "constant"
 
     def __post_init__(self) -> None:
         if not (self.d > 0.0 and math.isfinite(self.d)):
@@ -227,7 +227,7 @@ class ExplicitGrid(GridSequence):
 
     values: tuple[float, ...]
     tail: str = "cycle"
-    name: str = "explicit"
+    name: ClassVar[str] = "explicit"
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -303,21 +303,13 @@ class CustomGrid(GridSequence):
 
 
 @dataclass(frozen=True)
-class RatioStats:
+class RatioStats(Record):
     """Tail behaviour of the consecutive-gap ratio d_{n+1}/d_n."""
 
     window: tuple[int, int]
     min_ratio: float
     max_ratio: float
     limit_estimate: float
-
-    def to_json(self) -> dict:
-        return {
-            "window": list(self.window),
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "limit_estimate": self.limit_estimate,
-        }
 
 
 def ratio_stats(grid: GridSequence, horizon: int) -> RatioStats:
@@ -346,21 +338,13 @@ def ratio_stats(grid: GridSequence, horizon: int) -> RatioStats:
 
 
 @dataclass(frozen=True)
-class Summability:
+class Summability(Record):
     """Membership of the gap sequence in l^1 and l^2."""
 
     in_ell1: TriState
     in_ell2: TriState
     method: str
     diagnostics: dict
-
-    def to_json(self) -> dict:
-        return {
-            "in_ell1": self.in_ell1.value,
-            "in_ell2": self.in_ell2.value,
-            "method": self.method,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def classify_summability(grid: GridSequence) -> Summability:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -234,7 +234,7 @@ class PowerSumAlpha(AlphaSequence):
     """
 
     terms: tuple[tuple[float, float, float], ...]
-    name: str = "power-sum"
+    name: ClassVar[str] = "power-sum"
 
     def alpha(self, n: int) -> float:
         if n < 1:
@@ -401,7 +401,7 @@ class ExplicitAlpha(AlphaSequence):
 
     values: tuple[float, ...]
     tail: str = "cycle"
-    name: str = "explicit"
+    name: ClassVar[str] = "explicit"
 
     def __post_init__(self) -> None:
         if not self.values:

@@ -1,12 +1,12 @@
 """Shared numerical machinery.
 
 Everything here is deliberately boring: tri-state evidence values,
-compensated and correctly rounded summation, a couple of
-sequence-extrapolation helpers, the two-window statistics used by the
-boundedness probes, and the process-wide heap policy.  The
-criteria modules lean on these instead of rolling their own loops so
-that every probe in the package reports growth and stability the same
-way.
+records that serialise from their fields, compensated and correctly
+rounded summation, a couple of sequence-extrapolation helpers, the
+two-window statistics and the one drift rule of the boundedness probes,
+and the process-wide heap policy.  The criteria modules lean on these
+instead of rolling their own loops so that every probe in the package
+reports growth and stability the same way.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from dataclasses import fields
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -21,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "TriState",
+    "Record",
     "ChunkedSum",
     "exact_row_sums",
     "keep_heap",
@@ -29,7 +31,7 @@ __all__ = [
     "aitken",
     "tail_windows",
     "window_sups",
-    "signed_drift",
+    "window_drift",
     "sqrt_series_coeffs",
     "sqrt1p_minus_1",
     "sqrt1p_tail",
@@ -39,9 +41,9 @@ __all__ = [
     "MIN_HORIZON",
 ]
 
-# Stability threshold shared by every two-window probe: a statistic is
-# window-stable when its later-window sup grows by less than 5% of the
-# earlier-window sup.  Shrinking is always stable.
+# Stability threshold of the two-window drift rule (window_drift): a
+# statistic is window-stable when its later-window sup grows by less
+# than 5% of the earlier-window sup.  Shrinking is always stable.
 DRIFT_TOL = 0.05
 
 # The default horizon ladder; where scans of a tail window stop (select_G's
@@ -52,6 +54,10 @@ MIN_HORIZON = 256
 
 # rows per probe block: one float64 array of a block is 256 KiB
 _CHUNK = 1 << 15
+
+# sqrt1p_tail: |x| below the cut sums the tail series, over this many terms
+_SERIES_CUT = 0.25
+_SERIES_TERMS = 64
 
 # exact_row_sums: terms with 2^-28 <= |x| < 2^11 are multiples of 2^-80
 # (their ulp is at least 2^-80); split at 2^-30, the high parts of up to
@@ -87,6 +93,29 @@ class TriState(str, Enum):
         # Guard against `if probe.holds:` silently treating UNKNOWN as
         # truthy.  Compare against the members explicitly.
         raise TypeError("TriState has no truth value; compare with TriState.TRUE etc.")
+
+
+class Record:
+    """A dataclass whose JSON is its fields, one key per field, in field order.
+
+    Enum values become their .value, tuples and lists become lists
+    (nested ones too), and a value with its own to_json() (a PeriodPair,
+    a GFunction, a nested record) is replaced by it.  Anything else,
+    dicts included, is passed through as it is, without a copy.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(v):
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    return v
 
 
 class ChunkedSum:
@@ -262,17 +291,19 @@ def window_sups(
     return sup, arg, tuple(sups)
 
 
-def signed_drift(sup_early: float, sup_late: float) -> float:
-    """Relative growth of a window statistic: (late - early) / |early|.
+def window_drift(sup_early: float, sup_late: float) -> tuple[float, TriState]:
+    """The two-window drift rule: (drift, whether the statistic is window-stable).
 
-    Negative values mean the statistic shrank; only positive drift
-    counts against stability.  Degenerate early values fall back to the
-    larger magnitude so the ratio stays finite.
+    drift = (late - early) / |early| is the relative growth of the
+    window sup (|late|, at least 1e-300, when early is 0); negative
+    drift means it shrank.  The statistic is stable when drift <
+    DRIFT_TOL.  Unless both sups are finite the rule reads (nan, UNKNOWN).
     """
-    scale = abs(sup_early)
-    if scale == 0.0 or not math.isfinite(scale):
-        scale = max(abs(sup_late), 1e-300)
-    return (sup_late - sup_early) / scale
+    if not (math.isfinite(sup_early) and math.isfinite(sup_late)):
+        return math.nan, TriState.UNKNOWN
+    scale = abs(sup_early) or max(abs(sup_late), 1e-300)
+    drift = (sup_late - sup_early) / scale
+    return drift, TriState.of(drift < DRIFT_TOL)
 
 
 def sqrt_series_coeffs(k: int) -> list[float]:
@@ -295,23 +326,24 @@ def sqrt1p_minus_1(x):
     return x / (1.0 + np.sqrt(1.0 + x))
 
 
-def sqrt1p_tail(x: np.ndarray, k: int, series_cut: float = 0.25, terms: int = 64) -> np.ndarray:
+def sqrt1p_tail(x: np.ndarray, k: int) -> np.ndarray:
     """Remainder sqrt(1+x) - sum_{i<k} C_i x^i, evaluated without cancellation.
 
-    For |x| < series_cut the remainder is summed as the tail series
-    sum_{i>=k} C_i x^i (the direct difference loses every significant
-    digit once the remainder is orders below the partial sum).  Larger
-    |x| falls back to the direct difference, where cancellation is mild.
+    For |x| < _SERIES_CUT (1/4) the remainder is summed as the tail
+    series sum_{k<=i<k+64} C_i x^i (the direct difference loses every
+    significant digit once the remainder is orders below the partial
+    sum).  Larger |x| falls back to the direct difference, where
+    cancellation is mild.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    coeffs = sqrt_series_coeffs(k + terms)
-    small = np.abs(x) < series_cut
+    coeffs = sqrt_series_coeffs(k + _SERIES_TERMS)
+    small = np.abs(x) < _SERIES_CUT
     if np.any(small):
         xs = x[small]
         acc = np.zeros_like(xs)
         power = xs**k
-        for i in range(k, k + terms):
+        for i in range(k, k + _SERIES_TERMS):
             acc += coeffs[i] * power
             power = power * xs
         out[small] = acc

@@ -45,7 +45,7 @@ from .jacobi import (
     rho,
     scaled_operator,
 )
-from .numerics import DRIFT_TOL, WINDOW_CAP, TriState, signed_drift, tail_windows, window_sups
+from .numerics import DRIFT_TOL, WINDOW_CAP, Record, TriState, tail_windows, window_drift, window_sups
 
 __all__ = ["CheckResult", "BatteryReport", "run_battery", "CHECK_NAMES"]
 
@@ -64,7 +64,7 @@ CHECK_NAMES = (
 
 
 @dataclass
-class CheckResult:
+class CheckResult(Record):
     criterion: int
     name: str
     passed: bool
@@ -76,18 +76,9 @@ class CheckResult:
         summary = self.details[0] if self.details else ""
         return f"[{status}] {self.criterion:2d} {self.name} ({self.runtime:.2f}s): {summary}"
 
-    def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "runtime": self.runtime,
-        }
-
 
 @dataclass
-class BatteryReport:
+class BatteryReport(Record):
     results: list[CheckResult]
     horizon: int
 
@@ -102,11 +93,7 @@ class BatteryReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "passed": self.passed,
-            "results": [r.to_json() for r in self.results],
-        }
+        return super().to_json() | {"passed": self.passed}
 
 
 def _assert_close(details: list, label: str, measured: float, expected: float, tol: float) -> bool:
@@ -194,19 +181,16 @@ def _check_5_f_over_gap(H: int) -> CheckResult:
     ok = True
     for gamma, eta in ((0.6, 0.0), (0.75, 3.0), (1.0, -1.0)):
         p = f_over_d_probe(PowerLogGrid(gamma, eta, 1.0), 10**3, hi)
-        good = p.stable is TriState.TRUE and math.isfinite(p.sup)
+        good = p.holds is TriState.TRUE and math.isfinite(p.minimal_constant)
         ok &= good
         details.append(
-            f"({gamma},{eta}): sup={p.sup:.6g} drift={p.drift:+.4f} "
-            f"stable={p.stable.value} {'ok' if good else 'VIOLATED'}"
+            f"({gamma},{eta}): sup={p.minimal_constant:.6g} drift={p.drift:+.4f} "
+            f"stable={p.holds.value} {'ok' if good else 'VIOLATED'}"
         )
     p = f_over_d_probe(PowerLogGrid(1.0, 0.5, 1.0), 10**3, hi)
-    good = p.stable is TriState.FALSE
+    good = p.holds is TriState.FALSE
     ok &= good
-    details.append(
-        f"(1.0,0.5): drift={p.drift:+.4f} growth detected="
-        f"{p.stable is TriState.FALSE} {'ok' if good else 'VIOLATED'}"
-    )
+    details.append(f"(1.0,0.5): drift={p.drift:+.4f} growth detected={good} {'ok' if good else 'VIOLATED'}")
     return CheckResult(5, "f-over-gap", ok, details, time.time() - t0)
 
 
@@ -224,8 +208,8 @@ def _check_6_remainder(H: int) -> CheckResult:
 
     lo = max(w1a, 10**3)
     _, _, (s1, s2) = window_sups(scaled_remainder, lo, hi + 1, ((lo, w1b), w2))
-    drift = signed_drift(s1, s2)
-    ok = math.isfinite(s2) and drift < DRIFT_TOL
+    drift, stable = window_drift(s1, s2)
+    ok = stable is TriState.TRUE
     details = [
         f"window sups {s1:.6g} -> {s2:.6g} drift={drift:+.4f} tol {DRIFT_TOL:+.2f} "
         f"{'ok' if ok else 'VIOLATED'}"

@@ -1,19 +1,23 @@
 """The public names: every exported name resolves, removed ones stay gone."""
 
+import dataclasses
 import importlib
 import json
 
+import numpy as np
 import pytest
 
 import deltasa
 from deltasa.deficiency import CriterionVerdict, VerdictKind
+from deltasa.numerics import sqrt1p_tail
 
 MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verify")
 
 # names that no verdict, battery check or CLI path used: the
 # gap-regularity layer, the scalar twins of the block forms, the shared
-# phase-1 scan and the -i oracle twin; and the per-class order ladders
-# that GridSequence.order() replaced.  A "module.Class" key lists
+# phase-1 scan and the -i oracle twin; the per-class order ladders
+# that GridSequence.order() replaced; and the F/d record and drift
+# helper that BoundProbe and numerics.window_drift replaced.  A "module.Class" key lists
 # removed attributes of that class
 REMOVED = {
     "criteria": (
@@ -27,10 +31,11 @@ REMOVED = {
         "F_expansion",
         "_coupling_series",
         "_gap_exponents",
+        "FOverDProbe",
     ),
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives",),
-    "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder"),
+    "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder", "signed_drift"),
     "grid.GridSequence": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.PowerLogGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.ConstantGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
@@ -101,7 +106,8 @@ def _solution():
     return deltasa.solve_recurrence(op, 1j, 64)
 
 
-# thresholds that became fixed constants, and the forced perturbation order
+# thresholds that became fixed constants, the forced perturbation order,
+# and the family names that were dataclass fields
 REMOVED_PARAMETERS = {
     **{
         f"VerdictConfig.{knob}": (lambda knob=knob: deltasa.VerdictConfig(**{knob: None}))
@@ -126,6 +132,15 @@ REMOVED_PARAMETERS = {
         f"l2_probe.{knob}": (lambda knob=knob: deltasa.l2_probe(_solution(), **{knob: 1}))
         for knob in ("margin", "window", "min_blocks")
     },
+    **{
+        f"sqrt1p_tail.{knob}": (lambda knob=knob: sqrt1p_tail(np.zeros(3), 2, **{knob: 1}))
+        for knob in ("series_cut", "terms")
+    },
+    "PowerLogGrid.name": lambda: deltasa.PowerLogGrid(1.0, 0.0, 1.0, "x"),
+    "ConstantGrid.name": lambda: deltasa.ConstantGrid(1.0, name="x"),
+    "ExplicitGrid.name": lambda: deltasa.ExplicitGrid((1.0,), name="x"),
+    "PowerSumAlpha.name": lambda: deltasa.PowerSumAlpha(((1.0, 0.0, 0.0),), name="x"),
+    "ExplicitAlpha.name": lambda: deltasa.ExplicitAlpha((1.0,), name="x"),
 }
 
 
@@ -165,3 +180,18 @@ def test_deficiency_indices_follow_the_verdict(kind, indices):
     assert (v.n_plus, v.n_minus) == indices
     j = v.to_json()
     assert (j["n_plus"], j["n_minus"]) == indices
+
+
+def test_family_names_are_fixed_but_custom_ones_are_chosen():
+    fixed = {
+        deltasa.PowerLogGrid(1.0): "power-log",
+        deltasa.ConstantGrid(1.0): "constant",
+        deltasa.ExplicitGrid((1.0,)): "explicit",
+        deltasa.PowerSumAlpha(((1.0, 0.0, 0.0),)): "power-sum",
+        deltasa.ExplicitAlpha((1.0,)): "explicit",
+    }
+    for seq, family in fixed.items():
+        assert "name" not in [f.name for f in dataclasses.fields(seq)]
+        assert seq.describe()["family"] == family
+    assert deltasa.CustomGrid(lambda n: 1.0, name="x").describe() == {"family": "x"}
+    assert deltasa.CustomAlpha(lambda n: 1.0, name="y").describe() == {"family": "y"}

@@ -158,12 +158,12 @@ class TestF:
 class TestFOverDProbe:
     def test_decaying_family_is_stable(self):
         p = f_over_d_probe(PowerLogGrid(gamma=0.6), 2, 10**4)
-        assert p.stable is TriState.TRUE
+        assert p.holds is TriState.TRUE
         assert p.drift == pytest.approx(-0.4256, abs=5e-3)
 
     def test_log_corrected_family_drifts(self):
         p = f_over_d_probe(PowerLogGrid(gamma=1.0, eta=0.5), 2, 10**4)
-        assert p.stable is TriState.FALSE
+        assert p.holds is TriState.FALSE
         assert p.drift > 0.05
 
 

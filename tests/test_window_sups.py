@@ -3,17 +3,21 @@
 f_over_d_probe, the envelope bound probes, condition B and battery
 check 6 used to carry their own copies of the window-sup loop.  The
 references below are those copies, kept verbatim as far as they scan;
-each probe must agree with its reference repr for repr.  Condition B is
+each probe must agree with its reference repr for repr.  The three
+drift probes also share one drift rule (numerics.window_drift), which
+reference_drift writes out: nan and unknown unless both sups are finite.  Condition B is
 the delicate one: TildeSequence.log_abs_block gives bits that depend on
 where a block starts, so its scan must keep starting at H // 4.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from deltasa import (
+    CustomAlpha,
     ExplicitGrid,
     GFunction,
     GKind,
@@ -29,14 +33,21 @@ from deltasa import (
     test_bound_III,
 )
 from deltasa import criteria, verify
-from deltasa.criteria import BoundProbe, ConditionB, F_block, FOverDProbe, expansion_remainder_block
-from deltasa.numerics import DRIFT_TOL, TriState, richardson_pair, signed_drift, tail_windows, window_sups
+from deltasa.criteria import BoundProbe, ConditionB, F_block, expansion_remainder_block
+from deltasa.numerics import DRIFT_TOL, TriState, richardson_pair, tail_windows, window_sups
 
 CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
 # the earlier loops
+
+
+def reference_drift(sup1, sup2):
+    if not (math.isfinite(sup1) and math.isfinite(sup2)):
+        return math.nan, TriState.UNKNOWN
+    drift = (sup2 - sup1) / (abs(sup1) or max(abs(sup2), 1e-300))
+    return drift, TriState.of(drift < DRIFT_TOL)
 
 
 def reference_f_over_d_probe(grid, lo, hi):
@@ -60,11 +71,10 @@ def reference_f_over_d_probe(grid, lo, hi):
                     sup1 = max(sup1, wmax)
                 else:
                     sup2 = max(sup2, wmax)
-    drift = signed_drift(sup1, sup2)
-    stable = TriState.of(drift < DRIFT_TOL)
-    if not (math.isfinite(sup1) and math.isfinite(sup2)):
-        stable = TriState.UNKNOWN
-    return FOverDProbe(sup, (sup1, sup2), drift, stable, argmax, (lo, hi))
+    drift, stable = reference_drift(sup1, sup2)
+    witnesses = {"argmax": argmax, "minimal_constant_nonneg": max(sup, 0.0)}
+    params = {"grid": grid.describe(), "lo": lo}
+    return BoundProbe("F-over-d", params, hi, sup, (sup1, sup2), drift, stable, witnesses)
 
 
 def reference_bound_probe(test, grid, alpha, G, N, residual_block):
@@ -89,12 +99,7 @@ def reference_bound_probe(test, grid, alpha, G, N, residual_block):
                         sup1 = max(sup1, wmax)
                     else:
                         sup2 = max(sup2, wmax)
-    if have_windows and math.isfinite(sup1) and math.isfinite(sup2):
-        drift = signed_drift(sup1, sup2)
-        holds = TriState.of(drift < DRIFT_TOL)
-    else:
-        drift = math.nan
-        holds = TriState.UNKNOWN
+    drift, holds = reference_drift(sup1, sup2)
     return BoundProbe(
         test=test,
         params={"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()},
@@ -231,6 +236,12 @@ def same(got, want):
     assert repr(got.to_json()) == repr(want.to_json())
 
 
+def same_fields(got, want):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(got):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
 @pytest.mark.parametrize(
     "gamma,eta,lo,hi",
     [
@@ -243,7 +254,7 @@ def same(got, want):
 )
 def test_f_over_d_probe(gamma, eta, lo, hi):
     grid = PowerLogGrid(gamma, eta, 1.0)
-    same(f_over_d_probe(grid, lo, hi), reference_f_over_d_probe(grid, lo, hi))
+    same_fields(f_over_d_probe(grid, lo, hi), reference_f_over_d_probe(grid, lo, hi))
 
 
 BOUND_N = (40, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1)
@@ -303,7 +314,8 @@ def test_bound_probe_nan_and_inf(case, N):
     G = GFunction(GKind.ZERO)
     marks = {n: v for n, v in PLANTED[case].items() if n <= N}
     block = planted(N, marks)
-    got = criteria._bound_probe("planted", grid, alpha, G, N, block)
+    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+    got = criteria._bound_probe("planted", params, 1, N, block)
     same(got, reference_bound_probe("planted", grid, alpha, G, N, block))
 
 
@@ -343,3 +355,54 @@ def test_check_6(H):
     _, _, got = window_sups(scaled_remainder, lo, hi + 1, ((lo, w1b), w2))
     assert repr(got) == repr(reference_check_6_sups(H))
     assert verify._check_6_remainder(H).details == reference_check_6_details(H)
+
+
+# ---------------------------------------------------------------------------
+# one drift rule: a non-finite sup in either window reads (nan, unknown)
+
+# N = 10^4: window 1 is [2500, 5000), window 2 is [5000, 10001)
+SPIKE_ROWS = {"window-1": 3000, "window-2": 8000}
+
+
+def spiked(block, n0):
+    """block(grid, a, b, ...) with +inf at row n0."""
+
+    def wrapped(grid, a, b, *rest):
+        out = np.array(block(grid, a, b, *rest), dtype=float)
+        if a <= n0 < b:
+            out[n0 - a] = math.inf
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("window", sorted(SPIKE_ROWS))
+def test_bound_probes_read_a_non_finite_window_as_unknown(window):
+    n0 = SPIKE_ROWS[window]
+    grid = PowerLogGrid(1.0)
+    G = GFunction(GKind.ZERO)
+    for probe, sign in ((test_bound_II, 1.0), (test_bound_III, -1.0)):
+        alpha = CustomAlpha(lambda n: sign * math.inf if n == n0 else 0.0)
+        p = probe(grid, alpha, G, 10**4)
+        assert math.isinf(max(p.window_sups))
+        assert math.isnan(p.drift) and p.holds is TriState.UNKNOWN
+
+
+@pytest.mark.parametrize("window", sorted(SPIKE_ROWS))
+def test_f_over_d_probe_reads_a_non_finite_window_as_unknown(window, monkeypatch):
+    # the F/d record used to carry a drift computed from the infinite sup
+    monkeypatch.setattr(criteria, "F_block", spiked(F_block, SPIKE_ROWS[window]))
+    p = f_over_d_probe(PowerLogGrid(0.6), 2, 10**4)
+    assert math.isinf(max(p.window_sups))
+    assert math.isnan(p.drift) and p.holds is TriState.UNKNOWN
+
+
+@pytest.mark.parametrize("window", sorted(SPIKE_ROWS))
+def test_check_6_reads_a_non_finite_window_as_unknown(window, monkeypatch):
+    # check 6 used to pass an infinite window-1 sup: it tested only the late one
+    block = spiked(expansion_remainder_block, SPIKE_ROWS[window])
+    monkeypatch.setattr(verify, "expansion_remainder_block", block)
+    result = verify._check_6_remainder(10**4)
+    assert not result.passed
+    assert " -> " in result.details[0] and "drift=+nan" in result.details[0]
+    assert result.details[0].endswith("VIOLATED")
