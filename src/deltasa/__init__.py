@@ -11,7 +11,6 @@ clearly labelled advisory fallback when no test certifies.
 from .criteria import (
     BoundProbe,
     ConditionB,
-    F,
     F_block,
     GFunction,
     GKind,
@@ -107,7 +106,6 @@ __all__ = [
     "BoundProbe",
     "GKind",
     "GFunction",
-    "F",
     "F_block",
     "f_over_d_probe",
     "select_G",

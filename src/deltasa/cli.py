@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (
-    F,
+    F_block,
     check_condition_B,
     select_G,
     test_bound_II,
@@ -349,7 +349,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     samples: list = []
     if q in ("F", "F_over_d"):
         for n in _log_sample(max(lo, 1), hi, args.points):
-            v = F(grid, int(n))
+            v = float(F_block(grid, int(n), int(n) + 1)[0])
             if q == "F_over_d":
                 v /= grid.gap(int(n))
             samples.append([int(n), v])

@@ -8,7 +8,9 @@ Three families of machinery live here:
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
   alpha stays below / above an explicit envelope built from the gap
   profile and a comparison function G, which comes from the curvature
-  functional F and its Taylor expansion (select_G, verify_G_limits);
+  functional F and its Taylor expansion (select_G, verify_G_limits).
+  F has one evaluator, F_block, for every row n >= 1; a point is a
+  one-row block;
 * the period-two tail structure: parity limits of rho_n
   (check_condition_B) and the l2 test on r_n*rtilde_n
   (check_condition_A).
@@ -70,7 +72,6 @@ __all__ = [
     "GKind",
     "GFunction",
     "select_G",
-    "F",
     "F_block",
     "expansion_remainder_block",
     "f_over_d_probe",
@@ -151,7 +152,7 @@ class GFunction:
     kind ZERO is the flat choice valid whenever F(n)/d_n is bounded;
     NLOG carries the two-branch closed form for the gamma = 1 gap
     family; CUSTOM wraps an arbitrary block evaluator fn(lo, hi), which
-    returns G(n) for lo <= n < hi (select_G's is the measured F itself).
+    returns G(n) for lo <= n < hi (select_G's is F_block on the grid).
     """
 
     kind: GKind
@@ -204,36 +205,35 @@ def _uv_block(grid: GridSequence, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def F(grid: GridSequence, n: int) -> float:
-    """F(n) = (1/d_n)(r_n/r_{n-1} - 1) + (1/d_{n+1})(r_n/r_{n+1} - 1), r_0 = 1."""
-    if n < 1:
-        raise GridError(f"F index must be >= 1, got {n}")
-    if n == 1:
-        d1, d2 = grid.gap(1), grid.gap(2)
-        return (grid.r(1) - 1.0) / d1 + (grid.r(1) / grid.r(2) - 1.0) / d2
-    return float(F_block(grid, n, n + 1)[0])
+def _uv_tail(grid: GridSequence, lo: int, hi: int, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(u)/d_n + f(v)/d_{n+1} for lo <= n < hi, with u, v from _uv_block."""
+    u, v = _uv_block(grid, lo, hi)
+    d = grid.gaps(lo, hi + 1)
+    return f(u) / d[:-1] + f(v) / d[1:]
 
 
 def F_block(grid: GridSequence, lo: int, hi: int) -> np.ndarray:
-    """F(n) for lo <= n < hi; lo >= 2 (index 1 carries the r_0 convention)."""
-    if lo < 2:
-        raise GridError("F_block needs lo >= 2; use F() for n = 1")
-    if hi <= lo:
-        return np.empty(0)
-    # the stable log-ratio route needs d_{n-1} on the profile, i.e. n >= 3
+    """F(n) = (1/d_n)(r_n/r_{n-1} - 1) + (1/d_{n+1})(r_n/r_{n+1} - 1) for lo <= n < hi, r_0 = 1.
+
+    Row 1 carries the r_0 convention and row 2 reads plain gaps (the
+    stable log-ratio route needs d_{n-1} on the profile, i.e. n >= 3);
+    each is one scalar head row.  Rows from 3 on are one block.
+    """
+    if lo < 1:
+        raise GridError(f"F index must be >= 1, got {lo}")
     head = []
-    start = lo
-    if lo == 2:
+    if lo == 1 and hi > 1:
+        r1 = grid.r(1)
+        head.append((r1 - 1.0) / grid.gap(1) + (r1 / grid.r(2) - 1.0) / grid.gap(2))
+        lo = 2
+    if lo == 2 and hi > 2:
         u2, v2 = _uv_block(grid, 2, 3)
-        d2, d3 = grid.gap(2), grid.gap(3)
-        head = [float(sqrt1p_minus_1(u2[0]) / d2 + sqrt1p_minus_1(v2[0]) / d3)]
-        start = 3
-        if hi <= start:
-            return np.array(head)
-    u, v = _uv_block(grid, start, hi)
-    d = grid.gaps(start, hi + 1)
-    vals = sqrt1p_minus_1(u) / d[:-1] + sqrt1p_minus_1(v) / d[1:]
-    return np.concatenate([head, vals]) if head else vals
+        head.append(float(sqrt1p_minus_1(u2[0]) / grid.gap(2) + sqrt1p_minus_1(v2[0]) / grid.gap(3)))
+        lo = 3
+    if hi <= lo:
+        return np.array(head, dtype=float)
+    vals = _uv_tail(grid, lo, hi, sqrt1p_minus_1)
+    return np.concatenate((head, vals)) if head else vals
 
 
 def expansion_remainder_block(grid: GridSequence, lo: int, hi: int, k: int) -> np.ndarray:
@@ -251,9 +251,7 @@ def expansion_remainder_block(grid: GridSequence, lo: int, hi: int, k: int) -> n
         raise GridError("expansion_remainder_block needs lo >= 2")
     if k < 2:
         raise GridError("need k >= 2")
-    u, v = _uv_block(grid, lo, hi)
-    d = grid.gaps(lo, hi + 1)
-    return sqrt1p_tail(u, k) / d[:-1] + sqrt1p_tail(v, k) / d[1:]
+    return _uv_tail(grid, lo, hi, lambda x: sqrt1p_tail(x, k))
 
 
 def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> BoundProbe:
@@ -289,12 +287,7 @@ def select_G(grid: GridSequence, horizon: int = WINDOW_CAP) -> GFunction:
     probe = f_over_d_probe(grid, 2, max(64, min(horizon, WINDOW_CAP)))
     if probe.holds is TriState.TRUE:
         return GFunction(GKind.ZERO, provenance="tail-probe")
-
-    def measured_F(lo: int, hi: int) -> np.ndarray:
-        head = [F(grid, 1)] if lo == 1 else []  # row 1 carries the r_0 convention
-        return np.concatenate((head, F_block(grid, max(lo, 2), hi)))
-
-    return GFunction(GKind.CUSTOM, fn=measured_F, provenance="measured-curvature")
+    return GFunction(GKind.CUSTOM, fn=lambda lo, hi: F_block(grid, lo, hi), provenance="measured-curvature")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +532,7 @@ def verify_G_limits(grid: PowerLogGrid, horizon: int = 10**6) -> GLimits:
 
     def stats(n: int) -> tuple[float, float, float]:
         t = math.log(n)
-        f = F(grid, n)
+        f = float(F_block(grid, n, n + 1)[0])
         a = (n / t**eta) * f
         b = n * t ** (1.0 - eta) * (f - 0.25 * t**eta / n)
         c = n * t**eta * (f - 0.25 * t**eta / n - eta / (n * t ** (1.0 - eta)))

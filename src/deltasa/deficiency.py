@@ -148,6 +148,8 @@ def solve_recurrence(
         raise ValueError("solve_recurrence needs N >= 8")
     if residual_stride < 0:
         raise ValueError("residual_stride must be >= 0")
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     if isinstance(lam, complex) and lam.imag == 0.0:
         lam = lam.real  # a lambda on the real axis is marched as a real one
     complex_lam = isinstance(lam, complex)

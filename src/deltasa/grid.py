@@ -51,6 +51,20 @@ class GridError(ValueError):
     """Raised for invalid gap data: non-positive gaps, bad indices."""
 
 
+def _explicit_positions(m: int, tail: str, lo: int, hi: int) -> np.ndarray:
+    """Positions in an explicit list of m entries of the rows lo <= n < hi.
+
+    The one tail rule of explicit data: "cycle" repeats the list, "hold"
+    repeats its last entry, and "error" raises past the data.
+    """
+    if lo < 1 or hi < lo:
+        raise GridError(f"bad explicit range [{lo}, {hi})")
+    if tail == "error" and hi - 1 > m:
+        raise GridError(f"index {hi - 1} beyond explicit data ({m} entries, tail='error')")
+    k = np.arange(lo - 1, hi - 1)
+    return k % m if tail == "cycle" else np.minimum(k, m - 1)
+
+
 class GridSequence:
     """Base class: a positive gap sequence indexed from 1."""
 
@@ -240,26 +254,10 @@ class ExplicitGrid(GridSequence):
             object.__setattr__(self, "max_index", len(self.values))
 
     def gap(self, n: int) -> float:
-        if n < 1:
-            raise GridError(f"gap index must be >= 1, got {n}")
-        m = len(self.values)
-        if n <= m:
-            return self.values[n - 1]
-        if self.tail == "cycle":
-            return self.values[(n - 1) % m]
-        if self.tail == "hold":
-            return self.values[-1]
-        raise GridError(f"index {n} beyond explicit data ({m} gaps, tail='error')")
+        return self.values[_explicit_positions(len(self.values), self.tail, n, n + 1)[0]]
 
     def gaps(self, lo: int, hi: int) -> np.ndarray:
-        self._check_range(lo, hi)
-        m = len(self.values)
-        vals = np.asarray(self.values, dtype=float)
-        idx = np.arange(lo - 1, hi - 1)
-        if self.tail == "cycle":
-            return vals[idx % m]
-        out = vals[np.minimum(idx, m - 1)]
-        return out
+        return np.asarray(self.values, dtype=float)[_explicit_positions(len(self.values), self.tail, lo, hi)]
 
     def order(self) -> Optional[tuple[None, float, float]]:
         # cycle and hold tails keep the gaps between two positive

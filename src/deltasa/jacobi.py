@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .grid import GridError, GridSequence
+from .grid import GridError, GridSequence, _explicit_positions
 from .numerics import TriState, exact_row_sums
 
 __all__ = [
@@ -236,6 +236,10 @@ class PowerSumAlpha(AlphaSequence):
     terms: tuple[tuple[float, float, float], ...]
     name: ClassVar[str] = "power-sum"
 
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for term in self.terms for x in term):
+            raise GridError("power-sum terms (c, p, q) must be finite")
+
     def alpha(self, n: int) -> float:
         if n < 1:
             raise GridError(f"alpha index must be >= 1, got {n}")
@@ -288,6 +292,8 @@ class ScaledInverseGapsAlpha(AlphaSequence):
     ) -> None:
         self.grid = grid
         self.a = float(a)
+        if not math.isfinite(self.a):
+            raise GridError(f"coupling strength a must be finite, got {self.a!r}")
         self.perturbation = perturbation
 
     def alpha(self, n: int) -> float:
@@ -406,20 +412,16 @@ class ExplicitAlpha(AlphaSequence):
     def __post_init__(self) -> None:
         if not self.values:
             raise GridError("explicit alpha needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise GridError("explicit alpha values must be finite")
         if self.tail not in ("cycle", "hold", "error"):
             raise GridError(f"unknown tail policy {self.tail!r}")
 
     def alpha(self, n: int) -> float:
-        if n < 1:
-            raise GridError(f"alpha index must be >= 1, got {n}")
-        m = len(self.values)
-        if n <= m:
-            return self.values[n - 1]
-        if self.tail == "cycle":
-            return self.values[(n - 1) % m]
-        if self.tail == "hold":
-            return self.values[-1]
-        raise GridError(f"index {n} beyond explicit data ({m} values, tail='error')")
+        return self.values[_explicit_positions(len(self.values), self.tail, n, n + 1)[0]]
+
+    def alphas(self, lo: int, hi: int) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)[_explicit_positions(len(self.values), self.tail, lo, hi)]
 
     def leading_term(self) -> Optional[tuple[float, float, float]]:
         if self.tail in ("cycle", "hold"):
@@ -455,7 +457,10 @@ class CustomAlpha(AlphaSequence):
     def alpha(self, n: int) -> float:
         if n < 1:
             raise GridError(f"alpha index must be >= 1, got {n}")
-        return float(self._fn(n))
+        v = float(self._fn(n))
+        if not math.isfinite(v):
+            raise GridError(f"alpha callable returned non-finite value {v!r} at n={n}")
+        return v
 
     def leading_term(self) -> Optional[tuple[float, float, float]]:
         return self._leading
@@ -571,7 +576,7 @@ def rho_block(
         tilde = TildeSequence(grid)
     ld = grid.log_gaps(lo, hi + 1)
     inv_log = np.logaddexp(-ld[:-1], -ld[1:])
-    L = tilde.log_abs_block(lo, hi)
+    L = tilde.log_abs_block(lo, hi, ld)  # overwrites ld's terms
     with np.errstate(over="ignore"):
         return np.exp(inv_log + 2.0 * L)
 

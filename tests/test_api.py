@@ -16,8 +16,9 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # names that no verdict, battery check or CLI path used: the
 # gap-regularity layer, the scalar twins of the block forms, the shared
 # phase-1 scan and the -i oracle twin; the per-class order ladders
-# that GridSequence.order() replaced; and the F/d record and drift
-# helper that BoundProbe and numerics.window_drift replaced.  A "module.Class" key lists
+# that GridSequence.order() replaced; the F/d record and drift
+# helper that BoundProbe and numerics.window_drift replaced; and the
+# scalar F that F_block replaced.  A "module.Class" key lists
 # removed attributes of that class
 REMOVED = {
     "criteria": (
@@ -32,6 +33,7 @@ REMOVED = {
         "_coupling_series",
         "_gap_exponents",
         "FOverDProbe",
+        "F",
     ),
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives",),

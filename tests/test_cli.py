@@ -359,3 +359,23 @@ class TestPlotData:
         masses = [m for _, m in payload["samples"]]
         # square-summable solution: dyadic block masses decrease
         assert masses[-1] < masses[0]
+
+
+# a non-finite number is rejected where the coupling or the spectral
+# point is built, and main turns the ValueError into exit code 1
+CRITICAL = "*(1/d_n+1/d_{n+1})"
+NON_FINITE = {
+    "perturbation": ["analyze", "--gamma", "0.8", f"--alpha=-0.5{CRITICAL}+1e999/n"],
+    "strength": ["analyze", "--gamma", "0.8", f"--alpha=1e999{CRITICAL}"],
+    "sweep-a": ["sweep", "--gammas", "0.8", "--a-values=nan", "--horizons", "10000"],
+    "real-lam": ["plot-data", "--gamma", "1.0", "--quantity", "block_norms", f"--alpha=-0.5{CRITICAL}", "--lam", "nan"],
+    "complex-lam": ["plot-data", "--gamma", "1.0", "--quantity", "block_norms", f"--alpha=-0.5{CRITICAL}", "--lam", "1+infj"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(NON_FINITE))
+def test_non_finite_input_is_one_error_line(capsys, label):
+    code, out, err = run(NON_FINITE[label], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err

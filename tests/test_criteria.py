@@ -17,7 +17,6 @@ from deltasa import (
     CustomAlpha,
     CustomGrid,
     ExplicitGrid,
-    F,
     F_block,
     GFunction,
     GKind,
@@ -37,6 +36,11 @@ from deltasa import (
 )
 from deltasa.criteria import _uv_block, expansion_remainder_block
 from deltasa.numerics import TriState, sqrt_series_coeffs
+
+
+def F(grid, n):
+    """F(n) at one site, read through the block evaluator."""
+    return float(F_block(grid, n, n + 1)[0])
 
 
 def F_expansion(grid, n, k):
@@ -120,11 +124,12 @@ class TestF:
         for n in (2, 5, 50, 400):
             assert F(g, n) == pytest.approx(mp_F(g, n), rel=1e-8, abs=1e-16)
 
-    def test_block_matches_scalar(self):
+    def test_block_matches_high_precision(self):
+        # one block through both scalar head rows (r_0 = 1 at n = 1, plain
+        # gaps at n = 2) and into the log-ratio rows
         g = PowerLogGrid(gamma=0.75, eta=-0.2)
-        np.testing.assert_allclose(
-            F_block(g, 2, 40), [F(g, n) for n in range(2, 40)], rtol=1e-10
-        )
+        want = [mp_F(g, n) for n in range(1, 40)]
+        np.testing.assert_allclose(F_block(g, 1, 40), want, rtol=1e-8, atol=1e-16)
 
     def test_power_grid_asymptote(self):
         # n^{2-gamma} F(n) -> gamma (3 gamma - 2) / 4

@@ -185,6 +185,30 @@ class TestAlphaFamilies:
         assert a.alpha(4) == 0.25
         assert a.leading_term() is None
 
+    @pytest.mark.parametrize("tail", ["cycle", "hold", "error"])
+    def test_explicit_alpha_block_matches_points(self, tail):
+        a = ExplicitAlpha(values=(1.0, -2.0, 0.5), tail=tail)
+        top = 4 if tail == "error" else 11
+        assert a.alphas(1, top).tolist() == [a.alpha(n) for n in range(1, top)]
+        if tail == "error":
+            with pytest.raises(GridError):
+                a.alphas(2, 5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_couplings_reject_non_finite_numbers(self, bad):
+        g = PowerLogGrid(gamma=1.0)
+        for build in (
+            lambda: PowerSumAlpha(terms=((1.0, bad, 0.0),)),
+            lambda: ScaledInverseGapsAlpha(g, bad),
+            lambda: ExplicitAlpha(values=(1.0, bad)),
+        ):
+            with pytest.raises(GridError, match="finite"):
+                build()
+        a = CustomAlpha(fn=lambda n: bad if n == 3 else 0.0)
+        assert a.alpha(2) == 0.0
+        with pytest.raises(GridError, match="non-finite"):
+            a.alphas(1, 5)
+
 
 class TestJacobiOperator:
     def test_frozen_first_entries(self):

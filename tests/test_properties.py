@@ -12,9 +12,11 @@ from deltasa import (
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
     TildeSequence,
+    VerdictConfig,
+    deficiency_verdict,
     solve_recurrence,
 )
-from deltasa.numerics import TriState
+from deltasa.numerics import HORIZONS, TriState
 
 gammas = st.floats(min_value=0.3, max_value=1.6, allow_nan=False)
 etas = st.floats(min_value=-1.0, max_value=1.5, allow_nan=False)
@@ -106,6 +108,26 @@ def test_recurrence_rows_are_satisfied(gamma, a):
     op = JacobiOperator(g, ScaledInverseGapsAlpha(g, a))
     sol = solve_recurrence(op, 1j, 4096)
     assert sol.residual_max < 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(min_value=0.55, max_value=1.0, exclude_min=True),
+    # [-4, 2] at least 1e-3 away from the band edges a = -2 and a = 0
+    a=st.floats(-4.0, -2.001) | st.floats(-1.999, -0.001) | st.floats(0.001, 2.0),
+    d1=st.floats(min_value=0.5, max_value=2.0),
+    pert=st.none() | st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_verdict_is_stable_along_the_ladder(gamma, a, d1, pert):
+    # a critical coupling, optionally perturbed by c/n^p with p >= gamma
+    # (an O(d_n) term): the short ladder and the default one must give
+    # the same decision
+    g = PowerLogGrid(gamma=gamma, d1=d1)
+    p = None if pert is None else PowerSumAlpha(((pert[0], -(gamma + pert[1]), 0.0),))
+    alpha = ScaledInverseGapsAlpha(g, a, perturbation=p)
+    short, full = (deficiency_verdict(g, alpha, VerdictConfig(hs)) for hs in ((10**4, 10**5), HORIZONS))
+    decision = lambda v: (v.verdict, v.certificate, v.advisory, v.flags)  # noqa: E731
+    assert decision(short) == decision(full)
 
 
 def test_tristate_has_no_truth_value():

@@ -382,7 +382,10 @@ def test_bound_probes_read_a_non_finite_window_as_unknown(window):
     grid = PowerLogGrid(1.0)
     G = GFunction(GKind.ZERO)
     for probe, sign in ((test_bound_II, 1.0), (test_bound_III, -1.0)):
-        alpha = CustomAlpha(lambda n: sign * math.inf if n == n0 else 0.0)
+        # a coupling rejects a non-finite value as it reads it, so the
+        # spike goes in past its check
+        alpha = CustomAlpha(lambda n: 0.0)
+        alpha.alphas = lambda a, b: np.where(np.arange(a, b) == n0, sign * math.inf, 0.0)
         p = probe(grid, alpha, G, 10**4)
         assert math.isinf(max(p.window_sups))
         assert math.isnan(p.drift) and p.holds is TriState.UNKNOWN
