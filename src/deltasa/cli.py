@@ -271,13 +271,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _verdict_config(args)
     pert = PowerSumAlpha(terms=_parse_power_sum(args.alpha_pert.replace(" ", ""))) if args.alpha_pert else None
 
+    # build every grid and coupling first: their constructors check each gamma and a before any scan
+    cells = [
+        (grid, [ScaledInverseGapsAlpha(grid, a, perturbation=pert) for a in a_values])
+        for grid in (PowerLogGrid(gamma=gamma, eta=args.eta, d1=args.d1) for gamma in gammas)
+    ]
     rows = []
-    for gamma in gammas:
-        grid = PowerLogGrid(gamma=gamma, eta=args.eta, d1=args.d1)
+    for grid, alphas in cells:
         cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
         G = select_G(grid, horizon=cfg.bound_horizon)
-        for a in a_values:
-            alpha = ScaledInverseGapsAlpha(grid, a, perturbation=pert)
+        for alpha in alphas:
             verdict = deficiency_verdict(grid, alpha, cfg)
             if verdict.certificate is None:
                 certifying = "inconclusive"
@@ -285,14 +288,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 certifying = "numerical-advisory"
             else:
                 certifying = verdict.certificate
-            fl = floquet_discriminant(cond_b.u, a)
+            fl = floquet_discriminant(cond_b.u, alpha.a)
             b2 = test_bound_II(grid, alpha, G, N=cfg.bound_horizon)
             b3 = test_bound_III(grid, alpha, G, N=cfg.bound_horizon)
             rows.append(
                 {
-                    "gamma": gamma,
+                    "gamma": grid.gamma,
                     "eta": args.eta,
-                    "a": a,
+                    "a": alpha.a,
                     "verdict": verdict.verdict.value,
                     "certifying_test": certifying,
                     "u_odd": cond_b.u.odd,

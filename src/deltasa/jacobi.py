@@ -80,14 +80,9 @@ class TildeSequence:
     S is accumulated in 4096-row chunks whose boundary values (the
     bases) add each chunk's correctly rounded sum (exact_row_sums, the
     value math.fsum returns), so a block read anchors an ordinary cumsum
-    at an accurate base and the float drift stays below ~1e-10 over
-    million-term spans.  A block read takes the bases of the chunks it
-    covers from its own terms, summing all of them in one call.  Rows
-    are evaluated again only for random access, for reads that start
-    past the known bases (eight chunks per call, up to the last chunk the
-    read needs), and for the head of the chunk that straddles a block's
-    first row lo (the rows up to lo, which S_lo needs); the rest of that
-    chunk comes from the block's own terms.
+    at an accurate S_lo and the float drift stays below ~1e-10 over
+    million-term spans.  Only a read past the known bases builds them,
+    from the grid, eight chunks per call.
     """
 
     CHUNK = _CHUNK
@@ -106,33 +101,23 @@ class TildeSequence:
         """(-1)^k log d_k for lo <= k < hi."""
         return self._alternate(self.grid.log_gaps(lo, hi), lo)
 
-    def _extend(self, first: int, terms: np.ndarray) -> None:
-        """Append the chunk bases completed by terms, the terms of rows first, first + 1, ..."""
-        start = 2 + (len(self._bases) - 1) * self.CHUNK - first  # the next missing chunk
-        if start < 0:
-            return
-        m = (terms.size - start) // self.CHUNK
-        if m > 0:
-            sums = exact_row_sums(terms[start : start + m * self.CHUNK].reshape(m, self.CHUNK))
-            for s in sums:
-                self._bases.append(self._bases[-1] + s)
-
-    def _S(self, n: int) -> tuple[float, np.ndarray]:
-        """S_n and the head terms it read: rows n0 + 1 .. n, where n0 starts n's chunk."""
+    def _S(self, n: int) -> float:
+        """S_n: the base of n's chunk, built first if missing (_BATCH chunks a read), plus its rows to n."""
         if n < 1:
             raise GridError(f"tilde index must be >= 1, got {n}")
         j = (n - 1) // self.CHUNK
-        while len(self._bases) <= j:  # the missing bases, _BATCH chunks per read, none past base j
+        while len(self._bases) <= j:
+            m = min(_BATCH, j + 1 - len(self._bases))
             b0 = 1 + (len(self._bases) - 1) * self.CHUNK
-            self._extend(b0 + 1, self._terms(b0 + 1, min(b0 + _BATCH * self.CHUNK, 1 + j * self.CHUNK) + 1))
+            for s in exact_row_sums(self._terms(b0 + 1, b0 + m * self.CHUNK + 1).reshape(m, self.CHUNK)):
+                self._bases.append(self._bases[-1] + s)
         n0 = 1 + j * self.CHUNK
         if n == n0:
-            return self._bases[j], np.empty(0)
-        head = self._terms(n0 + 1, n + 1)
-        return self._bases[j] + exact_row_sums(head[None, :])[0], head
+            return self._bases[j]
+        return self._bases[j] + exact_row_sums(self._terms(n0 + 1, n + 1)[None, :])[0]
 
     def log_abs(self, n: int) -> float:
-        s = self._S(n)[0]
+        s = self._S(n)
         return s if n % 2 == 0 else -s
 
     def sign(self, n: int) -> int:
@@ -144,36 +129,25 @@ class TildeSequence:
         return self.sign(n) * mag
 
     def log_abs_block(self, lo: int, hi: int, log_gaps: Optional[np.ndarray] = None) -> np.ndarray:
-        """log|rtilde_n| for lo <= n < hi as one vector.
+        """log|rtilde_n| for lo <= n < hi: S_lo, then the cumsum of rows lo + 1 .. hi - 1.
 
-        The block reads the terms of rows lo + 1 .. hi, one row past the
-        block, so that a chunk ending at hi is complete; row hi is read
-        only where the grid has it.  A caller that already holds
-        log_gaps = grid.log_gaps(lo, hi + 1) passes it, and the block
-        takes its terms from it instead of evaluating the rows again: the
-        array is overwritten with the parity-signed terms.
+        A caller that already holds log_gaps = grid.log_gaps(lo, hi + 1),
+        as conditions A and B and rho_block do for d_{n+1}, passes it, and
+        the block takes rows lo + 1 .. hi - 1 from it instead of evaluating
+        them again, overwriting them with the parity-signed terms.
         """
         if lo < 1 or hi < lo:
             raise GridError(f"bad tilde range [{lo}, {hi})")
         if hi == lo:
             return np.empty(0)
         if log_gaps is None:
-            last = hi if self.grid.max_index is None or hi <= self.grid.max_index else hi - 1
-            terms = self._terms(lo + 1, last + 1)
+            terms = self._terms(lo + 1, hi)
+        elif len(log_gaps) != hi - lo + 1:
+            raise GridError(f"log_gaps for the tilde block [{lo}, {hi}) needs {hi - lo + 1} rows")
         else:
-            if len(log_gaps) != hi - lo + 1:
-                raise GridError(f"log_gaps for the tilde block [{lo}, {hi}) needs {hi - lo + 1} rows")
-            terms = self._alternate(log_gaps[1:], lo + 1)
-        base, head = self._S(lo)
-        rest = self.CHUNK - head.size
-        if head.size and len(self._bases) == 1 + (lo - 1) // self.CHUNK and terms.size >= rest:
-            # the chunk that holds lo has no end base yet: its head and
-            # the block's first terms complete it
-            chunk = np.concatenate((head, terms[:rest]))
-            self._bases.append(self._bases[-1] + exact_row_sums(chunk[None, :])[0])
-        self._extend(lo + 1, terms)
-        s = np.concatenate(([base], base + np.cumsum(terms[: hi - lo - 1])))
-        return self._alternate(s, lo)
+            terms = self._alternate(log_gaps[1:-1], lo + 1)
+        base = self._S(lo)
+        return self._alternate(np.concatenate(([base], base + np.cumsum(terms))), lo)
 
 
 class AlphaSequence:

@@ -60,6 +60,11 @@ TRACED = {
         "check_condition_B",
     ),
 }
+# ... and these methods through cls.__dict__, so each class defines them itself
+TRACED_METHODS = {
+    "TildeSequence": ("log_abs_block", "log_abs", "value"),
+    "JacobiOperator": ("diag", "off", "entry", "diag_block", "off_block", "truncate"),
+}
 
 
 @pytest.mark.parametrize("name", [None, *MODULES])
@@ -96,7 +101,9 @@ def test_traced_names_exist():
         mod = importlib.import_module(f"deltasa.{name}")
         for attr in attrs:
             assert callable(getattr(mod, attr)), f"deltasa.{name}.{attr}"
-    assert callable(deltasa.JacobiOperator.entry)
+    for name, attrs in TRACED_METHODS.items():
+        for attr in attrs:
+            assert callable(vars(getattr(deltasa, name)).get(attr)), f"deltasa.{name}.{attr}"
 
 
 GRID = deltasa.PowerLogGrid(1.0)

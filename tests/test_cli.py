@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha
+from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, cli
 from deltasa.cli import CliError, build_grid, main, parse_alpha
 
 
@@ -236,6 +236,22 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["gamma"] for r in rows] == ["0.0", "-0.5"]
         assert {(r["verdict"], r["certifying_test"]) for r in rows} == {("SelfAdjoint", "non-square-summable-gaps")}
+
+    @pytest.mark.parametrize(
+        "gammas,a_values,err",
+        [
+            ("0.8,0.9", "-0.5,nan", "error: coupling strength a must be finite, got nan\n"),
+            ("0.8,nan", "-0.5", "error: gamma and eta must be finite\n"),
+            ("0.8,nan", "-0.5,nan", "error: coupling strength a must be finite, got nan\n"),
+        ],
+        ids=["a", "gamma", "a-before-gamma"],
+    )
+    def test_inputs_are_checked_before_any_scan(self, capsys, monkeypatch, gammas, a_values, err):
+        def scan(*args, **kwargs):
+            raise AssertionError("sweep scanned a grid before it checked every gamma and a")
+
+        monkeypatch.setattr(cli, "check_condition_B", scan)
+        assert run(["sweep", "--gammas", gammas, f"--a-values={a_values}"], capsys) == (1, "", err)
 
     def test_columns_fixed(self, capsys):
         code, out, _ = run(

@@ -1,15 +1,16 @@
 """The tilde pass is bit-exact against its earlier form.
 
-TildeSequence takes the chunk bases of its fsum ladder from the terms a
-block read has already computed (its own or the caller's log gaps),
-sums them with exact_row_sums, and flips the signs of odd rows in
-place, PeriodPair.block builds parity sequences by strided assignment,
-and PowerLogGrid.log_gaps skips the ln ln n term at eta = 0.  The
-references below are the earlier implementations (a separate pass per
-chunk base, sign vectors from np.where on index parities, the full log
-expression), kept here verbatim except for the unused lock; every array
-must agree with them byte for byte, over the block patterns the verdict
-probes use.
+TildeSequence builds the chunk bases of its fsum ladder only when a
+read reaches past them, from the grid, and sums them with
+exact_row_sums; a block read anchors its cumsum on them and takes its
+terms from its own or the caller's log gaps, flipping the signs of odd
+rows in place.  PeriodPair.block builds parity sequences by strided
+assignment, and PowerLogGrid.log_gaps skips the ln ln n term at
+eta = 0.  The references below are the earlier implementations (a
+separate pass per chunk base, sign vectors from np.where on index
+parities, the full log expression), kept here verbatim except for the
+unused lock; every array must agree with them byte for byte, over the
+block patterns the verdict probes use.
 """
 
 import json
@@ -140,8 +141,6 @@ def assert_same(grid, reads, caller_logs=False):
     reads = list(reads)
     got, want = TildeSequence(grid), ReferenceTilde(grid)
     assert replay(got, reads, caller_logs) == replay(want, reads)
-    # block reads build bases ahead of the reference's lazy ladder
-    want._ensure(len(got._bases) - 1)
     assert np.array(got._bases).tobytes() == np.array(want._bases).tobytes()
 
 
@@ -221,38 +220,10 @@ class CountingGrid(GridSequence):
         return self.grid.log_gaps(lo, hi)
 
 
-@pytest.mark.parametrize("horizons,extra", [((H,), 0), ((10**4, H), 8 * 4096)])
-def test_block_scan_evaluates_each_row_about_once(horizons, extra):
-    grid = CountingGrid(GRIDS["power-eta0"])
-    t = TildeSequence(grid)
-    replay(t, condition_a_reads(horizons))
-    # rows 2 .. H + 1; a block that starts inside a chunk also reads
-    # that chunk's head
-    assert H <= grid.rows <= H + extra
-    assert len(t._bases) == H // 4096 + 1
-
-
-@pytest.mark.parametrize("caller_logs", [False, True])
-def test_block_inside_a_chunk_rereads_only_its_head(caller_logs):
-    grid = CountingGrid(GRIDS["power-eta0"])
-    t = TildeSequence(grid)
-    reads = list(condition_a_reads((10**4, H)))
-    if caller_logs:
-        for _, lo, hi in reads:
-            t.log_abs_block(lo, hi, GRIDS["power-eta0"].log_gaps(lo, hi + 1))
-        assert grid.rows == sum((lo - 1) % 4096 for _, lo, _ in reads)
-    else:
-        replay(t, reads)
-        # rows 2 .. H + 1 once, plus rows n0 + 1 .. lo of each block
-        # whose first row lo lies inside the chunk starting at n0
-        assert grid.rows == H + sum((lo - 1) % 4096 for _, lo, _ in reads)
-    assert len(t._bases) == H // 4096 + 1
-
-
-# A read past the known bases builds the missing ones from the grid: eight
-# 4096-row chunks (one 32768-row probe block) per log_gaps call, each
+# Only a read past the known bases builds the missing ones, from the grid:
+# eight 4096-row chunks (one 32768-row probe block) per log_gaps call, each
 # chunk's correctly rounded sum added to the base before it.  Condition B
-# meets this cold ladder whenever nothing has scanned the rows below it.
+# meets this cold ladder on a fresh sequence.
 FAR = 10**6
 
 
@@ -286,6 +257,23 @@ def test_cold_condition_B_matches_reference(name):
     got = check_condition_B(grid, FAR)
     want = check_condition_B(grid, FAR, tilde=ReferenceBlocks(grid))
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+# Condition B reads its parity points first, so the cold ladder reaches H
+# before the first block and its block reads add no base: the verdict path
+# reads as many rows as when block reads also built bases.
+@pytest.mark.parametrize("h,rows", [(10**5, 179_659), (FAR, 1_754_459)])
+def test_cold_condition_B_reads_the_same_rows(monkeypatch, h, rows):
+    read = []
+    log_gaps = PowerLogGrid.log_gaps
+
+    def counting(self, lo, hi):
+        read.append(hi - lo)
+        return log_gaps(self, lo, hi)
+
+    monkeypatch.setattr(PowerLogGrid, "log_gaps", counting)
+    check_condition_B(PowerLogGrid(0.8), h)
+    assert sum(read) == rows
 
 
 @pytest.mark.parametrize("chunks,extra", [(3, 0), (3, 16), (9, 0), (9, 100)])
