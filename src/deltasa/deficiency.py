@@ -48,6 +48,10 @@ _SCALE_UP = 2.0**_SCALE_BITS
 _SCALE_DOWN = 2.0**-_SCALE_BITS
 # |re| + |im| <= sqrt(2) |h|, so a row the march does not stop at needs no rescale
 _GUARD_LO = 1.5 * _SCALE_DOWN
+# a rescale multiplies h by at most 2^_SHIFT_MAX_BITS, so the shift and its
+# square, which carries the block mass into the new frame, stay finite; a
+# subnormal peak takes further rescales on the rows after it
+_SHIFT_MAX_BITS = 511
 _CHUNK = 2048  # rows per march block: its operator entries, marched values and bookkeeping arrays
 
 # l2_probe: the last _L2_WINDOW block-mass ratios must all stay below
@@ -222,7 +226,7 @@ def solve_recurrence(
             a_prev, a_cur = abs(p), abs(h)
             peak = a_prev if a_prev > a_cur else a_cur
             if peak > _SCALE_UP or (0.0 < peak < _SCALE_DOWN):
-                shift = math.ldexp(1.0, -int(math.frexp(peak)[1]))
+                shift = math.ldexp(1.0, min(-int(math.frexp(peak)[1]), _SHIFT_MAX_BITS))
                 # numpy scales a complex h by the full product with complex(shift, 0)
                 factor = complex(shift, 0.0) if complex_lam else shift
                 p, h = p * factor, h * factor

@@ -4,7 +4,8 @@ solve_recurrence marches rows as Python floats, a (re, im) pair per row
 for nonreal lambda, and reads the block masses, residuals and head off
 each chunk with numpy.  The reference below is the earlier loop that
 marched the same rows on numpy scalars, one row and all its bookkeeping
-per iteration, kept here verbatim; every float of the serialised
+per iteration, kept here verbatim but for the cap on a rescale's shift,
+which both loops share; every float of the serialised
 solution must agree byte for byte.  The cases include rescale-heavy
 marches and rescales on a block edge and on a residual row.  The
 float-pair step is also checked against the complex-scalar step on
@@ -35,6 +36,7 @@ from deltasa.deficiency import _CHUNK, RecurrenceSolution, solve_recurrence
 
 _SCALE_UP = 2.0**100
 _SCALE_DOWN = 2.0**-100
+_SHIFT_MAX_BITS = 511
 
 
 def reference_solve(op, lam, N, keep=4096, residual_stride=997):
@@ -92,7 +94,7 @@ def reference_solve(op, lam, N, keep=4096, residual_stride=997):
                 head[m] = h_cur
             peak = max(abs(h_cur), abs(h_prev))
             if peak > _SCALE_UP or (0.0 < peak < _SCALE_DOWN):
-                shift = math.ldexp(1.0, -int(math.frexp(peak)[1]))
+                shift = math.ldexp(1.0, min(-int(math.frexp(peak)[1]), _SHIFT_MAX_BITS))
                 h_prev *= shift
                 h_cur *= shift
                 acc *= shift * shift
@@ -331,6 +333,25 @@ def test_march_matches_reference_on_special_entries(N, lam, kw, entries):
         sol, ref = solve_recurrence(op, lam, N, **kw), reference_solve(op, lam, N, **kw)
     assert dump(sol) == dump(ref)
     assert nan_blind_bytes(sol.head) == nan_blind_bytes(ref.head)
+
+
+@pytest.mark.parametrize(
+    ("lam", "diag", "off", "events"),
+    [
+        # h_2 = -5e-309 and h_3 = -5e-309: two shifts of 2^511 lift the frame
+        (0.0, [2.5e-309] + [0.0] * 8, [0.5] + [1e308] * 8, 2),
+        # h_2 = 5e-309 i, then off(2) = inf: h_3 is zero and the rows after it nan
+        (-0.5j, [0.0] * 9, [1e308] + [math.inf] * 6 + [1.0, 1.0], 1),
+    ],
+)
+def test_subnormal_peak_rescales_in_capped_steps(lam, diag, off, events):
+    # the peak 5e-309 < 2^-1024, so an uncapped shift 2^-frexp(peak)[1] overflows
+    op = ArrayOperator(diag, off)
+    with np.errstate(all="ignore"):
+        sol, ref = solve_recurrence(op, lam, 8), reference_solve(op, lam, 8)
+    assert dump(sol) == dump(ref)
+    assert nan_blind_bytes(sol.head) == nan_blind_bytes(ref.head)
+    assert sol.scale_events == events
 
 
 @pytest.mark.filterwarnings("error")
