@@ -50,6 +50,7 @@ from .criteria import (
 )
 from .deficiency import (
     VerdictConfig,
+    _row_residual,
     deficiency_verdict,
     floquet_discriminant,
     solve_recurrence,
@@ -211,20 +212,8 @@ def _env_horizon(default: Optional[int]) -> Optional[int]:
         raise CliError(f"bad DELTA_SPEC_HORIZON {env!r}")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(payload, out_path: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -380,17 +369,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
                 n = int(n)
                 if n + 1 > top:
                     continue
-                row = (
-                    op.off(n - 1) * head[n - 2]
-                    + (op.diag(n) - lam) * head[n - 1]
-                    + op.off(n) * head[n]
-                )
-                scale = (
-                    abs(op.off(n - 1) * head[n - 2])
-                    + abs((op.diag(n) - lam) * head[n - 1])
-                    + abs(op.off(n) * head[n])
-                )
-                samples.append([n, abs(row) / scale if scale > 0.0 else 0.0])
+                o_prev, c, o_cur = op.off(n - 1), op.diag(n) - lam, op.off(n)
+                samples.append([n, _row_residual(o_prev, c, o_cur, head[n - 2], head[n - 1], head[n])])
     else:
         raise CliError(f"unknown quantity {q!r}")
     payload = {

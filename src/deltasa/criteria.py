@@ -105,24 +105,18 @@ class SeriesVerdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class SeriesProbe:
+class SeriesProbe(Record):
+    """Partial sums at each horizon and the verdict.
+
+    witnesses opens with fitted_growth, a description of the last two
+    checkpoints' growth, and gate_failed, whether a gate of the probe failed.
+    """
+
     test: str
     params: dict
     checkpoints: tuple[tuple[int, float], ...]
-    fitted_growth: str
     verdict: SeriesVerdict
-    gate_failed: bool = False
-    witnesses: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "test": self.test,
-            "params": self.params,
-            "checkpoints": [[n, s] for n, s in self.checkpoints],
-            "verdict": self.verdict.value,
-            "witnesses": {"fitted_growth": self.fitted_growth, "gate_failed": self.gate_failed}
-            | self.witnesses,
-        }
+    witnesses: dict
 
 
 @dataclass(frozen=True)
@@ -396,31 +390,36 @@ def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS)
 
     checkpoints = _stream_series(term_block, hs)
     params = {"grid": grid.describe(), "alpha": alpha.describe()}
-    witnesses = {} if analytic is None else {"analytic": analytic}
-    growth = _growth_description(checkpoints)
-    return SeriesProbe("carleman-i", params, tuple(checkpoints), growth, verdict, witnesses=witnesses)
+    witnesses = {"fitted_growth": _growth_description(checkpoints), "gate_failed": False}
+    if analytic is not None:
+        witnesses["analytic"] = analytic
+    return SeriesProbe("carleman-i", params, tuple(checkpoints), verdict, witnesses)
 
 
 def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
     """Probe of sum |alpha_n| d_n^3 behind condition I's gate.
 
-    gate_failed reports the gate: lim inf d_{n+1}/d_n > 0 (ratios up to
-    min(top horizon, WINDOW_CAP)) and gaps in l2 but not l1.  The verdict
-    is carleman-i's exponent comparison, so no verdict reads this probe.
+    witnesses["gate_failed"] reports the gate: lim inf d_{n+1}/d_n > 0
+    (ratios up to min(top horizon, WINDOW_CAP)) and gaps in l2 but not
+    l1.  The verdict is carleman-i's exponent comparison, so no verdict
+    reads this probe.
     """
     hs = _normalize_horizons(horizons)
     verdict, analytic = _cubed_gap_verdict(grid, alpha)
     checkpoints = _stream_series(lambda a, b: np.abs(alpha.alphas(a, b)) * grid.gaps(a, b) ** 3, hs)
     stats, summ = ratio_stats(grid, min(hs[-1], WINDOW_CAP)), classify_summability(grid)
-    gate_failed = not (
-        stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
-    )
-    witnesses = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
+    witnesses = {
+        "fitted_growth": _growth_description(checkpoints),
+        "gate_failed": not (
+            stats.min_ratio > 1e-6 and summ.in_ell2 is TriState.TRUE and summ.in_ell1 is TriState.FALSE
+        ),
+        "ratio_stats": stats.to_json(),
+        "summability": summ.to_json(),
+    }
     if isinstance(analytic, dict):  # no witness for a zero coupling here
         witnesses["analytic"] = analytic
     params = {"grid": grid.describe(), "alpha": alpha.describe()}
-    growth = _growth_description(checkpoints)
-    return SeriesProbe("condition-I", params, tuple(checkpoints), growth, verdict, gate_failed, witnesses)
+    return SeriesProbe("condition-I", params, tuple(checkpoints), verdict, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +588,7 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
 
     checkpoints = _stream_series(term_block, hs)
     verdict = SeriesVerdict.UNKNOWN
-    witnesses: dict = {}
+    witnesses = {"fitted_growth": _growth_description(checkpoints), "gate_failed": False}
     order = grid.order()
     if order is not None:
         P, Q = 2.0 * order[1], 2.0 * order[2]
@@ -597,14 +596,7 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
         witnesses["analytic"] = {"P": P, "Q": Q}
     if len(checkpoints) >= 2 and checkpoints[-1][1] > checkpoints[-2][1] > 0:
         witnesses["tail_mass"] = checkpoints[-1][1] - checkpoints[-2][1]
-    return SeriesProbe(
-        test="condition-A",
-        params={"grid": grid.describe()},
-        checkpoints=tuple(checkpoints),
-        fitted_growth=_growth_description(checkpoints),
-        verdict=verdict,
-        witnesses=witnesses,
-    )
+    return SeriesProbe("condition-A", {"grid": grid.describe()}, tuple(checkpoints), verdict, witnesses)
 
 
 @dataclass(frozen=True)

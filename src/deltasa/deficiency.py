@@ -28,7 +28,7 @@ from .criteria import (
 )
 from .grid import GridSequence, classify_summability, ratio_stats
 from .jacobi import AlphaSequence, JacobiOperator, PeriodPair
-from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, Record, TriState
+from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, Record, TriState, _json_value
 
 __all__ = [
     "RecurrenceSolution",
@@ -53,6 +53,8 @@ _GUARD_LO = 1.5 * _SCALE_DOWN
 # subnormal peak takes further rescales on the rows after it
 _SHIFT_MAX_BITS = 511
 _CHUNK = 2048  # rows per march block: its operator entries, marched values and bookkeeping arrays
+_HEAD_KEEP = 4096  # head entries a solution keeps
+_RESIDUAL_STRIDE = 997  # rows between residual spot checks
 
 # l2_probe: the last _L2_WINDOW block-mass ratios must all stay below
 # 1 - _L2_MARGIN or all above 1 + _L2_MARGIN, over _L2_MIN_BLOCKS blocks or more
@@ -68,7 +70,7 @@ _RATIO_SPREAD_MAX = 1.1
 
 
 @dataclass(frozen=True)
-class RecurrenceSolution:
+class RecurrenceSolution(Record):
     """Forward solution of (B - lambda) h = 0, stored in scaled form.
 
     head holds the first entries in plain float precision (complex when
@@ -76,10 +78,11 @@ class RecurrenceSolution:
     of indices [2^k, 2^{k+1}), complete blocks only.  scale_events
     counts dynamic rescalings; residual_max is the largest row residual
     |off(n-1)h(n-1) + (diag(n)-lambda)h(n) + off(n)h(n+1)| relative to
-    the row's magnitude, sampled on rescale-free segments.
+    the row's magnitude, sampled on rescale-free segments.  The JSON
+    holds the first 16 head entries.
     """
 
-    lam: complex
+    lam: complex = field(metadata={"json": "lambda"})
     horizon: int
     head: np.ndarray
     block_log_masses: tuple[tuple[int, float], ...]
@@ -88,19 +91,7 @@ class RecurrenceSolution:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        lam = self.lam
-        return {
-            "lambda": [lam.real, lam.imag] if isinstance(lam, complex) else lam,
-            "horizon": self.horizon,
-            "head": [
-                [v.real, v.imag] if isinstance(v, complex) else float(v)
-                for v in self.head[: min(len(self.head), 16)].tolist()
-            ],
-            "block_log_masses": [[k, m] for k, m in self.block_log_masses],
-            "scale_events": self.scale_events,
-            "residual_max": self.residual_max,
-            "meta": self.meta,
-        }
+        return super().to_json() | {"head": _json_value(self.head[:16].tolist())}
 
 
 def _check_offs(offs: np.ndarray, first: int) -> None:
@@ -108,6 +99,17 @@ def _check_offs(offs: np.ndarray, first: int) -> None:
     if not offs.all():
         n = first + int(np.flatnonzero(offs == 0.0)[0])
         raise ValueError(f"off({n}) = 0: the recurrence does not determine h_{n + 1}")
+
+
+def _row_residual(o_prev, c, o_cur, h_prev, h_cur, h_next) -> float:
+    """|o_prev h_prev + c h_cur + o_cur h_next| over the sum of the three terms' moduli.
+
+    0.0 unless that sum is > 0.  The march's spot checks and plot-data's
+    residuals both call it, each with its own entries.
+    """
+    a, b, d = o_prev * h_prev, c * h_cur, o_cur * h_next
+    scale = abs(a) + abs(b) + abs(d)
+    return abs(a + b + d) / scale if scale > 0.0 else 0.0
 
 
 def _log_mass(acc: float, sigma: float) -> float:
@@ -119,8 +121,6 @@ def solve_recurrence(
     op: JacobiOperator,
     lam: Union[float, complex],
     N: int,
-    keep: int = 4096,
-    residual_stride: int = 997,
 ) -> RecurrenceSolution:
     """March h_{n+1} = ((lambda - diag(n)) h_n - off(n-1) h_{n-1}) / off(n).
 
@@ -128,12 +128,13 @@ def solve_recurrence(
     with h_1 = 1.  Growth beyond 2^100 (or decay below) triggers a
     power-of-two rescale of the running pair, tracked in a log ledger
     so block masses stay exact.  Row residuals are spot-checked every
-    residual_stride steps, skipping rows adjacent to a rescale (the
+    _RESIDUAL_STRIDE (997) rows, skipping rows adjacent to a rescale (the
     identity only holds within one scale frame).
 
-    head entries are stored in whatever scale frame was current when
-    they streamed past; meta["head_pure_until"] marks the last index
-    before the first rescale, up to which head carries true values.
+    head keeps the first _HEAD_KEEP (4096) entries, each in whatever
+    scale frame was current when it streamed past; meta["head_pure_until"]
+    marks the last index before the first rescale, up to which head
+    carries true values.
 
     The march takes _CHUNK rows at a time, and its Python loop does
     only the recurrence: on the float pair (re, im) for nonreal lambda,
@@ -150,8 +151,6 @@ def solve_recurrence(
     """
     if N < 8:
         raise ValueError("solve_recurrence needs N >= 8")
-    if residual_stride < 0:
-        raise ValueError("residual_stride must be >= 0")
     if not np.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     if isinstance(lam, complex) and lam.imag == 0.0:
@@ -159,7 +158,7 @@ def solve_recurrence(
     complex_lam = isinstance(lam, complex)
     lam_c = complex(lam) if complex_lam else float(lam)
     scalar = complex if complex_lam else lambda x, _: x  # h from its (re, im)
-    keep = min(keep, N)
+    keep = min(_HEAD_KEEP, N)
 
     off1 = op.off(1)
     _check_offs(np.array([off1]), 1)
@@ -178,7 +177,7 @@ def solve_recurrence(
     acc = 1.0  # running block mass |h_1|^2, current scale frame
     cur_block = 0  # block [1, 2) holds n = 1
     next_edge = 2  # first index of block cur_block + 1
-    next_check = max(residual_stride, 2) if residual_stride else N  # next spot-checked row
+    next_check = max(_RESIDUAL_STRIDE, 2)  # next spot-checked row
     ci, up = lam_c.imag, _SCALE_UP
     lo = math.inf  # the first row always takes the exact test, which also reads |h_2|
 
@@ -255,16 +254,14 @@ def solve_recurrence(
 
         at = (lambda t: complex(out[2 * t], out[2 * t + 1])) if complex_lam else out.__getitem__
         while next_check <= top:
-            m, next_check = next_check, next_check + residual_stride
+            m, next_check = next_check, next_check + _RESIDUAL_STRIDE
             if m - 1 in events or m - last_rescale <= 1:
                 continue
             j = m - n - 1
             h_prev = events[m - 2][1] if m - 2 in events else at(j)
             h_cur, h_next = at(j + 1), at(j + 2)
-            row = offs_prev[j] * h_prev + (diags[j] - lam_c) * h_cur + offs_cur[j] * h_next
-            scale = abs(offs_prev[j] * h_prev) + abs((diags[j] - lam_c) * h_cur) + abs(offs_cur[j] * h_next)
-            if scale > 0.0:
-                residual_max = max(residual_max, abs(row) / scale)
+            residual = _row_residual(offs_prev[j], diags[j] - lam_c, offs_cur[j], h_prev, h_cur, h_next)
+            residual_max = max(residual_max, residual)
 
         if events:
             scale_events += len(events)
@@ -288,7 +285,7 @@ def solve_recurrence(
         residual_max=residual_max,
         meta={
             "keep": keep,
-            "residual_stride": residual_stride,
+            "residual_stride": _RESIDUAL_STRIDE,
             "head_pure_until": min(first_rescale, keep),
         },
     )
@@ -336,21 +333,12 @@ def l2_probe(sol: RecurrenceSolution) -> L2Verdict:
 
 
 @dataclass(frozen=True)
-class FloquetResult:
+class FloquetResult(Record):
     u: PeriodPair
     a: float
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     discriminant: float
     inside_band: TriState
-
-    def to_json(self) -> dict:
-        return {
-            "u": self.u.to_json(),
-            "a": self.a,
-            "lambda": self.lam,
-            "discriminant": self.discriminant,
-            "inside_band": self.inside_band.value,
-        }
 
 
 def floquet_discriminant(u: PeriodPair, a: float) -> FloquetResult:

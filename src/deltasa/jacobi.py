@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .grid import GridError, GridSequence, _explicit_positions
-from .numerics import TriState, exact_row_sums
+from .numerics import Record, TriState, exact_row_sums
 
 __all__ = [
     "PeriodPair",
@@ -50,7 +50,7 @@ _BATCH = 8  # chunks a cold read evaluates and sums at once: one 32768-row probe
 
 
 @dataclass(frozen=True)
-class PeriodPair:
+class PeriodPair(Record):
     """A period-two positive sequence, stored as its odd/even values."""
 
     odd: float
@@ -69,7 +69,7 @@ class PeriodPair:
         return self.odd * self.even
 
     def to_json(self) -> dict:
-        return {"odd": self.odd, "even": self.even, "product": self.product}
+        return super().to_json() | {"product": self.product}
 
 
 class TildeSequence:
@@ -85,11 +85,9 @@ class TildeSequence:
     from the grid, eight chunks per call.
     """
 
-    CHUNK = _CHUNK
-
     def __init__(self, grid: GridSequence) -> None:
         self.grid = grid
-        self._bases: list[float] = [0.0]  # _bases[j] = S at n = 1 + j*CHUNK
+        self._bases: list[float] = [0.0]  # _bases[j] = S at n = 1 + j*_CHUNK
 
     @staticmethod
     def _alternate(a: np.ndarray, lo: int) -> np.ndarray:
@@ -105,13 +103,13 @@ class TildeSequence:
         """S_n: the base of n's chunk, built first if missing (_BATCH chunks a read), plus its rows to n."""
         if n < 1:
             raise GridError(f"tilde index must be >= 1, got {n}")
-        j = (n - 1) // self.CHUNK
+        j = (n - 1) // _CHUNK
         while len(self._bases) <= j:
             m = min(_BATCH, j + 1 - len(self._bases))
-            b0 = 1 + (len(self._bases) - 1) * self.CHUNK
-            for s in exact_row_sums(self._terms(b0 + 1, b0 + m * self.CHUNK + 1).reshape(m, self.CHUNK)):
+            b0 = 1 + (len(self._bases) - 1) * _CHUNK
+            for s in exact_row_sums(self._terms(b0 + 1, b0 + m * _CHUNK + 1).reshape(m, _CHUNK)):
                 self._bases.append(self._bases[-1] + s)
-        n0 = 1 + j * self.CHUNK
+        n0 = 1 + j * _CHUNK
         if n == n0:
             return self._bases[j]
         return self._bases[j] + exact_row_sums(self._terms(n0 + 1, n + 1)[None, :])[0]
@@ -120,13 +118,10 @@ class TildeSequence:
         s = self._S(n)
         return s if n % 2 == 0 else -s
 
-    def sign(self, n: int) -> int:
-        return 1 if n % 2 == 1 else -1
-
     def value(self, n: int) -> float:
-        """rtilde_n as a plain float; overflows to +-inf for extreme indices."""
+        """rtilde_n, of sign (-1)^(n-1), as a plain float; overflows to +-inf for extreme indices."""
         mag = math.exp(min(self.log_abs(n), 709.0))
-        return self.sign(n) * mag
+        return (1.0 if n % 2 == 1 else -1.0) * mag
 
     def log_abs_block(self, lo: int, hi: int, log_gaps: Optional[np.ndarray] = None) -> np.ndarray:
         """log|rtilde_n| for lo <= n < hi: S_lo, then the cumsum of rows lo + 1 .. hi - 1.

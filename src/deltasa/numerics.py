@@ -98,19 +98,23 @@ class TriState(str, Enum):
 class Record:
     """A dataclass whose JSON is its fields, one key per field, in field order.
 
-    Enum values become their .value, tuples and lists become lists
+    A field's key is its name, or its metadata["json"] when it has one
+    (field(metadata={"json": "lambda"})).  Enum values become their
+    .value, complex numbers [re, im], tuples and lists become lists
     (nested ones too), and a value with its own to_json() (a PeriodPair,
     a GFunction, a nested record) is replaced by it.  Anything else,
     dicts included, is passed through as it is, without a copy.
     """
 
     def to_json(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        return {f.metadata.get("json", f.name): _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def _json_value(v):
     if isinstance(v, Enum):
         return v.value
+    if isinstance(v, complex):
+        return [v.real, v.imag]
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
     if hasattr(v, "to_json"):

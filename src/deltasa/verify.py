@@ -49,20 +49,6 @@ from .numerics import DRIFT_TOL, WINDOW_CAP, Record, TriState, tail_windows, win
 
 __all__ = ["CheckResult", "BatteryReport", "run_battery", "CHECK_NAMES"]
 
-CHECK_NAMES = (
-    "wallis-parity",
-    "period-product",
-    "ratio-scaling",
-    "f-limits",
-    "f-over-gap",
-    "expansion-remainder",
-    "zero-energy-decay",
-    "verdict-phases",
-    "scaling-identity",
-    "oracle-agreement",
-)
-
-
 @dataclass
 class CheckResult(Record):
     criterion: int
@@ -351,6 +337,7 @@ _CHECKS = {
     "scaling-identity": _check_9_scaling_identity,
     "oracle-agreement": _check_10_oracle_agreement,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_battery(only: Optional[str] = None, horizon: int = 10**6) -> BatteryReport:
@@ -360,10 +347,10 @@ def run_battery(only: Optional[str] = None, horizon: int = 10**6) -> BatteryRepo
         raise ValueError("battery horizon must be at least 10^4")
     _inverse_gap_verdicts.cache_clear()
     results = []
-    for name in CHECK_NAMES:
+    for name, check in _CHECKS.items():
         if only and only not in name:
             continue
-        results.append(_CHECKS[name](H))
+        results.append(check(H))
     if not results:
         raise ValueError(f"no battery check matches {only!r}")
     return BatteryReport(results=results, horizon=H)

@@ -17,9 +17,10 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # gap-regularity layer, the scalar twins of the block forms, the shared
 # phase-1 scan and the -i oracle twin; the per-class order ladders
 # that GridSequence.order() replaced; the F/d record and drift
-# helper that BoundProbe and numerics.window_drift replaced; and the
-# scalar F that F_block replaced.  A "module.Class" key lists
-# removed attributes of that class
+# helper that BoundProbe and numerics.window_drift replaced; the
+# scalar F that F_block replaced; and TildeSequence's sign and CHUNK
+# aliases, which value and jacobi._CHUNK replaced.  A "module.Class"
+# key lists removed attributes of that class
 REMOVED = {
     "criteria": (
         "check_asymptotic_eq10",
@@ -44,7 +45,7 @@ REMOVED = {
     "grid.ExplicitGrid": ("_in_ell1", "_in_ell2"),
     "criteria.GLimits": ("to_json",),
     "numerics.ChunkedSum": ("add",),
-    "jacobi.TildeSequence": ("sign_block",),
+    "jacobi.TildeSequence": ("sign_block", "sign", "CHUNK"),
 }
 
 # perfbench/instrument.py wraps these by name for its --trace spans
@@ -110,13 +111,16 @@ GRID = deltasa.PowerLogGrid(1.0)
 U = deltasa.PeriodPair(odd=2.0, even=2.0)
 
 
+def _solution_op():
+    return deltasa.JacobiOperator(GRID, deltasa.ScaledInverseGapsAlpha(GRID, -0.5))
+
+
 def _solution():
-    op = deltasa.JacobiOperator(GRID, deltasa.ScaledInverseGapsAlpha(GRID, -0.5))
-    return deltasa.solve_recurrence(op, 1j, 64)
+    return deltasa.solve_recurrence(_solution_op(), 1j, 64)
 
 
-# thresholds that became fixed constants, the forced perturbation order,
-# and the family names that were dataclass fields
+# thresholds and oracle knobs that became fixed constants, the forced
+# perturbation order, and the family names that were dataclass fields
 REMOVED_PARAMETERS = {
     **{
         f"VerdictConfig.{knob}": (lambda knob=knob: deltasa.VerdictConfig(**{knob: None}))
@@ -135,6 +139,12 @@ REMOVED_PARAMETERS = {
         GRID, -0.5, perturbation_O_d=True
     ),
     "classify_summability.probe_horizon": lambda: deltasa.classify_summability(GRID, probe_horizon=16),
+    **{
+        f"solve_recurrence.{knob}": (
+            lambda knob=knob: deltasa.solve_recurrence(_solution_op(), 1j, 64, **{knob: 1})
+        )
+        for knob in ("keep", "residual_stride")
+    },
     "floquet_discriminant.lam": lambda: deltasa.floquet_discriminant(U, -0.5, lam=0.0),
     "floquet_discriminant.margin": lambda: deltasa.floquet_discriminant(U, -0.5, margin=0.0),
     **{

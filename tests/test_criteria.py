@@ -242,7 +242,7 @@ class TestSeriesProbes:
         g = PowerLogGrid(gamma=0.75)
         p = test_condition_I(g, PowerSumAlpha(terms=((1.0, 2.0, 0.0),)), horizons=(10**4,))
         assert p.verdict is SeriesVerdict.DIVERGES
-        assert p.gate_failed is False
+        assert p.witnesses["gate_failed"] is False
 
     def test_condition_I_gate_requires_regime(self):
         # summable gaps: outside the regime this test is allowed to use
@@ -250,13 +250,13 @@ class TestSeriesProbes:
             PowerLogGrid(gamma=1.2), PowerSumAlpha(terms=((1.0, 2.0, 0.0),)),
             horizons=(10**4,),
         )
-        assert p.gate_failed is True
+        assert p.witnesses["gate_failed"] is True
         # gaps not square-summable: same
         p = test_condition_I(
             PowerLogGrid(gamma=0.3), PowerSumAlpha(terms=((1.0, 2.0, 0.0),)),
             horizons=(10**4,),
         )
-        assert p.gate_failed is True
+        assert p.witnesses["gate_failed"] is True
 
     @pytest.mark.parametrize(
         "grid",

@@ -41,7 +41,7 @@ class TestTildeSequence:
         want = [1.0, -0.5, 2.0 / 3.0, -0.375]
         for n, w in enumerate(want, start=1):
             assert t.value(n) == pytest.approx(w, rel=1e-14)
-        assert [t.sign(n) for n in (1, 2, 3, 4)] == [1, -1, 1, -1]
+        assert [math.copysign(1.0, t.value(n)) for n in (1, 2, 3, 4)] == [1.0, -1.0, 1.0, -1.0]
 
     def test_fifth_value_power_grid(self):
         # telescoped product (d_3 d_5)/(d_2 d_4) = (8/15)^gamma

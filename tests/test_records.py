@@ -2,29 +2,40 @@
 
 Each record's to_json() must give the dict that a hand-written field
 dump gives (the to_json bodies these classes used to carry), repr for
-repr: the same keys in the same order, nan as nan, lists for tuples.
+repr: the same keys in the same order, nan as nan, lists for tuples,
+[re, im] for a complex number, "lambda" for a lam field.  SeriesProbe's
+body wrote fitted_growth and gate_failed, once fields of their own, as
+the first two witnesses; its dump below rebuilds them.
 CriterionVerdict and BatteryReport add their properties, so only their
 sorted items are compared (the CLI emits JSON with sorted keys).
 """
 
 import math
 
+import pytest
+
 from deltasa import (
     CustomGrid,
     GFunction,
     GKind,
     JacobiOperator,
+    PeriodPair,
     PowerLogGrid,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
+    check_condition_A,
     check_condition_B,
     classify_summability,
     deficiency_verdict,
+    floquet_discriminant,
     l2_probe,
     run_battery,
     solve_recurrence,
     test_bound_III,
+    test_carleman_i,
+    test_condition_I,
 )
+from deltasa.criteria import _growth_description
 from deltasa.deficiency import VerdictConfig
 
 
@@ -69,6 +80,51 @@ def l2_dump(v):
         "margin": v.margin,
         "window": v.window,
         "notes": v.notes,
+    }
+
+
+def series_dump(p, gate_failed):
+    rest = {k: v for k, v in p.witnesses.items() if k not in ("fitted_growth", "gate_failed")}
+    return {
+        "test": p.test,
+        "params": p.params,
+        "checkpoints": [[n, s] for n, s in p.checkpoints],
+        "verdict": p.verdict.value,
+        "witnesses": {
+            "fitted_growth": _growth_description(list(p.checkpoints)),
+            "gate_failed": gate_failed,
+        }
+        | rest,
+    }
+
+
+def period_pair_dump(u):
+    return {"odd": u.odd, "even": u.even, "product": u.product}
+
+
+def floquet_dump(f):
+    return {
+        "u": period_pair_dump(f.u),
+        "a": f.a,
+        "lambda": f.lam,
+        "discriminant": f.discriminant,
+        "inside_band": f.inside_band.value,
+    }
+
+
+def solution_dump(s):
+    lam = s.lam
+    return {
+        "lambda": [lam.real, lam.imag] if isinstance(lam, complex) else lam,
+        "horizon": s.horizon,
+        "head": [
+            [v.real, v.imag] if isinstance(v, complex) else float(v)
+            for v in s.head[: min(len(s.head), 16)].tolist()
+        ],
+        "block_log_masses": [[k, m] for k, m in s.block_log_masses],
+        "scale_events": s.scale_events,
+        "residual_max": s.residual_max,
+        "meta": s.meta,
     }
 
 
@@ -125,3 +181,30 @@ def test_records_with_properties():
         ],
     }
     assert repr(sorted(report.to_json().items())) == repr(sorted(want.items()))
+
+
+def test_series_probes():
+    grid = PowerLogGrid(0.75)
+    probes = [
+        (test_carleman_i(grid, ScaledInverseGapsAlpha(grid, -0.5), (10**3, 10**4)), False),
+        (test_condition_I(grid, PowerSumAlpha(((1.0, 2.0, 0.0),)), (10**4,)), False),
+        (test_condition_I(PowerLogGrid(1.2), PowerSumAlpha(((1.0, 2.0, 0.0),)), (10**3, 10**4)), True),
+        (check_condition_A(grid, (10**3, 10**4)), False),
+    ]
+    for p, gate_failed in probes:
+        assert repr(p.to_json()) == repr(series_dump(p, gate_failed))
+
+
+def test_period_pair_and_floquet_result():
+    u = PeriodPair(odd=1.5, even=0.25)
+    assert repr(u.to_json()) == repr(period_pair_dump(u))
+    f = floquet_discriminant(u, -0.5)
+    assert repr(f.to_json()) == repr(floquet_dump(f))
+
+
+@pytest.mark.parametrize("a,lam", [(0.75, 1j), (4.25, 0.0)], ids=["complex", "real"])
+def test_recurrence_solutions_with_a_rescale(a, lam):
+    grid = PowerLogGrid(1.0)
+    sol = solve_recurrence(JacobiOperator(grid, ScaledInverseGapsAlpha(grid, a)), lam, 2000)
+    assert sol.scale_events > 0
+    assert repr(sol.to_json()) == repr(solution_dump(sol))

@@ -68,12 +68,13 @@ def reference_carleman_i(grid, alpha, hs):
 
     checkpoints = _reference_stream(term_block, hs)
     verdict, analytic = _cubed_gap_verdict(grid, alpha)
-    witnesses = {} if analytic is None else {"analytic": analytic}
+    witnesses = {"fitted_growth": _growth_description(checkpoints), "gate_failed": False}
+    if analytic is not None:
+        witnesses["analytic"] = analytic
     return SeriesProbe(
         test="carleman-i",
         params={"grid": grid.describe(), "alpha": alpha.describe()},
         checkpoints=tuple(checkpoints),
-        fitted_growth=_growth_description(checkpoints),
         verdict=verdict,
         witnesses=witnesses,
     )
@@ -93,16 +94,19 @@ def reference_condition_I(grid, alpha, hs):
         and summ.in_ell1 is TriState.FALSE
     )
     verdict, analytic = _cubed_gap_verdict(grid, alpha)
-    witnesses = {"ratio_stats": stats.to_json(), "summability": summ.to_json()}
+    witnesses = {
+        "fitted_growth": _growth_description(checkpoints),
+        "gate_failed": gate_failed,
+        "ratio_stats": stats.to_json(),
+        "summability": summ.to_json(),
+    }
     if isinstance(analytic, dict):
         witnesses["analytic"] = analytic
     return SeriesProbe(
         test="condition-I",
         params={"grid": grid.describe(), "alpha": alpha.describe()},
         checkpoints=tuple(checkpoints),
-        fitted_growth=_growth_description(checkpoints),
         verdict=verdict,
-        gate_failed=gate_failed,
         witnesses=witnesses,
     )
 
