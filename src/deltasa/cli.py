@@ -447,7 +447,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, default=10**4)
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--alpha", default=None, help="coupling (required for block_norms/residuals)")
-    p.add_argument("--lam", default=None, help="spectral point, e.g. 0, 1j, -1j")
+    p.add_argument(
+        "--lam",
+        default=None,
+        help="spectral point, e.g. 0 or 1j; write --lam=-1j for a value that starts with '-'",
+    )
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_plot_data)
     return parser

@@ -2,9 +2,10 @@
 
 Each check re-derives one quantitative claim about the gap families and
 couplings this package handles, compares against an independently
-computed expectation, and reports measured value, tolerance, and
-runtime.  run_battery is what the CLI's verify subcommand and the
-acceptance tests call.
+computed expectation, and returns (passed, detail lines).  run_battery
+numbers, names, times and budgets every check from the one table
+_CHECKS; it is what the CLI's verify subcommand and the acceptance
+tests call.
 
 Tolerances are stated at the default horizon 10^6.  A smaller horizon
 loosens them by the documented schedule below (each check names its
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (
+    _bound_probe,
     check_condition_B,
     expansion_remainder_block,
     f_over_d_probe,
@@ -45,9 +47,9 @@ from .jacobi import (
     rho,
     scaled_operator,
 )
-from .numerics import DRIFT_TOL, WINDOW_CAP, Record, TriState, tail_windows, window_drift, window_sups
+from .numerics import DRIFT_TOL, WINDOW_CAP, Record, TriState, tail_windows
 
-__all__ = ["CheckResult", "BatteryReport", "run_battery", "CHECK_NAMES"]
+__all__ = ["CheckResult", "BatteryReport", "run_battery"]
 
 @dataclass
 class CheckResult(Record):
@@ -92,25 +94,19 @@ def _assert_close(details: list, label: str, measured: float, expected: float, t
     return ok
 
 
-def _check_1_wallis(H: int) -> CheckResult:
+def _check_1_wallis(H: int) -> tuple[bool, list[str]]:
     """Parity limits of rho_n for d = 1/n: odd -> pi, even -> 4/pi."""
-    t0 = time.time()
     grid = PowerLogGrid(1.0, 0.0, 1.0)
     tilde = TildeSequence(grid)
     n = 10**4
     details: list[str] = []
     ok = _assert_close(details, "rho(10001) vs pi", rho(grid, n + 1, tilde), math.pi, 1e-3)
     ok &= _assert_close(details, "rho(10000) vs 4/pi", rho(grid, n, tilde), 4.0 / math.pi, 1e-3)
-    rt = time.time() - t0
-    if rt >= 1.0:
-        ok = False
-        details.append(f"runtime {rt:.2f}s exceeds 1s budget")
-    return CheckResult(1, "wallis-parity", ok, details, rt)
+    return ok, details
 
 
-def _check_2_product(H: int) -> CheckResult:
+def _check_2_product(H: int) -> tuple[bool, list[str]]:
     """u_odd * u_even = 4 for d = n^-gamma, gamma in {0.6, 0.75, 1.0}."""
-    t0 = time.time()
     tol = 1e-4 * max(1.0, (10**6 / H)) ** 1.2
     details: list[str] = []
     ok = True
@@ -122,12 +118,11 @@ def _check_2_product(H: int) -> CheckResult:
         if dt >= 5.0:
             ok = False
             details.append(f"gamma={gamma} runtime {dt:.2f}s exceeds 5s budget")
-    return CheckResult(2, "period-product", ok, details, time.time() - t0)
+    return ok, details
 
 
-def _check_3_ratio_scaling(H: int) -> CheckResult:
+def _check_3_ratio_scaling(H: int) -> tuple[bool, list[str]]:
     """(n^g + (n+1)^g)/(2n+1)^g approaches 2^{1-g} at rate n^-2, g = 0.75."""
-    t0 = time.time()
     g = 0.75
     lo, hi = 10**3, min(WINDOW_CAP, H)
     ns = np.arange(lo, hi + 1, dtype=float)
@@ -139,12 +134,11 @@ def _check_3_ratio_scaling(H: int) -> CheckResult:
         f"sup |ratio - 2^(1-g)| n^2 over [{lo},{hi}]: measured={worst:.6g} bound=2 "
         f"{'ok' if ok else 'VIOLATED'}"
     )
-    return CheckResult(3, "ratio-scaling", ok, details, time.time() - t0)
+    return ok, details
 
 
-def _check_4_f_limits(H: int) -> CheckResult:
+def _check_4_f_limits(H: int) -> tuple[bool, list[str]]:
     """Extrapolated limits of F for gaps 1/(n ln^eta n)."""
-    t0 = time.time()
     scale = (math.log(10**6) / math.log(max(H, 100))) ** 2
     details: list[str] = []
     ok = True
@@ -156,12 +150,11 @@ def _check_4_f_limits(H: int) -> CheckResult:
     ok &= _assert_close(details, "eta=0.4 L3", gl.L3, 0.0, 0.02 * scale)
     gl = verify_G_limits(PowerLogGrid(1.0, 1.0, 1.0), H)
     ok &= _assert_close(details, "eta=1.0 L3", gl.L3, 0.25, 0.02 * scale)
-    return CheckResult(4, "f-limits", ok, details, time.time() - t0)
+    return ok, details
 
 
-def _check_5_f_over_gap(H: int) -> CheckResult:
+def _check_5_f_over_gap(H: int) -> tuple[bool, list[str]]:
     """sup F/d window-stable on three bounded families, growing on (1, 0.5)."""
-    t0 = time.time()
     hi = min(WINDOW_CAP, H)
     details: list[str] = []
     ok = True
@@ -177,51 +170,43 @@ def _check_5_f_over_gap(H: int) -> CheckResult:
     good = p.holds is TriState.FALSE
     ok &= good
     details.append(f"(1.0,0.5): drift={p.drift:+.4f} growth detected={good} {'ok' if good else 'VIOLATED'}")
-    return CheckResult(5, "f-over-gap", ok, details, time.time() - t0)
+    return ok, details
 
 
-def _check_6_remainder(H: int) -> CheckResult:
+def _check_6_remainder(H: int) -> tuple[bool, list[str]]:
     """|F minus its 3-term expansion| n^2 ln^2 n window-stable for gaps 1/(n ln n)."""
-    t0 = time.time()
     grid = PowerLogGrid(1.0, 1.0, 1.0)
     hi = min(WINDOW_CAP, H)
-    (w1a, w1b), w2 = tail_windows(hi)
+    (w1a, _), _ = tail_windows(hi)
 
     def scaled_remainder(lo: int, h: int) -> np.ndarray:
         ns = np.arange(lo, h, dtype=float)
         rem = np.abs(expansion_remainder_block(grid, lo, h, 3))
         return rem * ns**2 * np.log(ns) ** 2
 
-    lo = max(w1a, 10**3)
-    _, _, (s1, s2) = window_sups(scaled_remainder, lo, hi + 1, ((lo, w1b), w2))
-    drift, stable = window_drift(s1, s2)
-    ok = stable is TriState.TRUE
-    details = [
-        f"window sups {s1:.6g} -> {s2:.6g} drift={drift:+.4f} tol {DRIFT_TOL:+.2f} "
+    p = _bound_probe("expansion-remainder", {}, max(w1a, 10**3), hi, scaled_remainder)
+    s1, s2 = p.window_sups
+    ok = p.holds is TriState.TRUE
+    return ok, [
+        f"window sups {s1:.6g} -> {s2:.6g} drift={p.drift:+.4f} tol {DRIFT_TOL:+.2f} "
         f"{'ok' if ok else 'VIOLATED'}"
     ]
-    return CheckResult(6, "expansion-remainder", ok, details, time.time() - t0)
 
 
-def _check_7_zero_energy(H: int) -> CheckResult:
+def _check_7_zero_energy(H: int) -> tuple[bool, list[str]]:
     """d = 1/n, alpha = -2n - 1: the zero-energy solution is square-summable."""
-    t0 = time.time()
     grid = PowerLogGrid(1.0, 0.0, 1.0)
     alpha = PowerSumAlpha(terms=((-2.0, 1.0, 0.0), (-1.0, 0.0, 0.0)))
     N = min(10**6, max(H, 10**4))
     sol = solve_recurrence(JacobiOperator(grid, alpha), 0.0, N)
     probe = l2_probe(sol)
-    rt = time.time() - t0
     ok = probe.classification == "in_ell2" and probe.decay_ratio < 0.9
     details = [
         f"classification={probe.classification} decay_ratio={probe.decay_ratio:.4f} "
         f"(< 0.9 over last {probe.window} blocks) {'ok' if ok else 'VIOLATED'}",
         f"blocks={len(sol.block_log_masses)} residual_max={sol.residual_max:.3g}",
     ]
-    if rt >= 2.0:
-        ok = False
-        details.append(f"runtime {rt:.2f}s exceeds 2s budget")
-    return CheckResult(7, "zero-energy-decay", ok, details, rt)
+    return ok, details
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,9 +227,8 @@ def _inverse_gap_verdicts(H: int) -> tuple:
     return tuple((*case, deficiency_verdict(grid, case[1], cfg)) for case in cases)
 
 
-def _check_8_verdicts(H: int) -> CheckResult:
+def _check_8_verdicts(H: int) -> tuple[bool, list[str]]:
     """Verdict phases on d = 1/n and the discriminant identity."""
-    t0 = time.time()
     grid = PowerLogGrid(1.0, 0.0, 1.0)
     details: list[str] = []
     ok = True
@@ -272,12 +256,11 @@ def _check_8_verdicts(H: int) -> CheckResult:
         ok &= _assert_close(
             details, f"Delta_{a}(0)", fl.discriminant, 2.0 * (a + 1.0) ** 2 - 1.0, tol
         )
-    return CheckResult(8, "verdict-phases", ok, details, time.time() - t0)
+    return ok, details
 
 
-def _check_9_scaling_identity(H: int) -> CheckResult:
+def _check_9_scaling_identity(H: int) -> tuple[bool, list[str]]:
     """Gauge-aligned coupling: scaled off-diagonal is 1 to 1e-10 for n <= 10^3."""
-    t0 = time.time()
     grid = PowerLogGrid(1.0, 0.0, 1.0)
     tilde = TildeSequence(grid)
     cb = check_condition_B(grid, horizon=min(H, 10**6))
@@ -293,16 +276,15 @@ def _check_9_scaling_identity(H: int) -> CheckResult:
         f"max |off_s - 1| over n<=1000: {worst_off:.3g} tol 1e-10 {'ok' if ok else 'VIOLATED'}",
         f"max |diag_s - (a+1) u_n|: {worst_diag:.3g}",
     ]
-    return CheckResult(9, "scaling-identity", ok, details, time.time() - t0)
+    return ok, details
 
 
-def _check_10_oracle_agreement(H: int) -> CheckResult:
+def _check_10_oracle_agreement(H: int) -> tuple[bool, list[str]]:
     """Nonreal-energy oracle agrees with every analytic certificate.
 
     The oracle's one witness is the lambda = +i march: B is real, so the
     -i solution is its conjugate and would add nothing independent.
     """
-    t0 = time.time()
     inv = PowerLogGrid(1.0, 0.0, 1.0)
     g75 = PowerLogGrid(0.75, 0.0, 1.0)
     cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
@@ -322,22 +304,23 @@ def _check_10_oracle_agreement(H: int) -> CheckResult:
             f"{label}: analytic={v.verdict.value}({v.certificate}) "
             f"oracle={cls} {'ok' if good else 'VIOLATED'}"
         )
-    return CheckResult(10, "oracle-agreement", ok, details, time.time() - t0)
+    return ok, details
 
 
+# the battery, in order: name -> (check, runtime budget in seconds or None).
+# A check's number is its position here
 _CHECKS = {
-    "wallis-parity": _check_1_wallis,
-    "period-product": _check_2_product,
-    "ratio-scaling": _check_3_ratio_scaling,
-    "f-limits": _check_4_f_limits,
-    "f-over-gap": _check_5_f_over_gap,
-    "expansion-remainder": _check_6_remainder,
-    "zero-energy-decay": _check_7_zero_energy,
-    "verdict-phases": _check_8_verdicts,
-    "scaling-identity": _check_9_scaling_identity,
-    "oracle-agreement": _check_10_oracle_agreement,
+    "wallis-parity": (_check_1_wallis, 1.0),
+    "period-product": (_check_2_product, None),
+    "ratio-scaling": (_check_3_ratio_scaling, None),
+    "f-limits": (_check_4_f_limits, None),
+    "f-over-gap": (_check_5_f_over_gap, None),
+    "expansion-remainder": (_check_6_remainder, None),
+    "zero-energy-decay": (_check_7_zero_energy, 2.0),
+    "verdict-phases": (_check_8_verdicts, None),
+    "scaling-identity": (_check_9_scaling_identity, None),
+    "oracle-agreement": (_check_10_oracle_agreement, None),
 }
-CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_battery(only: Optional[str] = None, horizon: int = 10**6) -> BatteryReport:
@@ -347,10 +330,16 @@ def run_battery(only: Optional[str] = None, horizon: int = 10**6) -> BatteryRepo
         raise ValueError("battery horizon must be at least 10^4")
     _inverse_gap_verdicts.cache_clear()
     results = []
-    for name, check in _CHECKS.items():
+    for criterion, (name, (check, budget)) in enumerate(_CHECKS.items(), 1):
         if only and only not in name:
             continue
-        results.append(check(H))
+        t0 = time.perf_counter()
+        ok, details = check(H)
+        rt = time.perf_counter() - t0
+        if budget is not None and rt >= budget:
+            ok = False
+            details.append(f"runtime {rt:.2f}s exceeds {budget:g}s budget")
+        results.append(CheckResult(criterion, name, ok, details, rt))
     if not results:
         raise ValueError(f"no battery check matches {only!r}")
     return BatteryReport(results=results, horizon=H)

@@ -12,7 +12,20 @@ import os
 import pytest
 
 from deltasa import run_battery
-from deltasa.verify import CHECK_NAMES
+
+# the battery's contract: ten checks, in this order
+CHECK_NAMES = (
+    "wallis-parity",
+    "period-product",
+    "ratio-scaling",
+    "f-limits",
+    "f-over-gap",
+    "expansion-remainder",
+    "zero-energy-decay",
+    "verdict-phases",
+    "scaling-identity",
+    "oracle-agreement",
+)
 
 HORIZON = int(os.environ.get("DELTA_SPEC_HORIZON", str(10**6)))
 

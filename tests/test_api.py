@@ -18,9 +18,10 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # phase-1 scan and the -i oracle twin; the per-class order ladders
 # that GridSequence.order() replaced; the F/d record and drift
 # helper that BoundProbe and numerics.window_drift replaced; the
-# scalar F that F_block replaced; and TildeSequence's sign and CHUNK
-# aliases, which value and jacobi._CHUNK replaced.  A "module.Class"
-# key lists removed attributes of that class
+# scalar F that F_block replaced; TildeSequence's sign and CHUNK
+# aliases, which value and jacobi._CHUNK replaced; and the battery's
+# name list, which verify._CHECKS states.  A "module.Class" key lists
+# removed attributes of that class
 REMOVED = {
     "criteria": (
         "check_asymptotic_eq10",
@@ -39,6 +40,7 @@ REMOVED = {
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives",),
     "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder", "signed_drift"),
+    "verify": ("CHECK_NAMES",),
     "grid.GridSequence": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.PowerLogGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.ConstantGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
@@ -66,6 +68,8 @@ TRACED_METHODS = {
     "TildeSequence": ("log_abs_block", "log_abs", "value"),
     "JacobiOperator": ("diag", "off", "entry", "diag_block", "off_block", "truncate"),
 }
+# traced names that no verdict calls: module attributes, not public names
+TRACER_ONLY = {"jacobi": ("tilde_r", "alpha_zero"), "criteria": ("test_condition_I", "check_condition_A")}
 
 
 @pytest.mark.parametrize("name", [None, *MODULES])
@@ -95,6 +99,21 @@ def test_removed_names_are_gone():
     for knob in ("error_order", "growth_allowance"):
         with pytest.raises(TypeError):
             deltasa.check_condition_B(deltasa.PowerLogGrid(1.0), 256, **{knob: 1.0})
+
+
+def test_package_reexports_each_module_list():
+    modules = ("grid", "jacobi", "criteria", "deficiency", "verify")
+    lists = [importlib.import_module(f"deltasa.{m}").__all__ for m in modules]
+    expected = ["__version__", *(name for names in lists for name in names), "TriState"]
+    assert deltasa.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module, names in TRACER_ONLY.items():
+        mod = importlib.import_module(f"deltasa.{module}")
+        for name in names:
+            assert name not in deltasa.__all__ and not hasattr(deltasa, name), name
+            assert name not in mod.__all__, name
+            # test_traced_names_exist checks that each is still callable on its module
+            assert name in TRACED[module], name
 
 
 def test_traced_names_exist():

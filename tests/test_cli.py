@@ -376,6 +376,20 @@ class TestPlotData:
         # square-summable solution: dyadic block masses decrease
         assert masses[-1] < masses[0]
 
+    def test_negative_lam_takes_the_equals_form(self, capsys):
+        # B is real, so the -i solution is the conjugate of the +i one
+        # and has the same block masses
+        argv = [
+            "plot-data", "--gamma", "0.8", "--quantity", "block_norms",
+            "--alpha=-1*(1/d_n+1/d_{n+1})", "--hi", "100000",
+        ]
+        code, out, _ = run([*argv, "--lam=-1j"], capsys)
+        assert code == 0
+        minus = json.loads(out)["samples"]
+        code, out, _ = run([*argv, "--lam", "1j"], capsys)
+        assert code == 0
+        assert len(minus) == 16 and minus == json.loads(out)["samples"]
+
 
 # a non-finite number is rejected where the coupling or the spectral
 # point is built, and main turns the ValueError into exit code 1

@@ -24,17 +24,15 @@ from deltasa import (
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
     SeriesVerdict,
-    check_condition_A,
     check_condition_B,
     f_over_d_probe,
     select_G,
     test_bound_II,
     test_bound_III,
     test_carleman_i,
-    test_condition_I,
     verify_G_limits,
 )
-from deltasa.criteria import _uv_block, expansion_remainder_block
+from deltasa.criteria import _uv_block, check_condition_A, expansion_remainder_block, test_condition_I
 from deltasa.numerics import TriState, sqrt_series_coeffs
 
 

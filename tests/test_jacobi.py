@@ -24,12 +24,11 @@ from deltasa import (
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
     TildeSequence,
-    alpha_zero,
     rho,
     rho_block,
     scaled_operator,
-    tilde_r,
 )
+from deltasa.jacobi import alpha_zero, tilde_r
 from deltasa.numerics import TriState
 
 

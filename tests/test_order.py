@@ -25,11 +25,11 @@ from deltasa import (
     PowerLogGrid,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
-    check_condition_A,
     check_condition_B,
     classify_summability,
     test_carleman_i,
 )
+from deltasa.criteria import check_condition_A
 from deltasa.grid import _bertrand
 
 VALUES = tuple(1.0 + 0.5 * (n % 3) for n in range(300))

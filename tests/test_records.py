@@ -23,7 +23,6 @@ from deltasa import (
     PowerLogGrid,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
-    check_condition_A,
     check_condition_B,
     classify_summability,
     deficiency_verdict,
@@ -33,9 +32,8 @@ from deltasa import (
     solve_recurrence,
     test_bound_III,
     test_carleman_i,
-    test_condition_I,
 )
-from deltasa.criteria import _growth_description
+from deltasa.criteria import _growth_description, check_condition_A, test_condition_I
 from deltasa.deficiency import VerdictConfig
 
 

@@ -33,8 +33,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltasa import JacobiOperator, check_condition_A, solve_recurrence, test_carleman_i, test_condition_I
+from deltasa import JacobiOperator, solve_recurrence, test_carleman_i
 from deltasa.cli import _build_parser, _emit, _verdict_config, build_grid, main, parse_alpha
+from deltasa.criteria import check_condition_A, test_condition_I
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 

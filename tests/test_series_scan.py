@@ -26,13 +26,17 @@ from deltasa import (
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
     VerdictConfig,
-    check_condition_A,
     deficiency_verdict,
     test_carleman_i,
-    test_condition_I,
 )
 from deltasa import criteria, deficiency
-from deltasa.criteria import SeriesProbe, _cubed_gap_verdict, _growth_description
+from deltasa.criteria import (
+    SeriesProbe,
+    _cubed_gap_verdict,
+    _growth_description,
+    check_condition_A,
+    test_condition_I,
+)
 from deltasa.grid import classify_summability, ratio_stats
 from deltasa.numerics import HORIZONS, WINDOW_CAP, ChunkedSum, TriState, blocks
 

@@ -344,17 +344,23 @@ def test_condition_B(grid, H):
     same(check_condition_B(grid, horizon=H), reference_condition_B(grid, H))
 
 
+def check_6(H):
+    (result,) = verify.run_battery(only="expansion-remainder", horizon=H).results
+    assert result.criterion == 6
+    return result
+
+
 @pytest.mark.parametrize("H", (10**4, 10**5))
 def test_check_6(H):
-    # check 6 now scans both windows in one pass from window 1's start;
-    # the remainder is elementwise, so its bits do not depend on where
-    # a block starts
+    # check 6 scans both windows through criteria._bound_probe, in one
+    # pass from window 1's start; the remainder is elementwise, so its
+    # bits do not depend on where a block starts
     hi = min(10**5, H)
     (w1a, w1b), w2 = tail_windows(hi)
     lo = max(w1a, 10**3)
     _, _, got = window_sups(scaled_remainder, lo, hi + 1, ((lo, w1b), w2))
     assert repr(got) == repr(reference_check_6_sups(H))
-    assert verify._check_6_remainder(H).details == reference_check_6_details(H)
+    assert check_6(H).details == reference_check_6_details(H)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +411,7 @@ def test_check_6_reads_a_non_finite_window_as_unknown(window, monkeypatch):
     # check 6 used to pass an infinite window-1 sup: it tested only the late one
     block = spiked(expansion_remainder_block, SPIKE_ROWS[window])
     monkeypatch.setattr(verify, "expansion_remainder_block", block)
-    result = verify._check_6_remainder(10**4)
+    result = check_6(10**4)
     assert not result.passed
     assert " -> " in result.details[0] and "drift=+nan" in result.details[0]
     assert result.details[0].endswith("VIOLATED")
