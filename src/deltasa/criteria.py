@@ -49,6 +49,7 @@ from .grid import (
 )
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
+    _CHUNK as _BLOCK,
     HORIZONS,
     MIN_HORIZON,
     WINDOW_CAP,
@@ -470,9 +471,12 @@ def test_bound_II(
 
     def residual_block(a: int, b: int) -> np.ndarray:
         d = grid.gaps(a, b + 1)
-        dn, dn1 = d[:-1], d[1:]
         g = G.evaluate_block(a, b)
-        return (alpha.alphas(a, b) + 2.0 / dn + 2.0 / dn1 + g) / dn
+        r = 2.0 / d
+        out = alpha.alphas(a, b) + r[:-1]
+        out += r[1:]
+        out += g
+        return np.divide(out, d[:-1], out=out)
 
     params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
     return _bound_probe("bound-II", params, 1, N, residual_block)
@@ -486,7 +490,8 @@ def test_bound_III(
     def residual_block(a: int, b: int) -> np.ndarray:
         d = grid.gaps(a, b)
         g = G.evaluate_block(a, b)
-        return (g - alpha.alphas(a, b)) / d
+        out = g - alpha.alphas(a, b)
+        return np.divide(out, d, out=out)
 
     params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
     return _bound_probe("bound-III", params, 1, N, residual_block)
@@ -648,20 +653,28 @@ def check_condition_B(
     u_even, pts_even = parity_estimate(0)
     u = PeriodPair(odd=u_odd, even=u_even)
 
-    def resid_block(a: int, b: int) -> np.ndarray:
-        d, ld = grid.gaps_and_logs(a, b + 1)
-        inv = 1.0 / d[:-1] + 1.0 / d[1:]
-        L = t.log_abs_block(a, b, ld)
-        upar = u.block(a, b)
-        # |rho - u|/(r rtilde)^2 computed in the well-scaled frame:
-        # |(1/d_n + 1/d_{n+1}) - u e^{-2L}| / (d_n + d_{n+1})
-        return np.abs(inv - upar * np.exp(-2.0 * L)) / (d[:-1] + d[1:])
-
     # the scan starts at H // 4: the bits of log_abs_block depend on
-    # where each block starts
+    # where each block starts.  Every block starts on the parity of the
+    # first, so each slices its u_n from one parity block
     windows = tail_windows(H)
+    lo = windows[0][0]
+    upar = u.block(lo, min(lo + _BLOCK, H + 1))
+
+    def resid_block(a: int, b: int) -> np.ndarray:
+        # |rho - u|/(r rtilde)^2 computed in the well-scaled frame, in place:
+        # |(1/d_n + 1/d_{n+1}) - u e^{-2L}| / (d_n + d_{n+1})
+        d, ld = grid.gaps_and_logs(a, b + 1)
+        r = 1.0 / d
+        inv = r[:-1] + r[1:]
+        L = t.log_abs_block(a, b, ld)
+        L *= -2.0
+        np.exp(L, out=L)
+        L *= upar[: b - a]
+        np.abs(np.subtract(inv, L, out=L), out=L)
+        return np.divide(L, np.add(d[:-1], d[1:], out=r[:-1]), out=L)
+
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sups read as unknown
-        _, _, (sup1, sup2) = window_sups(resid_block, windows[0][0], H + 1, windows)
+        _, _, (sup1, sup2) = window_sups(resid_block, lo, H + 1, windows)
     finite = all(
         math.isfinite(x) and x > 0.0 for x in (u_odd, u_even)
     ) and math.isfinite(sup1) and math.isfinite(sup2)

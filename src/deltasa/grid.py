@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numerics import ChunkedSum, Record, TriState, blocks
+from .numerics import _CHUNK, ChunkedSum, Record, TriState, blocks
 
 __all__ = [
     "GridError",
@@ -40,6 +40,11 @@ __all__ = [
 # classify_summability: the last partial-sum checkpoint for grids
 # without a closed-form summability class
 _SUMMABILITY_HORIZON = 1 << 16
+
+# 0.0, 1.0, ... over a probe block and its look-ahead rows: lo + _RAMP[:m]
+# is np.arange(lo, lo + m, dtype=float) bit for bit (every value is an
+# integer below 2^53) without arange's element-by-element fill
+_RAMP = np.arange(_CHUNK + 2, dtype=float)
 
 
 def _bertrand(P: float, Q: float) -> bool:
@@ -167,16 +172,18 @@ class PowerLogGrid(GridSequence):
 
     def log_gaps(self, lo: int, hi: int) -> np.ndarray:
         self._check_range(lo, hi)
-        ns = np.arange(lo, hi, dtype=float)
+        out = lo + _RAMP[: hi - lo] if hi - lo <= len(_RAMP) else np.arange(lo, hi, dtype=float)
         if lo == 1:
-            ns[0] = 2.0  # placeholder, overwritten below
-        t = np.log(ns)
+            out[0] = 2.0  # placeholder, overwritten below
+        np.log(out, out=out)  # t = ln n, in place
         if self.eta == 0.0 and self.gamma != 0.0:
             # x - (+-0.0) == x for every nonzero x; at gamma = 0 the full
-            # expression keeps its +0.0 at n = 2
-            out = -self.gamma * t
+            # expression (-gamma t) - (eta ln t) keeps its +0.0 at n = 2
+            out *= -self.gamma
         else:
-            out = -self.gamma * t - self.eta * np.log(t)
+            w = np.log(out)
+            out *= -self.gamma
+            out -= np.multiply(w, self.eta, out=w)
         if lo == 1:
             out[0] = math.log(self.d1)
         return out

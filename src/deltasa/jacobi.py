@@ -141,8 +141,11 @@ class TildeSequence:
             raise GridError(f"log_gaps for the tilde block [{lo}, {hi}) needs {hi - lo + 1} rows")
         else:
             terms = self._alternate(log_gaps[1:-1], lo + 1)
-        base = self._S(lo)
-        return self._alternate(np.concatenate(([base], base + np.cumsum(terms))), lo)
+        out = np.empty(hi - lo)
+        out[0] = base = self._S(lo)
+        np.cumsum(terms, out=out[1:])
+        out[1:] += base
+        return self._alternate(out, lo)
 
 
 class AlphaSequence:
@@ -272,10 +275,11 @@ class ScaledInverseGapsAlpha(AlphaSequence):
         return base
 
     def alphas(self, lo: int, hi: int) -> np.ndarray:
-        d = self.grid.gaps(lo, hi + 1)
-        out = self.a * (1.0 / d[:-1] + 1.0 / d[1:])
+        r = 1.0 / self.grid.gaps(lo, hi + 1)
+        out = r[:-1] + r[1:]
+        out *= self.a
         if self.perturbation is not None:
-            out = out + self.perturbation.alphas(lo, hi)
+            out += self.perturbation.alphas(lo, hi)
         return out
 
     def _pert_O_d(self) -> TriState:
@@ -475,13 +479,18 @@ class JacobiOperator:
     def diag_block(self, lo: int, hi: int) -> np.ndarray:
         d = self.grid.gaps(lo, hi + 1)
         alphas = self.coupling.alphas(lo, hi)
-        return (alphas + 1.0 / d[:-1] + 1.0 / d[1:]) / (d[:-1] + d[1:])
+        r = 1.0 / d
+        out = alphas + r[:-1]
+        out += r[1:]
+        return np.divide(out, np.add(d[:-1], d[1:], out=r[:-1]), out=out)
 
     def off_block(self, lo: int, hi: int) -> np.ndarray:
         """off(n) for lo <= n < hi."""
         d = self.grid.gaps(lo, hi + 2)
         r2 = d[:-1] + d[1:]  # r_n^2 for n = lo .. hi
-        return -1.0 / (np.sqrt(r2[:-1] * r2[1:]) * d[1:-1])
+        out = np.sqrt(r2[:-1] * r2[1:])
+        out *= d[1:-1]
+        return np.divide(-1.0, out, out=out)
 
     def truncate(self, size: int) -> np.ndarray:
         """Dense leading principal block, mostly for eyeballing and tests."""

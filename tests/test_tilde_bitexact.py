@@ -261,7 +261,10 @@ def test_cold_condition_B_matches_reference(name):
 
 # Condition B reads its parity points first, so the cold ladder reaches H
 # before the first block and its block reads add no base: the verdict path
-# reads as many rows as when block reads also built bases.
+# reads as many rows as when block reads also built bases.  The window's
+# rows H/4..H are read twice, by the ladder and by the scan, and must be:
+# the residual needs u, u needs S at H, and keeping the window's 750k log
+# gaps between the two passes would hold 6 MB at H = 10^6.
 @pytest.mark.parametrize("h,rows", [(10**5, 179_659), (FAR, 1_754_459)])
 def test_cold_condition_B_reads_the_same_rows(monkeypatch, h, rows):
     read = []
