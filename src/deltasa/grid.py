@@ -45,6 +45,7 @@ _SUMMABILITY_HORIZON = 1 << 16
 # is np.arange(lo, lo + m, dtype=float) bit for bit (every value is an
 # integer below 2^53) without arange's element-by-element fill
 _RAMP = np.arange(_CHUNK + 2, dtype=float)
+_RAMP.flags.writeable = False
 
 
 def _bertrand(P: float, Q: float) -> bool:
