@@ -3,18 +3,18 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pair.py --base c1e97a7 --label condition-b-in-place
+    python3 tools/bench_pair.py --base c1e97a7 --label condition-b-in-place --runs 10
 
 Each revision is exported with `git archive` into its own fresh
 directory under one temporary directory, which is removed on exit; both
 directories have paths of the same length, since the heap layout, and
 so the page faults of a request, can depend on the checkout path
 (CHANGES.md).  For every run index i = 1..--runs and every workload of
-BENCHMARK.json (or --workloads), the script runs
+BENCHMARK.json, the script runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-once in each directory, the base first on odd i and HEAD first on even
+with S the run_seconds of BENCHMARK.json, once in each directory, the base first on odd i and HEAD first on even
 i, so that a slow stretch of the machine falls on both revisions.  The
 JSON file holds, per workload and revision, every run's end-to-end
 metrics with their median and interquartile range, the change of the
@@ -76,20 +76,17 @@ def summary(values: list[float]) -> dict:
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="base revision")
-    p.add_argument("--head", default="HEAD", help="revision to compare (default HEAD)")
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     p.add_argument("--runs", type=int, default=5, help="runs per workload and revision, at least 5")
-    p.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json run_seconds)")
-    p.add_argument("--workloads", help="comma-separated (default: BENCHMARK.json workloads)")
     args = p.parse_args()
     if args.runs < 5:
         p.error("--runs must be at least 5")
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    revs = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
+    revs = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
 
     runs: dict = {w: {"base": [], "head": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
