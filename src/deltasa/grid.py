@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numerics import _CHUNK, ChunkedSum, Record, TriState, blocks
+from .numerics import ChunkedSum, Record, TriState, blocks
 
 __all__ = [
     "GridError",
@@ -40,12 +40,6 @@ __all__ = [
 # classify_summability: the last partial-sum checkpoint for grids
 # without a closed-form summability class
 _SUMMABILITY_HORIZON = 1 << 16
-
-# 0.0, 1.0, ... over a probe block and its look-ahead rows: lo + _RAMP[:m]
-# is np.arange(lo, lo + m, dtype=float) bit for bit (every value is an
-# integer below 2^53) without arange's element-by-element fill
-_RAMP = np.arange(_CHUNK + 2, dtype=float)
-_RAMP.flags.writeable = False
 
 
 def _bertrand(P: float, Q: float) -> bool:
@@ -173,7 +167,7 @@ class PowerLogGrid(GridSequence):
 
     def log_gaps(self, lo: int, hi: int) -> np.ndarray:
         self._check_range(lo, hi)
-        out = lo + _RAMP[: hi - lo] if hi - lo <= len(_RAMP) else np.arange(lo, hi, dtype=float)
+        out = np.arange(lo, hi, dtype=float)
         if lo == 1:
             out[0] = 2.0  # placeholder, overwritten below
         np.log(out, out=out)  # t = ln n, in place

@@ -1,15 +1,16 @@
 """The verdict's scans are bit-exact against their earlier bodies.
 
-Condition B's residual scan, the envelope bound residuals, the tilde
-block read, PowerLogGrid.log_gaps, ScaledInverseGapsAlpha.alphas and
-the Jacobi entry blocks used to build every per-row quantity in a fresh
-temporary.  They now compute each one once, in place, in arrays they
-allocated themselves, with every float operation in its old operand
-order (an operand may be commuted, never reassociated).  The references
-below are the earlier bodies, kept verbatim; every array and every probe
-record must agree with them byte for byte.  A grid and a coupling that
-hand out read-only cached arrays check that no scan writes into an
-array it borrowed.
+Condition B's residual scan, the envelope bound residuals,
+ScaledInverseGapsAlpha.alphas and the Jacobi entry blocks used to build
+every per-row quantity in a fresh temporary.  They now compute each one
+once, in place, in arrays they allocated themselves, with every float
+operation in its old operand order (an operand may be commuted, never
+reassociated).  The references below are the earlier bodies, kept
+verbatim; every array and every probe record must agree with them byte
+for byte.  They read the log gaps and tilde blocks they share with the
+scans, which tests/test_tilde_bitexact.py checks against their own
+references.  A grid and a coupling that hand out read-only cached
+arrays check that no scan writes into an array it borrowed.
 """
 
 import math
@@ -46,36 +47,6 @@ LENGTHS = (1, 2, 4097, BLOCK)
 
 # ---------------------------------------------------------------------------
 # the earlier bodies
-
-
-class ReferencePowerLogGrid(PowerLogGrid):
-    def log_gaps(self, lo, hi):
-        self._check_range(lo, hi)
-        ns = np.arange(lo, hi, dtype=float)
-        if lo == 1:
-            ns[0] = 2.0  # placeholder, overwritten below
-        t = np.log(ns)
-        if self.eta == 0.0 and self.gamma != 0.0:
-            # x - (+-0.0) == x for every nonzero x; at gamma = 0 the full
-            # expression keeps its +0.0 at n = 2
-            out = -self.gamma * t
-        else:
-            out = -self.gamma * t - self.eta * np.log(t)
-        if lo == 1:
-            out[0] = math.log(self.d1)
-        return out
-
-
-class ReferenceTilde(TildeSequence):
-    def log_abs_block(self, lo, hi, log_gaps=None):
-        if hi == lo:
-            return np.empty(0)
-        if log_gaps is None:
-            terms = self._terms(lo + 1, hi)
-        else:
-            terms = self._alternate(log_gaps[1:-1], lo + 1)
-        base = self._S(lo)
-        return self._alternate(np.concatenate(([base], base + np.cumsum(terms))), lo)
 
 
 class ReferenceScaledAlpha(ScaledInverseGapsAlpha):
@@ -132,7 +103,7 @@ def reference_condition_B_block(grid, t, u):
 
 
 # ---------------------------------------------------------------------------
-# inputs: each case is (grid, the same grid under the earlier log_gaps, horizon)
+# inputs: each case is (grid, horizon)
 
 
 def _custom_gap(n):
@@ -145,10 +116,9 @@ OTHER = {
     "explicit-cycle": ExplicitGrid((0.5, 1.25, 0.8), tail="cycle"),
     "custom": CustomGrid(_custom_gap),
 }
-CASES = [
-    pytest.param(PowerLogGrid(g, e, 0.75), ReferencePowerLogGrid(g, e, 0.75), 123457, id=f"power-{g!r}-{e!r}")
-    for g, e in POWER
-] + [pytest.param(grid, grid, 10**4, id=name) for name, grid in OTHER.items()]
+CASES = [pytest.param(PowerLogGrid(g, e, 0.75), 123457, id=f"power-{g!r}-{e!r}") for g, e in POWER] + [
+    pytest.param(grid, 10**4, id=name) for name, grid in OTHER.items()
+]
 PERTURBATIONS = [None, PowerSumAlpha(((0.3, 0.2, 0.0), (-1.5, -0.4, 1.0)))]
 
 
@@ -186,28 +156,15 @@ def scan(monkeypatch, probe, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# the shared helpers
-
-
-@pytest.mark.parametrize("grid,ref,H", CASES)
-def test_log_gaps_and_tilde_blocks_match_reference(grid, ref, H):
-    reads = direct_reads(grid) + [(lo, lo + m) for lo in (BLOCK * 30 + 5,) for m in (0, 1, BLOCK + 2, BLOCK + 3)]
-    for lo, hi in reads:
-        same(grid.log_gaps(lo, hi), ref.log_gaps(lo, hi))
-    t, rt = TildeSequence(grid), ReferenceTilde(ref)
-    windows = tail_windows(H)
-    scan_reads = [(a, min(a + BLOCK, H + 1)) for a in range(windows[0][0], H + 1, BLOCK)]
-    for lo, hi in direct_reads(grid) + [(5, 5)] + scan_reads:
-        same(t.log_abs_block(lo, hi), rt.log_abs_block(lo, hi))
-        same(t.log_abs_block(lo, hi, grid.log_gaps(lo, hi + 1)), rt.log_abs_block(lo, hi, ref.log_gaps(lo, hi + 1)))
+# the entry blocks
 
 
 @pytest.mark.parametrize("pert", PERTURBATIONS, ids=["plain", "perturbed"])
-@pytest.mark.parametrize("grid,ref,H", CASES)
-def test_alphas_and_entry_blocks_match_reference(grid, ref, H, pert):
+@pytest.mark.parametrize("grid,H", CASES)
+def test_alphas_and_entry_blocks_match_reference(grid, H, pert):
     for a in (-0.5, -3.0):
-        alpha, ref_alpha = ScaledInverseGapsAlpha(grid, a, pert), ReferenceScaledAlpha(ref, a, pert)
-        op, ref_op = JacobiOperator(grid, alpha), ReferenceOperator(ref, ref_alpha)
+        alpha, ref_alpha = ScaledInverseGapsAlpha(grid, a, pert), ReferenceScaledAlpha(grid, a, pert)
+        op, ref_op = JacobiOperator(grid, alpha), ReferenceOperator(grid, ref_alpha)
         for lo, hi in direct_reads(grid) + [(7, 7)]:
             same(alpha.alphas(lo, hi), ref_alpha.alphas(lo, hi))
             same(op.diag_block(lo, hi), ref_op.diag_block(lo, hi))
@@ -219,19 +176,19 @@ def test_alphas_and_entry_blocks_match_reference(grid, ref, H, pert):
 
 
 @pytest.mark.parametrize("pert", PERTURBATIONS, ids=["plain", "perturbed"])
-@pytest.mark.parametrize("grid,ref,H", CASES)
-def test_bound_residuals_match_reference(monkeypatch, grid, ref, H, pert):
+@pytest.mark.parametrize("grid,H", CASES)
+def test_bound_residuals_match_reference(monkeypatch, grid, H, pert):
     N = 10**5 if isinstance(grid, PowerLogGrid) else 5000
     G = select_G(grid, horizon=4096)
     for a in (-0.5, -3.0):
-        alpha, ref_alpha = ScaledInverseGapsAlpha(grid, a, pert), ReferenceScaledAlpha(ref, a, pert)
+        alpha, ref_alpha = ScaledInverseGapsAlpha(grid, a, pert), ReferenceScaledAlpha(grid, a, pert)
         params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
         for test, probe, reference in (
             ("bound-II", test_bound_II, reference_bound_II_block),
             ("bound-III", test_bound_III, reference_bound_III_block),
         ):
             got, block, seen = scan(monkeypatch, probe, grid, alpha, G, N)
-            ref_block = reference(ref, ref_alpha, G)
+            ref_block = reference(grid, ref_alpha, G)
             want = criteria._bound_probe(test, params, 1, N, ref_block)
             assert repr(got.to_json()) == repr(want.to_json())
             assert [b - a for a, b, _ in seen][-1] < BLOCK  # a short last block
@@ -241,13 +198,13 @@ def test_bound_residuals_match_reference(monkeypatch, grid, ref, H, pert):
                 same(block(lo, hi), ref_block(lo, hi))
 
 
-def check_condition_B_matches_reference(monkeypatch, grid, ref, H):
+def check_condition_B_matches_reference(monkeypatch, grid, H):
     got, block, seen = scan(monkeypatch, check_condition_B, grid, H)
-    rt = ReferenceTilde(ref)
+    t = TildeSequence(grid)
     for parity in ("odd", "even"):
         for n, r in got.witnesses["parity_points"][parity]:
-            assert repr(rho(ref, n, rt)) == repr(r)
-    ref_block = reference_condition_B_block(ref, rt, got.u)
+            assert repr(rho(grid, n, t)) == repr(r)
+    ref_block = reference_condition_B_block(grid, t, got.u)
     windows = tail_windows(H)
     lo = windows[0][0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,16 +221,16 @@ def check_condition_B_matches_reference(monkeypatch, grid, ref, H):
     return got
 
 
-@pytest.mark.parametrize("grid,ref,H", CASES)
-def test_condition_B_matches_reference(monkeypatch, grid, ref, H):
+@pytest.mark.parametrize("grid,H", CASES)
+def test_condition_B_matches_reference(monkeypatch, grid, H):
     for h in sorted({300, 10**4, H}):
-        check_condition_B_matches_reference(monkeypatch, grid, ref, h)
+        check_condition_B_matches_reference(monkeypatch, grid, h)
 
 
 def test_condition_B_overflow_matches_reference(monkeypatch):
     # parity-unbalanced: rho_n overflows, so the sups read inf and B unknown
     grid = ExplicitGrid((1.0, 1.01), tail="cycle")
-    got = check_condition_B_matches_reference(monkeypatch, grid, grid, 10**5)
+    got = check_condition_B_matches_reference(monkeypatch, grid, 10**5)
     assert got.window_sups == (math.inf, math.inf)
     assert got.holds is TriState.UNKNOWN
 

@@ -152,6 +152,14 @@ GRIDS = {
     "explicit-cycle": ExplicitGrid((0.5, 1.25, 0.8, 2.0, 0.3, 1.1, 0.9)),
 }
 
+def long_reads():
+    """Blocks of up to a probe block and its look-ahead rows, near row 1 and far out."""
+    for lo in (1, 2, 3, BLOCK * 30 + 5):
+        for m in (1, 2, 4097, BLOCK, BLOCK + 2, BLOCK + 3):
+            yield ("block", lo, lo + m)
+    yield ("block", BLOCK * 30 + 5, BLOCK * 30 + 5)
+
+
 SCANS = {
     "condition-A": lambda h: condition_a_reads((10**4, h // 2, h)),
     "A-then-B": lambda h: [*condition_a_reads((10**4, h // 2, h)), *condition_b_reads(h)],
@@ -161,6 +169,7 @@ SCANS = {
         *random_reads(h),
     ],
     "B-on-fresh-sequence": lambda h: condition_b_reads(h),
+    "long-blocks": lambda h: long_reads(),
 }
 
 
@@ -170,7 +179,7 @@ def test_tilde_scans_match_reference(name, scan):
     assert_same(GRIDS[name], SCANS[scan](H))
 
 
-@pytest.mark.parametrize("scan", ["condition-A", "A-then-B", "B-on-fresh-sequence"])
+@pytest.mark.parametrize("scan", ["condition-A", "A-then-B", "B-on-fresh-sequence", "long-blocks"])
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_caller_log_gaps_match_reference(name, scan):
     assert_same(GRIDS[name], SCANS[scan](H), caller_logs=True)
@@ -308,7 +317,8 @@ def test_period_block_matches_reference(lo, hi):
     "gamma,eta",
     [(0.8, 0.0), (1.0, -0.0), (-0.5, 0.0), (0.9, 0.3), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.5)],
 )
-@pytest.mark.parametrize("lo", [1, 2, 3])
+@pytest.mark.parametrize("lo", [1, 2, 3, BLOCK * 30 + 5])
 def test_power_log_gaps_match_reference(gamma, eta, lo):
     grid = PowerLogGrid(gamma, eta)
-    assert grid.log_gaps(lo, lo + 5000).tobytes() == reference_log_gaps(grid, lo, lo + 5000).tobytes()
+    for m in (1, 2, 4097, 5000, BLOCK, BLOCK + 2, BLOCK + 3):
+        assert grid.log_gaps(lo, lo + m).tobytes() == reference_log_gaps(grid, lo, lo + m).tobytes()

@@ -3,19 +3,21 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pair.py --base c1e97a7 --label condition-b-in-place --runs 10
+    python3 tools/bench_pair.py --base c1e97a7 --label condition-b-in-place
 
 Each revision is exported with `git archive` into its own fresh
 directory under one temporary directory, which is removed on exit; both
 directories have paths of the same length, since the heap layout, and
 so the page faults of a request, can depend on the checkout path
-(CHANGES.md).  For every run index i = 1..--runs and every workload of
+(CHANGES.md).  For every run index i = 1..10 and every workload of
 BENCHMARK.json, the script runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-with S the run_seconds of BENCHMARK.json, once in each directory, the base first on odd i and HEAD first on even
-i, so that a slow stretch of the machine falls on both revisions.  The
+with S the run_seconds of BENCHMARK.json, once in each directory, the
+base first on odd i and HEAD first on even i, so that a slow stretch of
+the machine falls on both revisions.  Ten pairs are the fewest that can
+back a claimed gain.  The
 JSON file holds, per workload and revision, every run's end-to-end
 metrics with their median and interquartile range, the change of the
 medians, and in how many run pairs HEAD was the better one; and the
@@ -36,6 +38,8 @@ import sys
 import tempfile
 
 import numpy as np
+
+RUNS = 10  # alternating pairs per workload
 
 
 def git(*args: str) -> str:
@@ -77,10 +81,7 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="base revision")
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    p.add_argument("--runs", type=int, default=5, help="runs per workload and revision, at least 5")
     args = p.parse_args()
-    if args.runs < 5:
-        p.error("--runs must be at least 5")
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
@@ -93,7 +94,7 @@ def main() -> int:
         dirs = {side: os.path.join(tmp, side) for side in revs}  # "base" and "head": equal lengths
         for side, rev in revs.items():
             export(rev, dirs[side])
-        for i in range(1, args.runs + 1):
+        for i in range(1, RUNS + 1):
             for w in workloads:
                 for side in ("base", "head") if i % 2 else ("head", "base"):
                     m = run_once(dirs[side], w, i, seconds)
@@ -116,7 +117,7 @@ def main() -> int:
     doc = {
         "label": args.label,
         "command": f"python3 perfbench/run.py --workload W --seed i --seconds {seconds:g} --trace 0",
-        "runs_per_workload": args.runs,
+        "runs_per_workload": RUNS,
         "revisions": {side: {"rev": rev, "subject": git("log", "-1", "--format=%s", rev)} for side, rev in revs.items()},
         "python": platform.python_version(),
         "numpy": np.__version__,
