@@ -9,10 +9,11 @@ Subcommands:
   plot-data    emit (n, value) samples of diagnostic quantities as JSON
 
 Output is byte-deterministic for fixed inputs: JSON is sorted-key with
-two-space indent, floats go through repr, and wall-clock timings are
-omitted unless --timings is passed.  The horizon ladder comes from
---horizons when given, else from the DELTA_SPEC_HORIZON environment
-variable, else defaults to 10^4, 10^5, 10^6.
+two-space indent, floats go through repr (a non-finite float is written
+as null, so strict JSON readers accept every output), and wall-clock
+timings are omitted unless --timings is passed.  The horizon ladder
+comes from --horizons when given, else from the DELTA_SPEC_HORIZON
+environment variable, else defaults to 10^4, 10^5, 10^6.
 
 The coupling mini-language deliberately avoids a general expression
 evaluator.  Accepted forms (whitespace ignored):
@@ -212,8 +213,17 @@ def _env_horizon(default: Optional[int]) -> Optional[int]:
         raise CliError(f"bad DELTA_SPEC_HORIZON {env!r}")
 
 
+def _strict(obj):
+    """obj with every non-finite float written as None: strict JSON has no inf or nan."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(payload, out_path: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -348,8 +358,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     elif q == "rho":
         tilde = TildeSequence(grid)
         for n in _log_sample(max(lo, 1), hi, args.points):
-            v = float(rho_block(grid, int(n), int(n) + 1, tilde)[0])
-            samples.append([int(n), v if math.isfinite(v) else None])  # JSON has no inf
+            samples.append([int(n), float(rho_block(grid, int(n), int(n) + 1, tilde)[0])])
     elif q in ("block_norms", "residuals"):
         if args.alpha is None:
             raise CliError(f"--alpha is required for {q}")

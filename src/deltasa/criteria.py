@@ -42,8 +42,8 @@ from .grid import (
     ConstantGrid,
     GridError,
     GridSequence,
+    Order,
     PowerLogGrid,
-    _bertrand,
     classify_summability,
     ratio_stats,
 )
@@ -289,7 +289,7 @@ def select_G(grid: GridSequence, horizon: int = WINDOW_CAP) -> GFunction:
 # series probes
 
 
-def _leading_exponents(alpha: AlphaSequence) -> Optional[tuple[float, float, float]]:
+def _leading_exponents(alpha: AlphaSequence) -> Optional[Order]:
     lead = alpha.leading_term()
     if lead is not None:
         return lead
@@ -298,33 +298,31 @@ def _leading_exponents(alpha: AlphaSequence) -> Optional[tuple[float, float, flo
         if floor > 0.0:
             # bounded above and below: any positive constant represents
             # the order; use the floor so divergence claims stay sound
-            return (floor, 0.0, 0.0)
+            return Order(floor, 0.0, 0.0)
     return None
 
 
 def _cubed_gap_verdict(grid: GridSequence, alpha: AlphaSequence) -> tuple[SeriesVerdict, object]:
     """Exponent comparison for sum |alpha_n| d_n^3 (carleman-i's series up to a constant).
 
-    With alpha_n ~ c n^p (ln n)^q and d_n ~ n^g (ln n)^h (grid.order())
-    the terms go like n^P (ln n)^Q, P = p + 3g, Q = q + 3h; a zero
-    coupling converges.  Returns the verdict and its analytic witness
-    ({"P", "Q"} or "zero coupling"), or (UNKNOWN, None) when a leading
-    order is unknown.
+    The terms have the order lead * order**3 of the coupling's leading
+    term and the gaps' order(); a zero coupling converges.  Returns the
+    verdict and its analytic witness ({"P", "Q"} or "zero coupling"), or
+    (UNKNOWN, None) when a leading order is unknown.
     """
     lead = _leading_exponents(alpha)
     order = grid.order()
     if lead is None or order is None:
         return SeriesVerdict.UNKNOWN, None
-    c, p, q = lead
-    if c == 0.0:
+    if lead.c == 0.0:
         return SeriesVerdict.CONVERGES, "zero coupling"
-    P, Q = p + 3.0 * order[1], q + 3.0 * order[2]
-    return _bertrand_verdict(P, Q), {"P": P, "Q": Q}
+    return _bertrand_verdict(lead * order**3.0)
 
 
-def _bertrand_verdict(P: float, Q: float) -> SeriesVerdict:
-    """Convergence class of sum n^P (ln n)^Q by exponent comparison."""
-    return SeriesVerdict.CONVERGES if _bertrand(P, Q) else SeriesVerdict.DIVERGES
+def _bertrand_verdict(terms: Order) -> tuple[SeriesVerdict, dict]:
+    """Convergence class of a series whose terms have the order terms, and its {"P", "Q"} witness."""
+    verdict = SeriesVerdict.CONVERGES if terms.summable() else SeriesVerdict.DIVERGES
+    return verdict, {"P": terms.p, "Q": terms.q}
 
 
 def _growth_description(checkpoints: list[tuple[int, float]]) -> str:
@@ -576,7 +574,7 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
     bounded solutions to l2 ones.  A grid whose order() is known gets an
     analytic verdict: the terms behave like d_n^2 up to a parity
     constant, or have a positive floor along one parity on flat and
-    cyclic grids, so the class is Bertrand(2p, 2q).  A verdict reads
+    cyclic grids, so the class is (order**2).summable().  A verdict reads
     condition A from the gaps' l2 class instead (see deficiency_verdict),
     so this probe stands alone.
     """
@@ -596,9 +594,7 @@ def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
     witnesses = {"fitted_growth": _growth_description(checkpoints), "gate_failed": False}
     order = grid.order()
     if order is not None:
-        P, Q = 2.0 * order[1], 2.0 * order[2]
-        verdict = _bertrand_verdict(P, Q)
-        witnesses["analytic"] = {"P": P, "Q": Q}
+        verdict, witnesses["analytic"] = _bertrand_verdict(order**2.0)
     if len(checkpoints) >= 2 and checkpoints[-1][1] > checkpoints[-2][1] > 0:
         witnesses["tail_mass"] = checkpoints[-1][1] - checkpoints[-2][1]
     return SeriesProbe("condition-A", {"grid": grid.describe()}, tuple(checkpoints), verdict, witnesses)
@@ -639,7 +635,7 @@ def check_condition_B(
         raise ValueError(f"check_condition_B needs horizon >= {MIN_HORIZON}")
     t = tilde if tilde is not None else TildeSequence(grid)
     order = grid.order()
-    error_order = -2.0 * order[1] if order is not None and order[1] < 0.0 else _B_ERROR_ORDER
+    error_order = -2.0 * order.p if order is not None and order.p < 0.0 else _B_ERROR_ORDER
 
     # two largest probed indices of each parity: H-ish and H/2-ish
     def parity_estimate(parity: int) -> tuple[float, list]:

@@ -9,9 +9,9 @@ quotients are built from.
 
 The workhorse family is PowerLogGrid with d_n = d_1 at n = 1 and
 d_n = n^{-gamma} * (ln n)^{-eta} for n >= 2.  Each family states the
-order of its gaps, d_n ~ c n^p (ln n)^q, once in order(), and every
-closed-form decision reads it through one Bertrand rule (_bertrand):
-sum n^P (ln n)^Q converges iff P < -1, or P = -1 and Q < -1.
+Order of its gaps, d_n ~ c n^p (ln n)^q, once in order(), and every
+closed-form decision is one expression on Orders, read through one
+Bertrand rule (Order.summable).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .numerics import ChunkedSum, Record, TriState, blocks
 
 __all__ = [
     "GridError",
+    "Order",
     "GridSequence",
     "PowerLogGrid",
     "ConstantGrid",
@@ -42,13 +43,34 @@ __all__ = [
 _SUMMABILITY_HORIZON = 1 << 16
 
 
-def _bertrand(P: float, Q: float) -> bool:
-    """Whether sum n^P (ln n)^Q converges: P < -1, or P = -1 and Q < -1."""
-    return P < -1.0 or (P == -1.0 and Q < -1.0)
-
-
 class GridError(ValueError):
     """Raised for invalid gap data: non-positive gaps, bad indices."""
+
+
+@dataclass(frozen=True)
+class Order:
+    """The order c n^p (ln n)^q of a sequence; c is None if only p and q are known, 0 for a zero sequence.
+
+    a * b adds the exponents and o ** k multiplies them by k; both keep only the exponents.
+    """
+
+    c: Optional[float]
+    p: float
+    q: float
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.p, self.q, 0.0 if self.c is None else self.c)):
+            raise GridError(f"order entries must be finite, got {self}")
+
+    def __mul__(self, other: Order) -> Order:
+        return Order(None, self.p + other.p, self.q + other.q)
+
+    def __pow__(self, k: float) -> Order:
+        return Order(None, k * self.p, k * self.q)
+
+    def summable(self) -> bool:
+        """Bertrand's rule: sum n^p (ln n)^q converges iff p < -1, or p = -1 and q < -1."""
+        return self.p < -1.0 or (self.p == -1.0 and self.q < -1.0)
 
 
 def _explicit_positions(m: int, tail: str, lo: int, hi: int) -> np.ndarray:
@@ -112,8 +134,8 @@ class GridSequence:
             raise GridError(f"r index must be >= 0, got {n}")
         return math.sqrt(self.gap(n) + self.gap(n + 1))
 
-    def order(self) -> Optional[tuple[Optional[float], float, float]]:
-        """(c, p, q) with d_n ~ c n^p (ln n)^q; c is None if only the order is known, and None if neither is."""
+    def order(self) -> Optional[Order]:
+        """The order of the gaps, d_n ~ c n^p (ln n)^q, or None if it is unknown."""
         return None
 
     def describe(self) -> dict:
@@ -195,8 +217,8 @@ class PowerLogGrid(GridSequence):
         w = np.log1p(t / np.log(ns))
         return -self.gamma * t - self.eta * w
 
-    def order(self) -> tuple[float, float, float]:
-        return (1.0, -self.gamma, -self.eta)
+    def order(self) -> Order:
+        return Order(1.0, -self.gamma, -self.eta)
 
     def describe(self) -> dict:
         return {"family": self.name, "gamma": self.gamma, "eta": self.eta, "d1": self.d1}
@@ -225,8 +247,8 @@ class ConstantGrid(GridSequence):
     def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> np.ndarray:
         return np.zeros(hi - lo)
 
-    def order(self) -> tuple[float, float, float]:
-        return (self.d, 0.0, 0.0)
+    def order(self) -> Order:
+        return Order(self.d, 0.0, 0.0)
 
     def describe(self) -> dict:
         return {"family": self.name, "d": self.d}
@@ -261,10 +283,10 @@ class ExplicitGrid(GridSequence):
     def gaps(self, lo: int, hi: int) -> np.ndarray:
         return np.asarray(self.values, dtype=float)[_explicit_positions(len(self.values), self.tail, lo, hi)]
 
-    def order(self) -> Optional[tuple[None, float, float]]:
+    def order(self) -> Optional[Order]:
         # cycle and hold tails keep the gaps between two positive
         # constants, order n^0; a finite list decides nothing
-        return (None, 0.0, 0.0) if self.tail in ("cycle", "hold") else None
+        return Order(None, 0.0, 0.0) if self.tail in ("cycle", "hold") else None
 
     def describe(self) -> dict:
         return {
@@ -351,15 +373,14 @@ def classify_summability(grid: GridSequence) -> Summability:
     """Decide whether sum d_n and sum d_n^2 converge.
 
     A grid whose order() is known answers exactly: the l1 class is
-    Bertrand(p, q), the l2 class Bertrand(2p, 2q).  For the others the
-    partial sums at dyadic checkpoints up to _SUMMABILITY_HORIZON (2^16)
-    are reported as diagnostics but never promoted to a divergence
-    verdict on their own.
+    order.summable(), the l2 class (order**2).summable().  For the
+    others the partial sums at dyadic checkpoints up to
+    _SUMMABILITY_HORIZON (2^16) are reported as diagnostics but never
+    promoted to a divergence verdict on their own.
     """
     order = grid.order()
     if order is not None:
-        _, p, q = order
-        e1, e2 = TriState.of(_bertrand(p, q)), TriState.of(_bertrand(2.0 * p, 2.0 * q))
+        e1, e2 = TriState.of(order.summable()), TriState.of((order**2.0).summable())
         return Summability(e1, e2, method="closed-form", diagnostics={})
     horizon = _SUMMABILITY_HORIZON
     if grid.max_index is not None:

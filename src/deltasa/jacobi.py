@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .grid import GridError, GridSequence, _explicit_positions
+from .grid import GridError, GridSequence, Order, _explicit_positions
 from .numerics import Record, TriState, exact_row_sums
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 
 _CHUNK = 4096  # rows per tilde chunk: the chunk bases fix the bits of every rtilde read
 _BATCH = 8  # chunks a cold read evaluates and sums at once: one 32768-row probe block
+_ZERO = Order(0.0, 0.0, 0.0)  # the leading term of an identically zero coupling
 
 
 @dataclass(frozen=True)
@@ -161,12 +162,8 @@ class AlphaSequence:
             raise GridError(f"bad alpha range [{lo}, {hi})")
         return np.array([self.alpha(n) for n in range(lo, hi)], dtype=float)
 
-    def leading_term(self) -> Optional[tuple[float, float, float]]:
-        """Signed leading behaviour (c, p, q): alpha_n ~ c n^p (ln n)^q.
-
-        None when the family cannot certify one.  c = 0 encodes an
-        identically zero sequence.
-        """
+    def leading_term(self) -> Optional[Order]:
+        """Signed leading term alpha_n ~ c n^p (ln n)^q, c = 0 if alpha is zero; None if none is certified."""
         return None
 
     def scaled_gap_form(self) -> Optional[tuple[float, TriState]]:
@@ -177,24 +174,22 @@ class AlphaSequence:
         return {"family": self.name}
 
 
-def _inverse_gaps_lead(grid: GridSequence, a: float) -> Optional[tuple[float, float, float]]:
-    """(2a/c, -p, -q), the leading term of a (1/d_n + 1/d_{n+1}) for d_n ~ c n^p (ln n)^q; None if c is unknown."""
-    order = grid.order()
-    if order is None or order[0] is None:
+def _inverse_gaps_lead(grid: GridSequence, a: float) -> Optional[Order]:
+    """The leading term 2a/c n^-p (ln n)^-q of a (1/d_n + 1/d_{n+1}); None if the gaps' c is unknown."""
+    o = grid.order()
+    if o is None or o.c is None:
         return None
-    c, p, q = order
-    return (2.0 * a / c, -p, -q)
+    return Order(2.0 * a / o.c, -o.p, -o.q)
 
 
-def _merge_terms(terms) -> list[tuple[float, float, float]]:
-    """Combine coefficients of identical (p, q) and drop zeros."""
+def _slowest(terms) -> Optional[Order]:
+    """The slowest-decaying term of a sum, equal (p, q) merged; None if every merged coefficient is zero."""
     acc: dict[tuple[float, float], float] = {}
-    for c, p, q in terms:
-        key = (float(p), float(q))
-        acc[key] = acc.get(key, 0.0) + float(c)
-    out = [(c, p, q) for (p, q), c in acc.items() if c != 0.0]
-    out.sort(key=lambda t: (t[1], t[2]), reverse=True)
-    return out
+    for o in terms:
+        key = (float(o.p), float(o.q))
+        acc[key] = acc.get(key, 0.0) + float(o.c)
+    live = [key for key, c in acc.items() if c != 0.0]
+    return Order(acc[max(live)], *max(live)) if live else None
 
 
 @dataclass(frozen=True)
@@ -233,11 +228,8 @@ class PowerSumAlpha(AlphaSequence):
             out += c * np.exp(p * ln_n + q * np.log(t))
         return out
 
-    def leading_term(self) -> tuple[float, float, float]:
-        merged = _merge_terms(self.terms)
-        if not merged:
-            return (0.0, 0.0, 0.0)
-        return merged[0]
+    def leading_term(self) -> Order:
+        return _slowest(Order(*t) for t in self.terms) or _ZERO
 
     def describe(self) -> dict:
         return {"family": self.name, "terms": [list(t) for t in self.terms]}
@@ -283,39 +275,21 @@ class ScaledInverseGapsAlpha(AlphaSequence):
         return out
 
     def _pert_O_d(self) -> TriState:
-        if self.perturbation is None:
-            return TriState.TRUE
-        lead = self.perturbation.leading_term()
-        if lead is None:
-            return TriState.UNKNOWN
-        c, p, q = lead
-        if c == 0.0:
-            return TriState.TRUE
+        lead = _ZERO if self.perturbation is None else self.perturbation.leading_term()
         order = self.grid.order()
-        if order is None:
+        if lead is None or (lead.c != 0.0 and order is None):
             return TriState.UNKNOWN
-        return TriState.of((p, q) <= order[1:])
+        return TriState.of(lead.c == 0.0 or (lead.p, lead.q) <= (order.p, order.q))
 
-    def leading_term(self) -> Optional[tuple[float, float, float]]:
-        candidates = []
-        if self.a != 0.0:
-            lead = _inverse_gaps_lead(self.grid, self.a)
-            if lead is None:
-                return None
-            candidates.append(lead)
-        if self.perturbation is not None:
-            lead = self.perturbation.leading_term()
-            if lead is None:
-                return None
-            if lead[0] != 0.0:
-                candidates.append(lead)
-        if not candidates:
-            return (0.0, 0.0, 0.0)
-        merged = _merge_terms(candidates)
-        if not merged:
-            # exact cancellation of leading orders; refuse to guess deeper
+    def leading_term(self) -> Optional[Order]:
+        pert = _ZERO if self.perturbation is None else self.perturbation.leading_term()
+        if self.a == 0.0:
+            return pert
+        lead = _inverse_gaps_lead(self.grid, self.a)
+        if lead is None or pert is None:
             return None
-        return merged[0]
+        # None when the leading orders cancel exactly: refuse to guess deeper
+        return _slowest((lead, pert))
 
     def scaled_gap_form(self) -> tuple[float, TriState]:
         return (self.a, self._pert_O_d())
@@ -362,7 +336,7 @@ class AlphaZeroAlpha(AlphaSequence):
         u = self.u.block(lo, hi)
         return -inv + (self.a + 1.0) * u * np.exp(-2.0 * L)
 
-    def leading_term(self) -> Optional[tuple[float, float, float]]:
+    def leading_term(self) -> Optional[Order]:
         # alpha0_n ~ a (1/d_n + 1/d_{n+1}); the gauge term replaces the
         # -(...) part up to O(d)-level corrections.
         return _inverse_gaps_lead(self.grid, self.a) if self.a != 0.0 else None
@@ -396,24 +370,18 @@ class ExplicitAlpha(AlphaSequence):
     def alphas(self, lo: int, hi: int) -> np.ndarray:
         return np.asarray(self.values, dtype=float)[_explicit_positions(len(self.values), self.tail, lo, hi)]
 
-    def leading_term(self) -> Optional[tuple[float, float, float]]:
-        if self.tail in ("cycle", "hold"):
-            peak = max(abs(v) for v in self.values)
-            if peak == 0.0:
-                return (0.0, 0.0, 0.0)
-            return None if self.tail == "cycle" and len(set(self.values)) > 1 else (
-                self.values[-1],
-                0.0,
-                0.0,
-            )
-        return None
+    def leading_term(self) -> Optional[Order]:
+        # a cycle of one value or a held tail is constant; -0.0 == 0.0 in the set
+        if self.tail == "error" or (self.tail == "cycle" and len(set(self.values)) > 1):
+            return None
+        return Order(self.values[-1], 0.0, 0.0)
 
     def describe(self) -> dict:
         return {"family": self.name, "count": len(self.values), "tail": self.tail}
 
 
 class CustomAlpha(AlphaSequence):
-    """Wraps an arbitrary coupling callable."""
+    """Wraps an arbitrary coupling callable; leading=(c, p, q) and scaled_form's a must be finite."""
 
     def __init__(
         self,
@@ -424,7 +392,9 @@ class CustomAlpha(AlphaSequence):
     ) -> None:
         self._fn = fn
         self.name = name
-        self._leading = leading
+        self._leading = None if leading is None else Order(*leading)
+        if scaled_form is not None and not math.isfinite(scaled_form[0]):
+            raise GridError(f"coupling strength a must be finite, got {scaled_form[0]!r}")
         self._scaled_form = scaled_form
 
     def alpha(self, n: int) -> float:
@@ -435,7 +405,7 @@ class CustomAlpha(AlphaSequence):
             raise GridError(f"alpha callable returned non-finite value {v!r} at n={n}")
         return v
 
-    def leading_term(self) -> Optional[tuple[float, float, float]]:
+    def leading_term(self) -> Optional[Order]:
         return self._leading
 
     def scaled_gap_form(self) -> Optional[tuple[float, TriState]]:

@@ -16,7 +16,8 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # names that no verdict, battery check or CLI path used: the
 # gap-regularity layer, the scalar twins of the block forms, the shared
 # phase-1 scan and the -i oracle twin; the per-class order ladders
-# that GridSequence.order() replaced; the F/d record and drift
+# that GridSequence.order() replaced, and the tuple helpers that Order
+# replaced (its summable() rule and jacobi._slowest); the F/d record and drift
 # helper that BoundProbe and numerics.window_drift replaced; the
 # scalar F that F_block replaced; TildeSequence's sign and CHUNK
 # aliases, which value and jacobi._CHUNK replaced; and the battery's
@@ -38,7 +39,8 @@ REMOVED = {
         "F",
     ),
     "deficiency": ("solve_probes",),
-    "grid": ("SmoothFamilyDerivatives",),
+    "grid": ("SmoothFamilyDerivatives", "_bertrand"),
+    "jacobi": ("_merge_terms",),
     "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder", "signed_drift"),
     "verify": ("CHECK_NAMES",),
     "grid.GridSequence": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),

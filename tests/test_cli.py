@@ -202,6 +202,23 @@ class TestAnalyze:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_overflow_is_json_null(self, capsys):
+        # the partial sums of 1e308 n^5 overflow the float range: the
+        # output writes them as null, and the verdict stays certified
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, _ = run(
+                ["analyze", "--gamma", "0.8", "--horizons", "10000,100000", "--alpha=1e308*n^5"], capsys
+            )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        verdict = json.loads(out, parse_constant=reject)["verdict"]
+        assert (verdict["verdict"], verdict["certificate"]) == ("SelfAdjoint", "carleman-series")
+        assert verdict["diagnostics"]["carleman_i"]["checkpoints"] == [[10000, None]]
+
 
 class TestSweep:
     def test_single_cell(self, capsys):

@@ -19,6 +19,7 @@ from deltasa import (
     ExplicitAlpha,
     GridError,
     JacobiOperator,
+    Order,
     PeriodPair,
     PowerLogGrid,
     PowerSumAlpha,
@@ -122,9 +123,9 @@ class TestAlphaFamilies:
 
     def test_power_sum_leading_term(self):
         a = PowerSumAlpha(terms=((5.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
-        assert a.leading_term() == (1.0, 1.0, 0.0)
+        assert a.leading_term() == Order(1.0, 1.0, 0.0)
         merged = PowerSumAlpha(terms=((1.0, 1.0, 0.0), (2.0, 1.0, 0.0)))
-        assert merged.leading_term() == (3.0, 1.0, 0.0)
+        assert merged.leading_term() == Order(3.0, 1.0, 0.0)
 
     def test_scaled_inverse_gaps_values(self):
         g = PowerLogGrid(gamma=1.0)
@@ -155,7 +156,7 @@ class TestAlphaFamilies:
     def test_scaled_leading_term(self):
         g = PowerLogGrid(gamma=1.0)
         a = ScaledInverseGapsAlpha(g, -0.5)
-        assert a.leading_term() == (-1.0, 1.0, 0.0)
+        assert a.leading_term() == Order(-1.0, 1.0, 0.0)
 
     def test_alpha_zero_first_value(self):
         g = PowerLogGrid(gamma=1.0)
@@ -172,9 +173,9 @@ class TestAlphaFamilies:
         assert a.leading_term() is None  # oscillating tail has no single order
         hold = ExplicitAlpha(values=(1.0, 2.0), tail="hold")
         assert hold.alpha(9) == 2.0
-        assert hold.leading_term() == (2.0, 0.0, 0.0)
+        assert hold.leading_term() == Order(2.0, 0.0, 0.0)
         zero = ExplicitAlpha(values=(0.0, 0.0), tail="cycle")
-        assert zero.leading_term() == (0.0, 0.0, 0.0)
+        assert zero.leading_term() == Order(0.0, 0.0, 0.0)
         err = ExplicitAlpha(values=(1.0,), tail="error")
         with pytest.raises(GridError):
             err.alpha(2)

@@ -1,6 +1,7 @@
-"""One order rule: each gap family states d_n ~ c n^p (ln n)^q once, in
-GridSequence.order(), and every closed-form decision reads it through
-the Bertrand rule (sum n^P (ln n)^Q converges iff P < -1, or P = -1 and
+"""One order rule: each gap family states d_n ~ c n^p (ln n)^q once, as
+the Order that GridSequence.order() returns, and every closed-form
+decision is one expression on Orders read through Order.summable(), the
+Bertrand rule (sum n^P (ln n)^Q converges iff P < -1, or P = -1 and
 Q < -1).
 
 RECORDED holds the decisions the per-class isinstance ladders made
@@ -19,18 +20,22 @@ import pytest
 from deltasa import (
     AlphaZeroAlpha,
     ConstantGrid,
+    CustomAlpha,
     CustomGrid,
     ExplicitGrid,
+    GridError,
+    Order,
     PeriodPair,
     PowerLogGrid,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
+    VerdictConfig,
     check_condition_B,
     classify_summability,
+    deficiency_verdict,
     test_carleman_i,
 )
 from deltasa.criteria import check_condition_A
-from deltasa.grid import _bertrand
 
 VALUES = tuple(1.0 + 0.5 * (n % 3) for n in range(300))
 GRIDS = {
@@ -73,49 +78,49 @@ def decisions(grid):
 D, C, U = "diverges", "converges", "unknown"
 FLOOR = "terms bounded below along a parity"
 RECORDED = {
-    "power-log(-0.5, 0.0)": ("false", "false", (D, (2.5, 0.0)), (D, (1.0, 0.0)), (D, (1.0, -0.0)), "true", (-1.0, -0.5, 0.0)),
-    "power-log(-0.5, 0.5)": ("false", "false", (D, (2.5, -1.5)), (D, (1.0, -1.0)), (D, (1.0, -1.0)), "true", (-1.0, -0.5, 0.5)),
-    "power-log(-0.5, 1.0)": ("false", "false", (D, (2.5, -3.0)), (D, (1.0, -2.0)), (D, (1.0, -2.0)), "true", (-1.0, -0.5, 1.0)),
+    "power-log(-0.5, 0.0)": ("false", "false", (D, (2.5, 0.0)), (D, (1.0, 0.0)), (D, (1.0, -0.0)), "true", Order(-1.0, -0.5, 0.0)),
+    "power-log(-0.5, 0.5)": ("false", "false", (D, (2.5, -1.5)), (D, (1.0, -1.0)), (D, (1.0, -1.0)), "true", Order(-1.0, -0.5, 0.5)),
+    "power-log(-0.5, 1.0)": ("false", "false", (D, (2.5, -3.0)), (D, (1.0, -2.0)), (D, (1.0, -2.0)), "true", Order(-1.0, -0.5, 1.0)),
     "power-log(-0.5, 1.2)": (
         "false", "false", (D, (2.5, -3.5999999999999996)), (D, (1.0, -2.3999999999999995)), (D, (1.0, -2.4)), "true",
-        (-1.0, -0.5, 1.2),
+        Order(-1.0, -0.5, 1.2),
     ),
-    "power-log(0.0, 0.0)": ("false", "false", (D, (1.0, 0.0)), (D, (0.0, 0.0)), (D, (-0.0, -0.0)), "true", (-1.0, 0.0, 0.0)),
-    "power-log(0.0, 0.5)": ("false", "false", (D, (1.0, -1.5)), (D, (0.0, -1.0)), (D, (-0.0, -1.0)), "true", (-1.0, 0.0, 0.5)),
-    "power-log(0.0, 1.0)": ("false", "false", (D, (1.0, -3.0)), (D, (0.0, -2.0)), (D, (-0.0, -2.0)), "true", (-1.0, 0.0, 1.0)),
+    "power-log(0.0, 0.0)": ("false", "false", (D, (1.0, 0.0)), (D, (0.0, 0.0)), (D, (-0.0, -0.0)), "true", Order(-1.0, 0.0, 0.0)),
+    "power-log(0.0, 0.5)": ("false", "false", (D, (1.0, -1.5)), (D, (0.0, -1.0)), (D, (-0.0, -1.0)), "true", Order(-1.0, 0.0, 0.5)),
+    "power-log(0.0, 1.0)": ("false", "false", (D, (1.0, -3.0)), (D, (0.0, -2.0)), (D, (-0.0, -2.0)), "true", Order(-1.0, 0.0, 1.0)),
     "power-log(0.0, 1.2)": (
         "false", "false", (D, (1.0, -3.5999999999999996)), (D, (0.0, -2.3999999999999995)), (D, (-0.0, -2.4)), "true",
-        (-1.0, 0.0, 1.2),
+        Order(-1.0, 0.0, 1.2),
     ),
-    "power-log(0.5, 0.0)": ("false", "false", (D, (-0.5, 0.0)), (D, (-1.0, 0.0)), (D, (-1.0, -0.0)), "true", (-1.0, 0.5, 0.0)),
-    "power-log(0.5, 0.5)": ("false", "false", (D, (-0.5, -1.5)), (D, (-1.0, -1.0)), (D, (-1.0, -1.0)), "true", (-1.0, 0.5, 0.5)),
-    "power-log(0.5, 1.0)": ("false", "true", (D, (-0.5, -3.0)), (C, (-1.0, -2.0)), (C, (-1.0, -2.0)), "true", (-1.0, 0.5, 1.0)),
+    "power-log(0.5, 0.0)": ("false", "false", (D, (-0.5, 0.0)), (D, (-1.0, 0.0)), (D, (-1.0, -0.0)), "true", Order(-1.0, 0.5, 0.0)),
+    "power-log(0.5, 0.5)": ("false", "false", (D, (-0.5, -1.5)), (D, (-1.0, -1.0)), (D, (-1.0, -1.0)), "true", Order(-1.0, 0.5, 0.5)),
+    "power-log(0.5, 1.0)": ("false", "true", (D, (-0.5, -3.0)), (C, (-1.0, -2.0)), (C, (-1.0, -2.0)), "true", Order(-1.0, 0.5, 1.0)),
     "power-log(0.5, 1.2)": (
         "false", "true", (D, (-0.5, -3.5999999999999996)), (C, (-1.0, -2.3999999999999995)), (C, (-1.0, -2.4)), "true",
-        (-1.0, 0.5, 1.2),
+        Order(-1.0, 0.5, 1.2),
     ),
-    "power-log(0.75, 0.0)": ("false", "true", (C, (-1.25, 0.0)), (C, (-1.5, 0.0)), (C, (-1.5, -0.0)), "true", (-1.0, 0.75, 0.0)),
-    "power-log(0.75, 0.5)": ("false", "true", (C, (-1.25, -1.5)), (C, (-1.5, -1.0)), (C, (-1.5, -1.0)), "true", (-1.0, 0.75, 0.5)),
-    "power-log(0.75, 1.0)": ("false", "true", (C, (-1.25, -3.0)), (C, (-1.5, -2.0)), (C, (-1.5, -2.0)), "true", (-1.0, 0.75, 1.0)),
+    "power-log(0.75, 0.0)": ("false", "true", (C, (-1.25, 0.0)), (C, (-1.5, 0.0)), (C, (-1.5, -0.0)), "true", Order(-1.0, 0.75, 0.0)),
+    "power-log(0.75, 0.5)": ("false", "true", (C, (-1.25, -1.5)), (C, (-1.5, -1.0)), (C, (-1.5, -1.0)), "true", Order(-1.0, 0.75, 0.5)),
+    "power-log(0.75, 1.0)": ("false", "true", (C, (-1.25, -3.0)), (C, (-1.5, -2.0)), (C, (-1.5, -2.0)), "true", Order(-1.0, 0.75, 1.0)),
     "power-log(0.75, 1.2)": (
         "false", "true", (C, (-1.25, -3.5999999999999996)), (C, (-1.5, -2.3999999999999995)), (C, (-1.5, -2.4)), "true",
-        (-1.0, 0.75, 1.2),
+        Order(-1.0, 0.75, 1.2),
     ),
-    "power-log(1.0, 0.0)": ("false", "true", (C, (-2.0, 0.0)), (C, (-2.0, 0.0)), (C, (-2.0, -0.0)), "true", (-1.0, 1.0, 0.0)),
-    "power-log(1.0, 0.5)": ("false", "true", (C, (-2.0, -1.5)), (C, (-2.0, -1.0)), (C, (-2.0, -1.0)), "false", (-1.0, 1.0, 0.5)),
-    "power-log(1.0, 1.0)": ("false", "true", (C, (-2.0, -3.0)), (C, (-2.0, -2.0)), (C, (-2.0, -2.0)), "false", (-1.0, 1.0, 1.0)),
+    "power-log(1.0, 0.0)": ("false", "true", (C, (-2.0, 0.0)), (C, (-2.0, 0.0)), (C, (-2.0, -0.0)), "true", Order(-1.0, 1.0, 0.0)),
+    "power-log(1.0, 0.5)": ("false", "true", (C, (-2.0, -1.5)), (C, (-2.0, -1.0)), (C, (-2.0, -1.0)), "false", Order(-1.0, 1.0, 0.5)),
+    "power-log(1.0, 1.0)": ("false", "true", (C, (-2.0, -3.0)), (C, (-2.0, -2.0)), (C, (-2.0, -2.0)), "false", Order(-1.0, 1.0, 1.0)),
     "power-log(1.0, 1.2)": (
         "true", "true", (C, (-2.0, -3.5999999999999996)), (C, (-2.0, -2.3999999999999995)), (C, (-2.0, -2.4)), "false",
-        (-1.0, 1.0, 1.2),
+        Order(-1.0, 1.0, 1.2),
     ),
-    "power-log(1.5, 0.0)": ("true", "true", (C, (-3.5, 0.0)), (C, (-3.0, 0.0)), (C, (-3.0, -0.0)), "false", (-1.0, 1.5, 0.0)),
-    "power-log(1.5, 0.5)": ("true", "true", (C, (-3.5, -1.5)), (C, (-3.0, -1.0)), (C, (-3.0, -1.0)), "false", (-1.0, 1.5, 0.5)),
-    "power-log(1.5, 1.0)": ("true", "true", (C, (-3.5, -3.0)), (C, (-3.0, -2.0)), (C, (-3.0, -2.0)), "false", (-1.0, 1.5, 1.0)),
+    "power-log(1.5, 0.0)": ("true", "true", (C, (-3.5, 0.0)), (C, (-3.0, 0.0)), (C, (-3.0, -0.0)), "false", Order(-1.0, 1.5, 0.0)),
+    "power-log(1.5, 0.5)": ("true", "true", (C, (-3.5, -1.5)), (C, (-3.0, -1.0)), (C, (-3.0, -1.0)), "false", Order(-1.0, 1.5, 0.5)),
+    "power-log(1.5, 1.0)": ("true", "true", (C, (-3.5, -3.0)), (C, (-3.0, -2.0)), (C, (-3.0, -2.0)), "false", Order(-1.0, 1.5, 1.0)),
     "power-log(1.5, 1.2)": (
         "true", "true", (C, (-3.5, -3.5999999999999996)), (C, (-3.0, -2.3999999999999995)), (C, (-3.0, -2.4)), "false",
-        (-1.0, 1.5, 1.2),
+        Order(-1.0, 1.5, 1.2),
     ),
-    "constant(0.5)": ("false", "false", (D, (1.0, 0.0)), (D, (0.0, 0.0)), (D, FLOOR), "true", (-2.0, 0.0, 0.0)),
+    "constant(0.5)": ("false", "false", (D, (1.0, 0.0)), (D, (0.0, 0.0)), (D, FLOOR), "true", Order(-2.0, 0.0, 0.0)),
     "explicit-cycle": ("false", "false", (D, (1.0, 0.0)), (U, None), (D, FLOOR), "unknown", None),
     "explicit-hold": ("false", "false", (D, (1.0, 0.0)), (U, None), (D, FLOOR), "unknown", None),
     "explicit-error": ("unknown", "unknown", (U, None), (U, None), (U, None), "unknown", None),
@@ -143,10 +148,10 @@ def test_decisions_match_the_recorded_ladders(label):
 
 
 def test_order_table():
-    assert PowerLogGrid(0.75, 1.2).order() == (1.0, -0.75, -1.2)
-    assert ConstantGrid(0.5).order() == (0.5, 0.0, 0.0)
+    assert PowerLogGrid(0.75, 1.2).order() == Order(1.0, -0.75, -1.2)
+    assert ConstantGrid(0.5).order() == Order(0.5, 0.0, 0.0)
     for tail in ("cycle", "hold"):
-        assert ExplicitGrid(VALUES, tail).order() == (None, 0.0, 0.0)
+        assert ExplicitGrid(VALUES, tail).order() == Order(None, 0.0, 0.0)
     assert ExplicitGrid(VALUES, "error").order() is None
     assert CustomGrid(lambda n: 1.0 / n).order() is None
 
@@ -156,7 +161,55 @@ def test_order_table():
     [(-1.5, 5.0, True), (-0.5, -5.0, False), (-1.0, -1.2, True), (-1.0, -1.0, False), (-1.0, 0.0, False)],
 )
 def test_bertrand_rule(P, Q, converges):
-    assert _bertrand(P, Q) is converges
+    assert Order(None, P, Q).summable() is converges
+
+
+EXPONENTS = (0.0, -0.0, 1.2, -1.2, 0.5, -0.75, 1.0 / 3.0, -2.0, 7.3e-12)
+
+
+@pytest.mark.parametrize("g", EXPONENTS)
+def test_order_arithmetic_keeps_the_bits(g):
+    # the witnesses carleman-i and condition A printed before Order:
+    # P = p + 3.0 * g for the cubed gaps, and 2.0 * p for the squared ones
+    order = Order(1.0, g, -g)
+    for p in EXPONENTS:
+        cubed = Order(-1.0, p, g) * order**3.0
+        assert (cubed.p.hex(), cubed.q.hex()) == ((p + 3.0 * g).hex(), (g + 3.0 * -g).hex())
+        assert cubed.c is None
+    squared = order**2.0
+    assert (squared.p.hex(), squared.q.hex(), squared.c) == ((2.0 * g).hex(), (2.0 * -g).hex(), None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_orders_raise(bad, slot):
+    entries = [1.0, -0.5, 0.0]
+    entries[slot] = bad
+    with pytest.raises(GridError):
+        Order(*entries)
+    # CustomAlpha builds its Order when it is built, so no certificate reads a NaN or inf exponent
+    with pytest.raises(GridError):
+        CustomAlpha(lambda n: 0.0, leading=tuple(entries))
+    if slot == 0:
+        with pytest.raises(GridError):
+            CustomAlpha(lambda n: 0.0, scaled_form=(bad, True))
+
+
+# the Bertrand ties P = -1, end to end on alpha = 0: the squared gaps of
+# n^-1/2 (ln n)^-1/2 diverge and those of n^-1/2 (ln n)^-0.6 converge, and
+# the gaps of 1/(n (ln n)^1.2) converge and those of 1/(n ln n) diverge
+TIES = {
+    (0.5, 0.5): ("SelfAdjoint", "non-square-summable-gaps", False, ()),
+    (0.5, 0.6): ("SelfAdjoint", "lower-envelope-bound", False, ()),
+    (1.0, 1.2): ("Inconclusive", None, False, ("gaps-summable-outside-model",)),
+    (1.0, 1.0): ("Inconclusive", None, True, ()),
+}
+
+
+@pytest.mark.parametrize("gamma,eta", sorted(TIES))
+def test_bertrand_ties_decide_the_verdict(gamma, eta):
+    v = deficiency_verdict(PowerLogGrid(gamma, eta), PowerSumAlpha(((0.0, 0.0, 0.0),)), VerdictConfig((10**4, 10**5)))
+    assert (v.verdict.value, v.certificate, v.advisory, v.flags) == TIES[gamma, eta]
 
 
 @pytest.mark.parametrize("a", [-0.5, 1.5])
@@ -164,9 +217,9 @@ def test_alpha_zero_on_a_flat_grid_has_a_leading_term(a):
     grid = ConstantGrid(0.5)
     # on flat gaps rtilde_n^2 alternates 1, d^2 and u = (2/d, 2d): alpha0_n = 2a/d exactly
     alpha = AlphaZeroAlpha(grid, a, PeriodPair(odd=2.0 / grid.d, even=2.0 * grid.d))
-    assert alpha.leading_term() == (2.0 * a / grid.d, 0.0, 0.0)
+    assert alpha.leading_term() == Order(2.0 * a / grid.d, 0.0, 0.0)
     assert np.allclose(alpha.alphas(1, 200), 2.0 * a / grid.d, rtol=1e-12)
-    assert AlphaZeroAlpha(PowerLogGrid(0.8, 0.5), a, PeriodPair(1.0, 1.0)).leading_term() == (2.0 * a, 0.8, 0.5)
+    assert AlphaZeroAlpha(PowerLogGrid(0.8, 0.5), a, PeriodPair(1.0, 1.0)).leading_term() == Order(2.0 * a, 0.8, 0.5)
     assert AlphaZeroAlpha(ExplicitGrid(VALUES), a, PeriodPair(1.0, 1.0)).leading_term() is None
     assert AlphaZeroAlpha(grid, 0.0, PeriodPair(1.0, 1.0)).leading_term() is None
 
