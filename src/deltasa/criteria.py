@@ -46,6 +46,7 @@ from .grid import (
     PowerLogGrid,
     classify_summability,
     ratio_stats,
+    rows,
 )
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
@@ -159,7 +160,7 @@ class GFunction:
         if self.kind is GKind.ZERO:
             return np.zeros(hi - lo)
         if self.kind is GKind.NLOG:
-            ns = np.maximum(np.arange(lo, hi, dtype=float), 2.0)
+            ns = np.maximum(rows(lo, hi), 2.0)
             t = np.log(ns)
             out = 0.25 * t**self.eta / ns
             if self.eta > 0.5:
@@ -474,7 +475,8 @@ def test_bound_II(
         out = alpha.alphas(a, b) + r[:-1]
         out += r[1:]
         out += g
-        return np.divide(out, d[:-1], out=out)
+        with np.errstate(over="ignore"):
+            return np.divide(out, d[:-1], out=out)
 
     params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
     return _bound_probe("bound-II", params, 1, N, residual_block)
@@ -489,7 +491,8 @@ def test_bound_III(
         d = grid.gaps(a, b)
         g = G.evaluate_block(a, b)
         out = g - alpha.alphas(a, b)
-        return np.divide(out, d, out=out)
+        with np.errstate(over="ignore"):
+            return np.divide(out, d, out=out)
 
     params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
     return _bound_probe("bound-III", params, 1, N, residual_block)

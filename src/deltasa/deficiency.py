@@ -239,7 +239,8 @@ def solve_recurrence(
             mags[m + 1 - n] = abs(h)
         # sq[m - n] = |h_m|^2; the slot before a run's first row holds acc, so a
         # cumsum over the slice adds the run to acc left to right
-        sq = mags[:-1] * mags[:-1]
+        with np.errstate(over="ignore"):
+            sq = mags[:-1] * mags[:-1]
         pos = n + 1  # first row not yet in acc
         for m, (shift, _) in [*events.items(), (top, (1.0, 0.0))]:
             while next_edge <= m:

@@ -42,6 +42,11 @@ __all__ = [
 # without a closed-form summability class
 _SUMMABILITY_HORIZON = 1 << 16
 
+# rows(): a read-only ramp 0, 1, 2, ... as long as a probe block and its
+# look-ahead rows (256 KiB); longer row ranges fall back to np.arange
+_RAMP = np.arange(float((1 << 15) + 4))
+_RAMP.flags.writeable = False
+
 
 class GridError(ValueError):
     """Raised for invalid gap data: non-positive gaps, bad indices."""
@@ -71,6 +76,14 @@ class Order:
     def summable(self) -> bool:
         """Bertrand's rule: sum n^p (ln n)^q converges iff p < -1, or p = -1 and q < -1."""
         return self.p < -1.0 or (self.p == -1.0 and self.q < -1.0)
+
+
+def rows(lo: int, hi: int) -> np.ndarray:
+    """The rows lo, lo + 1, ..., hi - 1 as floats, in a new array: np.arange(lo, hi, dtype=float), bit for bit."""
+    m = hi - lo
+    if 0 <= m <= len(_RAMP):
+        return np.add(_RAMP[:m], lo)
+    return np.arange(lo, hi, dtype=float)
 
 
 def _explicit_positions(m: int, tail: str, lo: int, hi: int) -> np.ndarray:
@@ -189,7 +202,7 @@ class PowerLogGrid(GridSequence):
 
     def log_gaps(self, lo: int, hi: int) -> np.ndarray:
         self._check_range(lo, hi)
-        out = np.arange(lo, hi, dtype=float)
+        out = rows(lo, hi)
         if lo == 1:
             out[0] = 2.0  # placeholder, overwritten below
         np.log(out, out=out)  # t = ln n, in place
@@ -212,7 +225,7 @@ class PowerLogGrid(GridSequence):
     def gap_log_ratio_block(self, lo: int, hi: int, k: int) -> Optional[np.ndarray]:
         if lo < 2 or lo + k < 2:
             return None
-        ns = np.arange(lo, hi, dtype=float)
+        ns = rows(lo, hi)
         t = np.log1p(k / ns)
         w = np.log1p(t / np.log(ns))
         return -self.gamma * t - self.eta * w

@@ -25,8 +25,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .grid import GridError, GridSequence, Order, _explicit_positions
-from .numerics import Record, TriState, exact_row_sums
+from .grid import GridError, GridSequence, Order, _explicit_positions, rows
+from .numerics import Record, TriState, exact_alternating_sums
 
 __all__ = [
     "PeriodPair",
@@ -79,11 +79,15 @@ class TildeSequence:
     Unrolling the recursion gives log|rtilde_n| = (-1)^n S_n with
     S_n = sum_{k=2}^n (-1)^k log d_k, and sign(rtilde_n) = (-1)^(n-1).
     S is accumulated in 4096-row chunks whose boundary values (the
-    bases) add each chunk's correctly rounded sum (exact_row_sums, the
-    value math.fsum returns), so a block read anchors an ordinary cumsum
-    at an accurate S_lo and the float drift stays below ~1e-10 over
-    million-term spans.  Only a read past the known bases builds them,
-    from the grid, eight chunks per call.
+    bases) add each chunk's correctly rounded sum, the value math.fsum
+    returns, so a block read anchors an ordinary cumsum at an accurate
+    S_lo and the float drift stays below ~1e-10 over million-term spans.
+    Only a read past the known bases builds them, from the grid's log
+    gaps, eight chunks per call.  A chunk starts on an even row, so its
+    sum is the alternating sum of its log gaps, and exact_alternating_sums
+    adds the adjacent pairs log d_2j - log d_2j+1 exactly in one float
+    pass; a chunk whose pairs it cannot sum exactly (on a power grid the
+    first, rows 2..4097) goes to exact_row_sums.
     """
 
     def __init__(self, grid: GridSequence) -> None:
@@ -97,7 +101,7 @@ class TildeSequence:
         return a
 
     def _terms(self, lo: int, hi: int) -> np.ndarray:
-        """(-1)^k log d_k for lo <= k < hi."""
+        """(-1)^k log d_k for lo <= k < hi, for a block read without the caller's log gaps."""
         return self._alternate(self.grid.log_gaps(lo, hi), lo)
 
     def _S(self, n: int) -> float:
@@ -108,12 +112,13 @@ class TildeSequence:
         while len(self._bases) <= j:
             m = min(_BATCH, j + 1 - len(self._bases))
             b0 = 1 + (len(self._bases) - 1) * _CHUNK
-            for s in exact_row_sums(self._terms(b0 + 1, b0 + m * _CHUNK + 1).reshape(m, _CHUNK)):
+            # rows b0 + 1 and n0 + 1 are even, so a chunk's terms are +log d, -log d, ...
+            for s in exact_alternating_sums(self.grid.log_gaps(b0 + 1, b0 + m * _CHUNK + 1).reshape(m, _CHUNK)):
                 self._bases.append(self._bases[-1] + s)
         n0 = 1 + j * _CHUNK
         if n == n0:
             return self._bases[j]
-        return self._bases[j] + exact_row_sums(self._terms(n0 + 1, n + 1)[None, :])[0]
+        return self._bases[j] + exact_alternating_sums(self.grid.log_gaps(n0 + 1, n + 1)[None, :])[0]
 
     def log_abs(self, n: int) -> float:
         s = self._S(n)
@@ -220,12 +225,13 @@ class PowerSumAlpha(AlphaSequence):
     def alphas(self, lo: int, hi: int) -> np.ndarray:
         if lo < 1 or hi < lo:
             raise GridError(f"bad alpha range [{lo}, {hi})")
-        ns = np.arange(lo, hi, dtype=float)
+        ns = rows(lo, hi)
         ln_n = np.log(ns)
         t = np.log(np.maximum(ns, 2.0))
         out = np.zeros_like(ns)
-        for c, p, q in self.terms:
-            out += c * np.exp(p * ln_n + q * np.log(t))
+        with np.errstate(over="ignore"):  # a finite coupling may overflow the float range
+            for c, p, q in self.terms:
+                out += c * np.exp(p * ln_n + q * np.log(t))
         return out
 
     def leading_term(self) -> Order:
@@ -452,7 +458,8 @@ class JacobiOperator:
         r = 1.0 / d
         out = alphas + r[:-1]
         out += r[1:]
-        return np.divide(out, np.add(d[:-1], d[1:], out=r[:-1]), out=out)
+        with np.errstate(over="ignore"):
+            return np.divide(out, np.add(d[:-1], d[1:], out=r[:-1]), out=out)
 
     def off_block(self, lo: int, hi: int) -> np.ndarray:
         """off(n) for lo <= n < hi."""

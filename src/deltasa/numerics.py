@@ -25,6 +25,7 @@ __all__ = [
     "Record",
     "ChunkedSum",
     "exact_row_sums",
+    "exact_alternating_sums",
     "keep_heap",
     "blocks",
     "richardson_pair",
@@ -176,6 +177,50 @@ def exact_row_sums(x2d) -> list[float]:
         if total:
             out[i] = total / (1 << 80)
     return [math.fsum(x[i].tolist()) if v is None else v for i, v in enumerate(out)]
+
+
+def exact_alternating_sums(x2d) -> list[float]:
+    """The correctly rounded x0 - x1 + x2 - ... of each row of a 2-d array: math.fsum's value on the signed row.
+
+    The pair rule: when a row's entries share one sign and every |x| >= 2^E,
+    E = frexp(min|x|)[1] - 1 >= -1000, every entry is a multiple of
+    2^(E-52).  If the pairs q_j = x_2j - x_2j+1 pass the gate
+    fl(sum |q_j|) <= 2^E, every pair and every partial sum of pairs, in
+    any order, is such a multiple of modulus at most 2^E, hence a float:
+    the float sum of the pairs is exact under any SIMD kernel (Sterbenz's
+    lemma; Rump, Ogita and Oishi, "Accurate floating-point summation",
+    SIAM J. Sci. Comput. 31 (2008)).  An odd last entry is added once at
+    the end, one correctly rounded addition.  Every other row (mixed
+    signs, zero, tiny or non-finite entries, a failed gate, an exact zero
+    total, whose sign fsum chooses, or a non-finite result) goes to
+    exact_row_sums on its signed row.
+    """
+    x = np.asarray(x2d, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("exact_alternating_sums needs a 2-d array")
+    rows, cols = x.shape
+    if rows == 0 or cols == 0:
+        return [0.0] * rows
+    mn, mx = x.min(axis=1), x.max(axis=1)
+    least = np.where(mn > 0.0, mn, -mx)  # min|x| where the row has one sign
+    E = np.frexp(least)[1] - 1
+    even = cols - cols % 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.subtract(x[:, 0:even:2], x[:, 1:even:2])
+        total = q.sum(axis=1)
+        gate = np.abs(q, out=q).sum(axis=1)
+        if cols % 2:
+            total += x[:, -1]
+    fast = ((mn > 0.0) | (mx < 0.0)) & (E >= -1000) & np.isfinite(mn) & np.isfinite(mx)
+    fast &= (gate <= np.ldexp(1.0, E)) & (total != 0.0) & np.isfinite(total)
+    out = total.tolist()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        signed = x[slow]
+        signed[:, 1::2] *= -1.0
+        for i, s in zip(slow.tolist(), exact_row_sums(signed)):
+            out[i] = s
+    return out
 
 
 def blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:

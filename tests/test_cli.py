@@ -219,6 +219,16 @@ class TestAnalyze:
         assert (verdict["verdict"], verdict["certificate"]) == ("SelfAdjoint", "carleman-series")
         assert verdict["diagnostics"]["carleman_i"]["checkpoints"] == [[10000, None]]
 
+    @pytest.mark.parametrize("alpha", ["1e308*n^5", "1e308*n^0.1"])
+    def test_overflowing_coupling_warns_nothing(self, capsys, alpha):
+        # a finite coupling that overflows the float range: the carleman-i
+        # partial sums (n^5) or the bound probes and the oracle (n^0.1)
+        # meet inf, as designed, and print no numpy warning to stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["analyze", "--gamma", "0.8", "--horizons", "10000,100000", f"--alpha={alpha}"], capsys)
+        assert (code, err) == (0, "")
+
 
 class TestSweep:
     def test_single_cell(self, capsys):

@@ -58,6 +58,13 @@ def _witness(w):
     return (w["P"], w["Q"]) if isinstance(w, dict) else w
 
 
+def _bits(decision):
+    """A (verdict, (P, Q)) decision with P and Q as float.hex, so that -0.0 and 0.0 differ."""
+    if isinstance(decision, tuple) and len(decision) == 2 and isinstance(decision[1], tuple):
+        return decision[0], tuple(x.hex() for x in decision[1])
+    return decision
+
+
 def decisions(grid):
     """(l1 class, l2 class, carleman-i on alpha_n = n, carleman-i on the scaled
     coupling a = -0.5, condition A, O(d) class of PERT, leading term)."""
@@ -144,7 +151,8 @@ def test_decisions_match_the_recorded_ladders(label):
     for (name, i), new in MOVED.items():
         if name == label:
             want[i] = new
-    assert decisions(GRIDS[label]) == tuple(want)
+    # the JSON prints each witness's sign of zero, so compare the bits, not ==
+    assert [_bits(d) for d in decisions(GRIDS[label])] == [_bits(d) for d in want]
 
 
 def test_order_table():

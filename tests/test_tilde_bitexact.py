@@ -1,8 +1,9 @@
 """The tilde pass is bit-exact against its earlier form.
 
 TildeSequence builds the chunk bases of its fsum ladder only when a
-read reaches past them, from the grid, and sums them with
-exact_row_sums; a block read anchors its cumsum on them and takes its
+read reaches past them, from the grid's log gaps, and sums them with
+exact_alternating_sums, which hands the chunks its pair rule cannot sum
+exactly to exact_row_sums; a block read anchors its cumsum on them and takes its
 terms from its own or the caller's log gaps, flipping the signs of odd
 rows in place.  PeriodPair.block builds parity sequences by strided
 assignment, and PowerLogGrid.log_gaps skips the ln ln n term at
@@ -28,7 +29,9 @@ from deltasa import (
     TildeSequence,
     check_condition_B,
 )
+from deltasa import numerics
 from deltasa.grid import GridError, GridSequence
+from deltasa.numerics import exact_row_sums
 
 H = 10**5
 BLOCK = 1 << 15  # the series probes' block length
@@ -322,3 +325,60 @@ def test_power_log_gaps_match_reference(gamma, eta, lo):
     grid = PowerLogGrid(gamma, eta)
     for m in (1, 2, 4097, 5000, BLOCK, BLOCK + 2, BLOCK + 3):
         assert grid.log_gaps(lo, lo + m).tobytes() == reference_log_gaps(grid, lo, lo + m).tobytes()
+
+
+class ReferenceLadder(TildeSequence):
+    """The ladder before the pair sums: exact_row_sums of the sign-alternated terms, eight chunks a batch."""
+
+    def _S(self, n):
+        j = (n - 1) // 4096
+        while len(self._bases) <= j:
+            m = min(8, j + 1 - len(self._bases))
+            b0 = 1 + (len(self._bases) - 1) * 4096
+            for s in exact_row_sums(self._terms(b0 + 1, b0 + m * 4096 + 1).reshape(m, 4096)):
+                self._bases.append(self._bases[-1] + s)
+        n0 = 1 + j * 4096
+        if n == n0:
+            return self._bases[j]
+        return self._bases[j] + exact_row_sums(self._terms(n0 + 1, n + 1)[None, :])[0]
+
+
+def _near_constant_cycle():
+    gaps = 0.3 + np.random.default_rng(7).uniform(0.0, 1e-6, 3 * 4096 + 17)
+    gaps[9000] = 1.0  # log d = 0: the chunk that holds it is not of one sign
+    return ExplicitGrid(tuple(gaps.tolist()))
+
+
+# A grid and how many chunks of each eight-chunk batch of the first 30
+# fail the pair rule and go to exact_row_sums: on a power grid chunk 0
+# alone (its pair sum exceeds 2^E); on a constant grid every chunk (an
+# exact zero total); at eta < 0 the log gaps cross zero near n = 2e4, so
+# chunks 3..5 fail between chunks that pass; and in the cycle every
+# chunk that holds the gap 1.0.
+LADDERS = {
+    "chunk-0": (PowerLogGrid(0.8, 0.0, d1=1.3), [1]),
+    "constant": (ConstantGrid(0.7), [8, 8, 8, 6]),
+    "eta-negative": (PowerLogGrid(0.2316, -1.0), [4]),
+    "explicit-cycle": (_near_constant_cycle(), [2, 3, 3, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_matches_exact_row_sums_where_the_gate_fails(monkeypatch, name):
+    grid, fallback_per_batch = LADDERS[name]
+    fallback = []
+
+    def counting(x):
+        fallback.append(len(x))
+        return exact_row_sums(x)
+
+    got = TildeSequence(grid)
+    monkeypatch.setattr(numerics, "exact_row_sums", counting)
+    got.log_abs(1 + 30 * 4096)
+    monkeypatch.undo()
+    assert fallback == fallback_per_batch
+    want = ReferenceLadder(grid)
+    want.log_abs(1 + 30 * 4096)
+    assert np.array(got._bases).tobytes() == np.array(want._bases).tobytes()
+    reads = [("point", n) for n in (2, 3, 4097, 4098, 3 * 4096 + 5, 9000, 20001, 30 * 4096 + 1234)]
+    assert replay(got, reads) == replay(want, reads)
