@@ -66,6 +66,8 @@ _SERIES_TERMS = 64
 _EXACT_MIN = 2.0**-28
 _EXACT_MAX = 2.0**11
 _EXACT_MAX_COLS = 1 << 12
+# exact_alternating_sums: the pair rule needs every |x| >= 2^E with E >= -1000
+_PAIR_MIN = 2.0**-1000
 
 # keep_heap: glibc mallopt parameters and the values it sets
 _M_TRIM_THRESHOLD = -1
@@ -201,9 +203,6 @@ def exact_alternating_sums(x2d) -> list[float]:
     rows, cols = x.shape
     if rows == 0 or cols == 0:
         return [0.0] * rows
-    mn, mx = x.min(axis=1), x.max(axis=1)
-    least = np.where(mn > 0.0, mn, -mx)  # min|x| where the row has one sign
-    E = np.frexp(least)[1] - 1
     even = cols - cols % 2
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.subtract(x[:, 0:even:2], x[:, 1:even:2])
@@ -211,14 +210,19 @@ def exact_alternating_sums(x2d) -> list[float]:
         gate = np.abs(q, out=q).sum(axis=1)
         if cols % 2:
             total += x[:, -1]
-    fast = ((mn > 0.0) | (mx < 0.0)) & (E >= -1000) & np.isfinite(mn) & np.isfinite(mx)
-    fast &= (gate <= np.ldexp(1.0, E)) & (total != 0.0) & np.isfinite(total)
     out = total.tolist()
-    slow = np.flatnonzero(~fast)
-    if slow.size:
+    slow = []
+    for i, (lo, hi, t, g) in enumerate(zip(x.min(axis=1).tolist(), x.max(axis=1).tolist(), out, gate.tolist())):
+        least = lo if lo > 0.0 else -hi  # min|x| when the row has one sign
+        if (lo > 0.0 or hi < 0.0) and least >= _PAIR_MIN and t != 0.0 and math.isfinite(t):
+            # 2^E is the largest power of two <= least; a nan gate fails the comparison
+            if g <= math.ldexp(1.0, math.frexp(least)[1] - 1):
+                continue
+        slow.append(i)
+    if slow:
         signed = x[slow]
         signed[:, 1::2] *= -1.0
-        for i, s in zip(slow.tolist(), exact_row_sums(signed)):
+        for i, s in zip(slow, exact_row_sums(signed)):
             out[i] = s
     return out
 
