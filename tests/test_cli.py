@@ -226,7 +226,9 @@ class TestAnalyze:
         # meet inf, as designed, and print no numpy warning to stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(["analyze", "--gamma", "0.8", "--horizons", "10000,100000", f"--alpha={alpha}"], capsys)
+            code, _, err = run(
+                ["analyze", "--gamma", "0.8", "--horizons", "10000,100000", f"--alpha={alpha}"], capsys
+            )
         assert (code, err) == (0, "")
 
 

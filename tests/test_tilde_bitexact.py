@@ -2,10 +2,10 @@
 
 TildeSequence builds the chunk bases of its fsum ladder only when a
 read reaches past them, from the grid's log gaps, and sums them with
-exact_alternating_sums, which hands the chunks its pair rule cannot sum
-exactly to exact_row_sums; a block read anchors its cumsum on them and takes its
-terms from its own or the caller's log gaps, flipping the signs of odd
-rows in place.  PeriodPair.block builds parity sequences by strided
+exact_alternating_sums, which hands the chunks its pair rule cannot
+sum exactly to exact_row_sums; a block read anchors its cumsum on them
+and takes its terms from its own or the caller's log gaps, flipping the
+signs of odd rows in place.  PeriodPair.block builds parity sequences by strided
 assignment, and PowerLogGrid.log_gaps skips the ln ln n term at
 eta = 0.  The references below are the earlier implementations (a
 separate pass per chunk base, sign vectors from np.where on index
