@@ -351,7 +351,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     samples: list = []
     if q in ("F", "F_over_d"):
         for n in _log_sample(max(lo, 1), hi, args.points):
-            v = float(F_block(grid, int(n), int(n) + 1)[0])
+            with np.errstate(divide="ignore", invalid="ignore"):  # a gap that underflows to 0 gives null
+                v = float(F_block(grid, int(n), int(n) + 1)[0])
             if q == "F_over_d":
                 v /= grid.gap(int(n))
             samples.append([int(n), v])
@@ -471,7 +472,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as e:  # GridError is a ValueError
+    except (CliError, ValueError, ArithmeticError) as e:  # GridError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

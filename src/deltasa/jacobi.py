@@ -87,7 +87,7 @@ class TildeSequence:
     sum is the alternating sum of its log gaps, and exact_alternating_sums
     adds the adjacent pairs log d_2j - log d_2j+1 exactly in one float
     pass; a chunk whose pairs it cannot sum exactly (on a power grid the
-    first, rows 2..4097) goes to exact_row_sums.
+    first, rows 2..4097) goes to math.fsum.
     """
 
     def __init__(self, grid: GridSequence) -> None:

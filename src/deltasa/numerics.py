@@ -24,7 +24,6 @@ __all__ = [
     "TriState",
     "Record",
     "ChunkedSum",
-    "exact_row_sums",
     "exact_alternating_sums",
     "keep_heap",
     "blocks",
@@ -60,12 +59,6 @@ _CHUNK = 1 << 15
 _SERIES_CUT = 0.25
 _SERIES_TERMS = 64
 
-# exact_row_sums: terms with 2^-28 <= |x| < 2^11 are multiples of 2^-80
-# (their ulp is at least 2^-80); split at 2^-30, the high parts of up to
-# 2^12 terms sum exactly in float64 and the 50-bit low parts in int64
-_EXACT_MIN = 2.0**-28
-_EXACT_MAX = 2.0**11
-_EXACT_MAX_COLS = 1 << 12
 # exact_alternating_sums: the pair rule needs every |x| >= 2^E with E >= -1000
 _PAIR_MIN = 2.0**-1000
 
@@ -146,41 +139,6 @@ class ChunkedSum:
         return math.fsum(self._parts)
 
 
-def exact_row_sums(x2d) -> list[float]:
-    """The correctly rounded sum of each row of a 2-d array: math.fsum's value.
-
-    A row of at most 2^12 terms, each with 2^-28 <= |x| < 2^11 (so that
-    x * 2^80 is an integer), is summed exactly in vectorised form: x * 2^30 splits exactly into hi = floor(x * 2^30)
-    and a 50-bit lo = (x * 2^30 - hi) * 2^50, hi sums exactly in float64
-    and lo in int64, and the integer (H << 50) + L divided by 2^80
-    rounds correctly (CPython's int / int true division does).  Any
-    other row (longer, zero, tiny, huge or non-finite terms, or an exact
-    sum of zero, whose sign fsum chooses by Python version) goes to
-    math.fsum, with its errors.
-    """
-    x = np.asarray(x2d, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("exact_row_sums needs a 2-d array")
-    rows, cols = x.shape
-    if cols > _EXACT_MAX_COLS or rows == 0 or cols == 0:
-        return [math.fsum(row) for row in x.tolist()]
-    a = np.abs(x)
-    fast = (a.max(axis=1) < _EXACT_MAX) & (a.min(axis=1) >= _EXACT_MIN)
-    idx = np.flatnonzero(fast)
-    y = (x if idx.size == rows else x[idx]) * 2.0**30
-    hi = np.floor(y)
-    y -= hi
-    y *= 2.0**50
-    H = hi.sum(axis=1).tolist()
-    L = y.astype(np.int64).sum(axis=1).tolist()
-    out: list = [None] * rows
-    for i, h, l in zip(idx.tolist(), H, L):
-        total = (int(h) << 50) + l
-        if total:
-            out[i] = total / (1 << 80)
-    return [math.fsum(x[i].tolist()) if v is None else v for i, v in enumerate(out)]
-
-
 def exact_alternating_sums(x2d) -> list[float]:
     """The correctly rounded x0 - x1 + x2 - ... of each row of a 2-d array: math.fsum's value on the signed row.
 
@@ -195,7 +153,7 @@ def exact_alternating_sums(x2d) -> list[float]:
     the end, one correctly rounded addition.  Every other row (mixed
     signs, zero, tiny or non-finite entries, a failed gate, an exact zero
     total, whose sign fsum chooses, or a non-finite result) goes to
-    exact_row_sums on its signed row.
+    math.fsum on its signed row, with its errors.
     """
     x = np.asarray(x2d, dtype=float)
     if x.ndim != 2:
@@ -222,8 +180,8 @@ def exact_alternating_sums(x2d) -> list[float]:
     if slow:
         signed = x[slow]
         signed[:, 1::2] *= -1.0
-        for i, s in zip(slow, exact_row_sums(signed)):
-            out[i] = s
+        for i, row in zip(slow, signed.tolist()):
+            out[i] = math.fsum(row)
     return out
 
 

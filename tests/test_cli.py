@@ -438,3 +438,22 @@ def test_non_finite_input_is_one_error_line(capsys, label):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "finite" in err
+
+
+# a finite gamma whose gaps underflow to 0 divides by zero or overflows
+# inside the numerics; main turns the ArithmeticError into exit code 1,
+# and no numpy warning comes before its error line
+UNDERFLOW = {
+    "F": ["plot-data", "--gamma", "1100", "--quantity", "F", "--lo", "1", "--hi", "3"],
+    "F_over_d": ["plot-data", "--gamma", "1100", "--quantity", "F_over_d", "--lo", "3", "--hi", "9"],
+    "residuals": ["plot-data", "--gamma", "1100", "--quantity", "residuals", "--alpha=zero", "--hi", "20"],
+    "sweep": ["sweep", "--gammas", "600", "--a-values=-0.5", "--horizons", "300"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(UNDERFLOW))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_gaps_are_one_error_line(capsys, label):
+    code, out, err = run(UNDERFLOW[label], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -2,7 +2,7 @@
 
 The pair rule covers rows whose entries share one sign, with every
 |x| >= 2^E (E = frexp(min|x|)[1] - 1 >= -1000) and fl(sum |x_2j - x_2j+1|)
-<= 2^E; everything else goes to exact_row_sums on the signed row.  The
+<= 2^E; everything else goes to math.fsum on the signed row.  The
 draws aim at both sides of each part of that gate: log-gap rows of power
 grids (the tilde ladder's chunks), rows that straddle a binade, pair
 sums exactly 2^E and one ulp above it, an odd last entry that overflows,
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from deltasa import PowerLogGrid, TildeSequence
-from deltasa import numerics
+from deltasa import jacobi
 from deltasa.numerics import exact_alternating_sums
 
 
@@ -41,15 +41,22 @@ def assert_matches_fsum(x):
 
 
 def counting_fallback():
-    """A patch of exact_row_sums that appends each call's row count to the list it returns."""
-    rows = []
-    real = numerics.exact_row_sums
+    """exact_alternating_sums, wrapped to append to a list how many rows each call hands to math.fsum.
 
-    def counting(y):
-        rows.append(len(y))
-        return real(y)
+    Returns the list and the wrapper; a call that hands none appends nothing.
+    """
+    fallback = []
+    fsum = math.fsum
 
-    return rows, mock.patch.object(numerics, "exact_row_sums", counting)
+    def counting(x):
+        rows = []
+        with mock.patch.object(math, "fsum", lambda row: rows.append(row) or fsum(row)):
+            out = exact_alternating_sums(x)
+        if rows:
+            fallback.append(len(rows))
+        return out
+
+    return fallback, counting
 
 
 @settings(max_examples=80, deadline=None)
@@ -104,9 +111,8 @@ def test_pair_sums_at_the_gate(E, pairs, seed, above, odd, sign):
     if odd:
         row.append(math.ldexp(sign * (unit + int(rng.integers(0, unit))), E - 52))
     assert_matches_fsum([row])
-    fallback, patch = counting_fallback()
-    with patch:
-        exact_alternating_sums(np.array([row]))
+    fallback, counting = counting_fallback()
+    counting(np.array([row]))
     if math.fsum(signed(row)) != 0.0:
         assert sum(fallback) == above  # the gate admits 2^E and rejects one ulp more
 
@@ -119,6 +125,15 @@ def test_gate_edge_rows(sign):
         [4.0, 8.0, 4.0],
         [3.0],
         [3.0, 3.0],  # an exact zero total
+        [1.0, 2.0] * 2048 + [1.0],  # 4097 columns, sum |q| = 2048 > 2^0
+        [-0.0],  # signed zeros: the sign of fsum's zero
+        [-0.0, -0.0],
+        [-0.0, 0.0, -0.0] * 1366,
+        [5e-324, 1e-310, 5e-324],  # subnormals
+        [math.inf, math.inf],  # inf - inf: fsum raises
+        [math.inf, 1.0],
+        [math.nan, 2.0],
+        [1.0, math.inf, math.nan],
     ]
     for row in cases:
         assert_matches_fsum([[sign * v for v in row]])
@@ -183,7 +198,7 @@ def test_shapes():
 @pytest.mark.parametrize("gamma,d1", [(0.8, 1.3), (0.6054, 0.6446), (0.98, 1.0)])
 def test_power_grid_ladder_falls_back_on_chunk_0_only(gamma, d1):
     """On the benchmark's power grids only the ladder's first chunk, rows 2..4097, fails the gate."""
-    fallback, patch = counting_fallback()
-    with patch:
+    fallback, counting = counting_fallback()
+    with mock.patch.object(jacobi, "exact_alternating_sums", counting):
         TildeSequence(PowerLogGrid(gamma, 0.0, d1)).log_abs(10**6)
     assert fallback == [1]

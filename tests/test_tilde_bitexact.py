@@ -3,7 +3,7 @@
 TildeSequence builds the chunk bases of its fsum ladder only when a
 read reaches past them, from the grid's log gaps, and sums them with
 exact_alternating_sums, which hands the chunks its pair rule cannot
-sum exactly to exact_row_sums; a block read anchors its cumsum on them
+sum exactly to math.fsum; a block read anchors its cumsum on them
 and takes its terms from its own or the caller's log gaps, flipping the
 signs of odd rows in place.  PeriodPair.block builds parity sequences by strided
 assignment, and PowerLogGrid.log_gaps skips the ln ln n term at
@@ -29,9 +29,8 @@ from deltasa import (
     TildeSequence,
     check_condition_B,
 )
-from deltasa import numerics
+from deltasa import jacobi
 from deltasa.grid import GridError, GridSequence
-from deltasa.numerics import exact_row_sums
 
 H = 10**5
 BLOCK = 1 << 15  # the series probes' block length
@@ -328,19 +327,19 @@ def test_power_log_gaps_match_reference(gamma, eta, lo):
 
 
 class ReferenceLadder(TildeSequence):
-    """The ladder before the pair sums: exact_row_sums of the sign-alternated terms, eight chunks a batch."""
+    """The ladder before the pair sums: math.fsum of each chunk's sign-alternated terms, eight chunks a batch."""
 
     def _S(self, n):
         j = (n - 1) // 4096
         while len(self._bases) <= j:
             m = min(8, j + 1 - len(self._bases))
             b0 = 1 + (len(self._bases) - 1) * 4096
-            for s in exact_row_sums(self._terms(b0 + 1, b0 + m * 4096 + 1).reshape(m, 4096)):
-                self._bases.append(self._bases[-1] + s)
+            for row in self._terms(b0 + 1, b0 + m * 4096 + 1).reshape(m, 4096).tolist():
+                self._bases.append(self._bases[-1] + math.fsum(row))
         n0 = 1 + j * 4096
         if n == n0:
             return self._bases[j]
-        return self._bases[j] + exact_row_sums(self._terms(n0 + 1, n + 1)[None, :])[0]
+        return self._bases[j] + math.fsum(self._terms(n0 + 1, n + 1).tolist())
 
 
 def _near_constant_cycle():
@@ -350,7 +349,7 @@ def _near_constant_cycle():
 
 
 # A grid and how many chunks of each eight-chunk batch of the first 30
-# fail the pair rule and go to exact_row_sums: on a power grid chunk 0
+# fail the pair rule and go to math.fsum: on a power grid chunk 0
 # alone (its pair sum exceeds 2^E); on a constant grid every chunk (an
 # exact zero total); at eta < 0 the log gaps cross zero near n = 2e4, so
 # chunks 3..5 fail between chunks that pass; and in the cycle every
@@ -364,16 +363,22 @@ LADDERS = {
 
 
 @pytest.mark.parametrize("name", sorted(LADDERS))
-def test_ladder_matches_exact_row_sums_where_the_gate_fails(monkeypatch, name):
+def test_ladder_matches_fsum_where_the_gate_fails(monkeypatch, name):
     grid, fallback_per_batch = LADDERS[name]
     fallback = []
+    batch, fsum = jacobi.exact_alternating_sums, math.fsum
 
     def counting(x):
-        fallback.append(len(x))
-        return exact_row_sums(x)
+        rows = []
+        with monkeypatch.context() as m:
+            m.setattr(math, "fsum", lambda row: rows.append(row) or fsum(row))
+            out = batch(x)
+        if rows:
+            fallback.append(len(rows))
+        return out
 
     got = TildeSequence(grid)
-    monkeypatch.setattr(numerics, "exact_row_sums", counting)
+    monkeypatch.setattr(jacobi, "exact_alternating_sums", counting)
     got.log_abs(1 + 30 * 4096)
     monkeypatch.undo()
     assert fallback == fallback_per_batch
