@@ -244,7 +244,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
     report = {
-        "schema": "deltasa-analyze-v3",
+        "schema": "deltasa-analyze-v4",
         "grid": grid.describe(),
         "alpha": alpha.describe(),
         "horizons": list(cfg.horizons),

@@ -219,8 +219,8 @@ def F_block(grid: GridSequence, lo: int, hi: int) -> np.ndarray:
         raise GridError(f"F index must be >= 1, got {lo}")
     head = []
     if lo == 1 and hi > 1:
-        r1 = grid.r(1)
-        head.append((r1 - 1.0) / grid.gap(1) + (r1 / grid.r(2) - 1.0) / grid.gap(2))
+        r1, d2 = grid.r(1), grid.gap(2)  # a d_2 that underflows to 0 gives nan, as in the block rows
+        head.append((r1 - 1.0) / grid.gap(1) + (r1 / grid.r(2) - 1.0) / d2 if d2 > 0.0 else math.nan)
         lo = 2
     if lo == 2 and hi > 2:
         u2, v2 = _uv_block(grid, 2, 3)
@@ -645,7 +645,10 @@ def check_condition_B(
         n1 = H if H % 2 == parity else H - 1
         n0 = H // 2 if (H // 2) % 2 == parity else H // 2 - 1
         r0, r1 = rho(grid, n0, t), rho(grid, n1, t)
-        est = richardson_pair(r0, r1, n1 / n0, error_order)
+        try:
+            est = richardson_pair(r0, r1, n1 / n0, error_order)
+        except OverflowError:  # (n1/n0)^order past the float range: the limit is unknown
+            est = math.nan
         return est, [[n0, r0], [n1, r1]]
 
     u_odd, pts_odd = parity_estimate(1)

@@ -404,7 +404,7 @@ class VerdictConfig:
 
     @property
     def oracle_horizon(self) -> int:
-        """The oracle's march and the gap-ratio window: the top horizon, at most WINDOW_CAP."""
+        """The gap-ratio window and, cut by _oracle_rows, the oracle's march: the top horizon, at most WINDOW_CAP."""
         return min(WINDOW_CAP, self.horizons[-1])
 
     def to_json(self) -> dict:
@@ -470,16 +470,22 @@ _ORACLE_OUTCOMES = {
 }
 
 
+def _oracle_rows(horizon: int) -> int:
+    """The edge after the last dyadic block complete at horizon: l2_probe reads no later row."""
+    return min(horizon, 1 << ((horizon + 1).bit_length() - 1))
+
+
 def _oracle_advisory(
     op: JacobiOperator, cfg: VerdictConfig, diagnostics: dict, flags: list
 ) -> CriterionVerdict:
     """Numerical fallback: classify the solution at lambda = +i, always advisory.
 
-    B is real, so the solution at -i is the conjugate of the one at +i
-    and has the same block masses and l2_probe class: one march to
-    cfg.oracle_horizon decides, recorded under oracle_lambda_+1i.
+    B is real, so the -i solution is the conjugate of the +i one, with the same
+    block masses and l2_probe class.  One march decides, recorded under oracle_lambda_+1i;
+    it stops at _oracle_rows(cfg.oracle_horizon) (10^5 -> 2^16), and a block's mass is
+    the same sequential sum either way: later rows would move only residual_max and scale_events.
     """
-    sol = solve_recurrence(op, 1j, cfg.oracle_horizon)
+    sol = solve_recurrence(op, 1j, _oracle_rows(cfg.oracle_horizon))
     probe = l2_probe(sol)
     diagnostics["oracle_lambda_+1i"] = {"solution": sol.to_json(), "l2": probe.to_json()}
     if probe.classification in _ORACLE_OUTCOMES:
@@ -507,7 +513,7 @@ def deficiency_verdict(
       3. scaled-gap couplings near the critical line: condition B, then
          condition A read from the gaps' l2 class, plus the Floquet
          discriminant strictly inside a band.
-      4. the lambda = +i oracle to cfg.oracle_horizon, always advisory.
+      4. the lambda = +i oracle to _oracle_rows(cfg.oracle_horizon), always advisory.
     """
     cfg = cfg or VerdictConfig()
     diagnostics: dict = {"config": cfg.to_json()}

@@ -32,6 +32,7 @@ from .criteria import (
 from .deficiency import (
     VerdictConfig,
     VerdictKind,
+    _oracle_rows,
     deficiency_verdict,
     floquet_discriminant,
     l2_probe,
@@ -296,7 +297,7 @@ def _check_10_oracle_agreement(H: int) -> tuple[bool, list[str]]:
     ok = True
     for label, grid, alpha, expected, v in cases:
         analytic_ok = v.verdict is expected and not v.advisory
-        cls = l2_probe(solve_recurrence(JacobiOperator(grid, alpha), 1j, cfg.oracle_horizon)).classification
+        cls = l2_probe(solve_recurrence(JacobiOperator(grid, alpha), 1j, _oracle_rows(cfg.oracle_horizon))).classification
         want = "in_ell2" if expected is VerdictKind.DEFICIENT else "not_in_ell2"
         good = analytic_ok and cls == want
         ok &= good

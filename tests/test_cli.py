@@ -114,7 +114,7 @@ class TestAnalyze:
         code, out, _ = run(self.ARGS, capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v3"
+        assert report["schema"] == "deltasa-analyze-v4"
         assert report["verdict"]["verdict"] == "Deficient"
         assert report["verdict"]["certificate"] == "periodic-comparison"
         assert report["horizons"] == [10000]
@@ -444,10 +444,8 @@ def test_non_finite_input_is_one_error_line(capsys, label):
 # inside the numerics; main turns the ArithmeticError into exit code 1,
 # and no numpy warning comes before its error line
 UNDERFLOW = {
-    "F": ["plot-data", "--gamma", "1100", "--quantity", "F", "--lo", "1", "--hi", "3"],
     "F_over_d": ["plot-data", "--gamma", "1100", "--quantity", "F_over_d", "--lo", "3", "--hi", "9"],
     "residuals": ["plot-data", "--gamma", "1100", "--quantity", "residuals", "--alpha=zero", "--hi", "20"],
-    "sweep": ["sweep", "--gammas", "600", "--a-values=-0.5", "--horizons", "300"],
 }
 
 
@@ -457,3 +455,23 @@ def test_underflowing_gaps_are_one_error_line(capsys, label):
     code, out, err = run(UNDERFLOW[label], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# where no division raises, the same gaps give an answer: every F row is
+# nan, written as null, whether the scalar head rows or the numpy rows
+# compute it, and sweep writes the row whose condition-B Richardson step
+# overflows, its u unknown
+@pytest.mark.parametrize("lo, hi", [(1, 3), (3, 9)])
+def test_underflowing_gaps_give_null_F(capsys, lo, hi):
+    code, out, err = run(["plot-data", "--gamma", "1100", "--quantity", "F", "--lo", str(lo), "--hi", str(hi)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["samples"] == [[n, None] for n in range(lo, hi + 1)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bound scans divide by the zero gaps
+def test_sweep_writes_the_row_condition_B_overflows_on(capsys):
+    code, out, err = run(["sweep", "--gammas", "600", "--a-values=-0.5", "--horizons", "300"], capsys)
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["verdict"], cells["u_odd"], cells["u_even"]) == ("Inconclusive", "nan", "nan")

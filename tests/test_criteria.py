@@ -129,6 +129,12 @@ class TestF:
         want = [mp_F(g, n) for n in range(1, 40)]
         np.testing.assert_allclose(F_block(g, 1, 40), want, rtol=1e-8, atol=1e-16)
 
+    def test_underflowing_gaps_give_nan_on_every_row(self):
+        # d_n = n^-1100 is 0 from n = 2 on: the scalar head rows give nan,
+        # as the numpy rows do, rather than dividing by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            assert np.isnan(F_block(PowerLogGrid(gamma=1100.0), 1, 10)).all()
+
     def test_power_grid_asymptote(self):
         # n^{2-gamma} F(n) -> gamma (3 gamma - 2) / 4
         gamma = 0.75
@@ -396,6 +402,14 @@ class TestConditionB:
         b = check_condition_B(g, horizon=10**5)
         assert b.holds is TriState.UNKNOWN
         assert math.isinf(b.witnesses["parity_points"]["odd"][1][1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_richardson_overflow_is_unknown(self):
+        # at gamma = 600 the Richardson weight (n1/n0)^order leaves the
+        # float range: the limit, and so condition B, is unknown
+        b = check_condition_B(PowerLogGrid(gamma=600.0), horizon=300)
+        assert b.holds is TriState.UNKNOWN
+        assert math.isnan(b.u.odd) and math.isnan(b.u.even)
 
 
 class TestGLimits:

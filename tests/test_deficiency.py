@@ -27,6 +27,7 @@ from deltasa import (
     l2_probe,
     solve_recurrence,
 )
+from deltasa.deficiency import _oracle_rows
 from deltasa.numerics import TriState
 
 
@@ -193,6 +194,40 @@ class TestVerdictConfig:
     )
     def test_scan_lengths_derive_from_the_ladder(self, cfg, ladder, bound, oracle):
         assert (cfg.horizons, cfg.bound_horizon, cfg.oracle_horizon) == (ladder, bound, oracle)
+
+
+class TestOracleRows:
+    @pytest.mark.parametrize(
+        "horizon,rows",
+        [(256, 256), (300, 256), (511, 511), (512, 512), (10**5, 65536), (131071, 131071), (131072, 131072)],
+    )
+    def test_march_stops_at_the_edge_after_the_last_complete_block(self, horizon, rows):
+        assert _oracle_rows(horizon) == rows
+
+    # the couplings the oracle decides: the band edges a = -2 and a = -1, a
+    # perturbation that is not O(d_n) and a power sum
+    COUPLINGS = {
+        "band-edge-2": lambda g: ScaledInverseGapsAlpha(g, -2.0),
+        "band-edge-1": lambda g: ScaledInverseGapsAlpha(g, -1.0),
+        "not-O(d)": lambda g: ScaledInverseGapsAlpha(
+            g, -1.4491, perturbation=PowerSumAlpha(terms=((0.8881, -0.2826, 0.0),))
+        ),
+        "power-sum": lambda g: PowerSumAlpha(terms=((-0.694, 0.4605, 0.0),)),
+    }
+
+    @pytest.mark.parametrize("gamma", [0.7, 0.85])
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_oracle_record_matches_the_full_horizon_march(self, coupling, gamma):
+        # the short march leaves every block mass, the l2 record and the
+        # decision as the march to the whole oracle horizon gives them
+        g = PowerLogGrid(gamma=gamma, d1=0.9)
+        alpha = self.COUPLINGS[coupling](g)
+        cfg = VerdictConfig()
+        record = deficiency_verdict(g, alpha, cfg).diagnostics["oracle_lambda_+1i"]
+        full = solve_recurrence(JacobiOperator(g, alpha), 1j, cfg.oracle_horizon)
+        assert record["solution"]["horizon"] == 65536 < full.horizon
+        assert json.dumps(record["solution"]["block_log_masses"]) == json.dumps(full.to_json()["block_log_masses"])
+        assert json.dumps(record["l2"]) == json.dumps(l2_probe(full).to_json())
 
 
 class TestVerdictPipeline:

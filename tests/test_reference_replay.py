@@ -8,16 +8,19 @@ two steps:
 
 * the exit code and the six decision fields must equal the recorded
   ones;
-* the v1 bytes must reconstruct exactly from the v3 report.  v1
+* the v1 bytes must reconstruct exactly from the v4 report.  v1
   recorded carleman-i's partial sums over every rung of the ladder, a
   condition-I record wherever carleman-i does not diverge, condition
-  A's partial sums, and a lambda = -i oracle record beside the +i one.
-  v3 stops carleman-i at the first rung, drops condition I, reads
-  condition A from the gaps' l2 class and marches only +i.  Putting the
-  full-ladder probes back, rebuilding the -i record from the +i one
-  (B is real; only the head is marched again, for its signed zeros),
-  and restoring v1's probe list, provenance and schema must give the
-  recorded sha256.
+  A's partial sums, and a lambda = -i oracle record beside the +i one,
+  each marched to the oracle horizon.  v4 stops carleman-i at the first
+  rung, drops condition I, reads condition A from the gaps' l2 class
+  and marches only +i, and only to the edge after its last complete
+  dyadic block.  Marching +i to the oracle horizon again (its head and
+  block masses must equal the v4 record's), putting the full-ladder
+  probes back, rebuilding the -i record from the +i one (B is real;
+  only the head is marched again, for its signed zeros), and restoring
+  v1's probe list, provenance and schema must give the recorded
+  sha256.
 
 Float bits depend on the interpreter and numpy, so the replay runs only
 under the versions the pools were recorded with.
@@ -34,7 +37,7 @@ import numpy as np
 import pytest
 
 from deltasa import JacobiOperator, solve_recurrence, test_carleman_i
-from deltasa.cli import _build_parser, _emit, _verdict_config, build_grid, main, parse_alpha
+from deltasa.cli import _build_parser, _emit, _strict, _verdict_config, build_grid, main, parse_alpha
 from deltasa.criteria import check_condition_A, test_condition_I
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -73,7 +76,7 @@ def analyze(argv):
     return rc, buf.getvalue()
 
 
-# the oracle provenance prefixes v3 writes, and the ones v1 wrote
+# the oracle provenance prefixes v4 writes, and the ones v1 wrote
 V1_PROVENANCE = {
     "numerical-advisory: the forward solution at lambda = +i ": (
         "numerical-advisory: the forward solution at each nonreal probe point "
@@ -85,7 +88,7 @@ V1_PROVENANCE = {
 
 
 def v1_bytes(argv, report):
-    """The v1 output of an analyze run, rebuilt from its v3 report."""
+    """The v1 output of an analyze run, rebuilt from its v4 report."""
     args = _build_parser().parse_args(["analyze", *argv])
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
@@ -99,15 +102,22 @@ def v1_bytes(argv, report):
     if "condition_A" in diagnostics:
         diagnostics["condition_A"] = check_condition_A(grid, hs).to_json()
     if "oracle_lambda_+1i" in diagnostics:
-        minus = json.loads(json.dumps(diagnostics["oracle_lambda_+1i"]))
+        op = JacobiOperator(grid, alpha)
+        plus = diagnostics["oracle_lambda_+1i"]
+        full = solve_recurrence(op, 1j, diagnostics["config"]["oracle_horizon"]).to_json()
+        full = json.loads(json.dumps(_strict(full)))  # as the report was read back
+        for key in ("block_log_masses", "head"):
+            assert full[key] == plus["solution"][key], key
+        plus["solution"] = full
+        minus = json.loads(json.dumps(plus))
         solution = minus["solution"]
-        front = solve_recurrence(JacobiOperator(grid, alpha), -1j, solution["meta"]["keep"]).to_json()
+        front = solve_recurrence(op, -1j, solution["meta"]["keep"]).to_json()
         solution["lambda"], solution["head"] = front["lambda"], front["head"]
         diagnostics["oracle_lambda_-1i"] = minus
     diagnostics["config"]["lambda_probes"] = [[0.0, 1.0], [-0.0, -1.0]]
-    for v3, v1 in V1_PROVENANCE.items():
-        if verdict["provenance"].startswith(v3):
-            verdict["provenance"] = v1 + verdict["provenance"][len(v3):]
+    for v4, v1 in V1_PROVENANCE.items():
+        if verdict["provenance"].startswith(v4):
+            verdict["provenance"] = v1 + verdict["provenance"][len(v4):]
     report["schema"] = "deltasa-analyze-v1"
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -121,7 +131,7 @@ def test_analyze_output_matches_recorded_sha256(workload):
         rc, out = analyze(item["input"])
         assert rc == item["ref"]["rc"], item["id"]
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v3"
+        assert report["schema"] == "deltasa-analyze-v4"
         verdict = report["verdict"]
         assert {k: verdict[k] for k in DECISION} == item["ref"]["output_decision"], item["id"]
         digest = hashlib.sha256(v1_bytes(item["input"], report).encode()).hexdigest()
