@@ -277,9 +277,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for grid, alphas in cells:
-        cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
-        G = select_G(grid, horizon=cfg.bound_horizon)
-        for alpha in alphas:
+        # the sweep's own columns: on gaps that underflow to 0 these probes
+        # divide by zero and read inf or nan, which the CSV prints as it is
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
+            G = select_G(grid, horizon=cfg.bound_horizon)
+            bounds = [
+                (test_bound_II(grid, alpha, G, N=cfg.bound_horizon), test_bound_III(grid, alpha, G, N=cfg.bound_horizon))
+                for alpha in alphas
+            ]
+        for alpha, (b2, b3) in zip(alphas, bounds):
             verdict = deficiency_verdict(grid, alpha, cfg)
             if verdict.certificate is None:
                 certifying = "inconclusive"
@@ -288,8 +295,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 certifying = verdict.certificate
             fl = floquet_discriminant(cond_b.u, alpha.a)
-            b2 = test_bound_II(grid, alpha, G, N=cfg.bound_horizon)
-            b3 = test_bound_III(grid, alpha, G, N=cfg.bound_horizon)
             rows.append(
                 {
                     "gamma": grid.gamma,

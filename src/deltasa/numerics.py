@@ -4,16 +4,15 @@ Everything here is deliberately boring: tri-state evidence values,
 records that serialise from their fields, compensated and correctly
 rounded summation, a couple of sequence-extrapolation helpers, the
 two-window statistics and the one drift rule of the boundedness probes,
-and the process-wide heap policy.  The criteria modules lean on these
+and the block walk every probe scan takes.  The criteria modules lean on these
 instead of rolling their own loops so that every probe in the package
 reports growth and stability the same way.
 """
 
 from __future__ import annotations
 
-import ctypes
+import functools
 import math
-import os
 from dataclasses import fields
 from enum import Enum
 from typing import Callable, Iterator
@@ -25,7 +24,6 @@ __all__ = [
     "Record",
     "ChunkedSum",
     "exact_alternating_sums",
-    "keep_heap",
     "blocks",
     "richardson_pair",
     "aitken",
@@ -61,17 +59,6 @@ _SERIES_TERMS = 64
 
 # exact_alternating_sums: the pair rule needs every |x| >= 2^E with E >= -1000
 _PAIR_MIN = 2.0**-1000
-
-# keep_heap: glibc mallopt parameters and the values it sets
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_TRIM_THRESHOLD = 64 << 20
-_MMAP_THRESHOLD = 4 << 20
-# the environment variables and tunables through which a process states
-# its own trim or mmap threshold; keep_heap leaves such a process alone
-_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
-_MALLOC_TUNABLES = ("glibc.malloc.trim_threshold", "glibc.malloc.mmap_threshold")
-_heap_kept = None  # keep_heap's result, settled once per process
 
 
 class TriState(str, Enum):
@@ -188,56 +175,28 @@ def exact_alternating_sums(x2d) -> list[float]:
 def blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """The 32768-row blocks [a, b) that cover [lo, hi), starting at lo; every probe scan walks these.
 
-    The first block sets keep_heap's policy, before any block array is allocated.
+    The first block of a process primes the heap (_prime_heap) before any block array is allocated.
     """
-    keep_heap()
+    _prime_heap()
     for a in range(lo, hi, _CHUNK):
         yield a, min(a + _CHUNK, hi)
 
 
-def keep_heap() -> bool:
-    """Stop glibc from trimming the heap top between probe blocks.
+@functools.cache
+def _prime_heap() -> None:
+    """Free one untouched 4 MiB array, once per process, so that glibc keeps the probe heap.
 
-    The probes allocate and free 256 KiB block arrays.  With the default
-    dynamic thresholds glibc returns the freed heap top to the system and
-    the next block page-faults it back in, 10^3 to 10^4 minor faults per
-    verdict depending on the heap layout.  This sets M_TRIM_THRESHOLD to
-    64 MiB and M_MMAP_THRESHOLD to 4 MiB through mallopt, once per
-    process: up to 64 MiB of freed heap top then stays mapped, and only
-    allocations of 4 MiB or more get their own mapping.  blocks() calls
-    it, so the policy starts with the first probe block, whether a
-    verdict or a probe called on its own scans it.  The setting is
-    process-wide and outlives the scan.  It does nothing elsewhere
-    than on glibc, and nothing where the environment already sets
-    either threshold (MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_,
-    or glibc.malloc.trim_threshold / mmap_threshold in GLIBC_TUNABLES).
-    Returns whether this policy is in force.
+    Under glibc's starting thresholds the 256 KiB block arrays the probes
+    free hand the heap top back to the system, and the next block
+    page-faults it in again: 10^3 to 10^4 minor faults per verdict.
+    Freeing a mapped chunk above the mmap threshold makes glibc raise that
+    threshold to the chunk's size and the trim threshold to twice it
+    (mallopt(3)), here about 4 and 8 MiB, so the heap top stays mapped.
+    The array is never written, so it costs no fault.  glibc skips the
+    rule where the process has stated either threshold (in the
+    environment, in GLIBC_TUNABLES or by its own mallopt call).
     """
-    global _heap_kept
-    if _heap_kept is None:
-        _heap_kept = False
-        if _malloc_policy_stated():
-            return False
-        try:
-            libc = ctypes.CDLL(None)
-            mallopt = libc.mallopt
-            libc.gnu_get_libc_version  # glibc's parameter numbering
-        except (OSError, AttributeError, TypeError):
-            return False
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        _heap_kept = bool(
-            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-        )
-    return _heap_kept
-
-
-def _malloc_policy_stated() -> bool:
-    """Whether the environment sets glibc's trim or mmap threshold."""
-    if any(name in os.environ for name in _MALLOC_ENV):
-        return True
-    tunables = os.environ.get("GLIBC_TUNABLES", "")
-    return any(item.partition("=")[0] in _MALLOC_TUNABLES for item in tunables.split(":"))
+    np.empty(1 << 19)
 
 
 def richardson_pair(coarse: float, fine: float, ratio: float, order: float) -> float:

@@ -41,7 +41,7 @@ REMOVED = {
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives", "_bertrand"),
     "jacobi": ("_merge_terms",),
-    "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder", "signed_drift", "exact_row_sums"),
+    "numerics": ("Trend", "TrendReport", "tail_trend", "geometric_ladder", "signed_drift", "exact_row_sums", "keep_heap"),
     "verify": ("CHECK_NAMES",),
     "grid.GridSequence": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.PowerLogGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),

@@ -468,7 +468,7 @@ def test_underflowing_gaps_give_null_F(capsys, lo, hi):
     assert json.loads(out)["samples"] == [[n, None] for n in range(lo, hi + 1)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bound scans divide by the zero gaps
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the probes read the zero gaps without a warning
 def test_sweep_writes_the_row_condition_B_overflows_on(capsys):
     code, out, err = run(["sweep", "--gammas", "600", "--a-values=-0.5", "--horizons", "300"], capsys)
     assert (code, err) == (0, "")
