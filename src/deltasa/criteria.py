@@ -50,7 +50,6 @@ from .grid import (
 )
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
-    _CHUNK as _BLOCK,
     HORIZONS,
     MIN_HORIZON,
     WINDOW_CAP,
@@ -158,7 +157,7 @@ class GFunction:
 
     def evaluate_block(self, lo: int, hi: int) -> np.ndarray:
         if self.kind is GKind.ZERO:
-            return np.zeros(hi - lo)
+            return np.broadcast_to(0.0, (hi - lo,))  # read-only: no block array
         if self.kind is GKind.NLOG:
             ns = np.maximum(rows(lo, hi), 2.0)
             t = np.log(ns)
@@ -469,10 +468,12 @@ def test_bound_II(
     """
 
     def residual_block(a: int, b: int) -> np.ndarray:
+        al = alpha.alphas(a, b)  # first: its temporaries are gone before the gaps exist
         d = grid.gaps(a, b + 1)
         g = G.evaluate_block(a, b)
         r = 2.0 / d
-        out = alpha.alphas(a, b) + r[:-1]
+        out = al + r[:-1]
+        del al
         out += r[1:]
         out += g
         with np.errstate(over="ignore"):
@@ -488,9 +489,10 @@ def test_bound_III(
     """Minimal C2 with alpha_n >= G(n) - C2 d_n (mirror of test_bound_II)."""
 
     def residual_block(a: int, b: int) -> np.ndarray:
+        al = alpha.alphas(a, b)  # first: its temporaries are gone before the gaps exist
         d = grid.gaps(a, b)
         g = G.evaluate_block(a, b)
-        out = g - alpha.alphas(a, b)
+        out = g - al
         with np.errstate(over="ignore"):
             return np.divide(out, d, out=out)
 
@@ -656,24 +658,23 @@ def check_condition_B(
     u = PeriodPair(odd=u_odd, even=u_even)
 
     # the scan starts at H // 4: the bits of log_abs_block depend on
-    # where each block starts.  Every block starts on the parity of the
-    # first, so each slices its u_n from one parity block
+    # where each block starts
     windows = tail_windows(H)
     lo = windows[0][0]
-    upar = u.block(lo, min(lo + _BLOCK, H + 1))
 
     def resid_block(a: int, b: int) -> np.ndarray:
         # |rho - u|/(r rtilde)^2 computed in the well-scaled frame, in place:
         # |(1/d_n + 1/d_{n+1}) - u e^{-2L}| / (d_n + d_{n+1})
         d, ld = grid.gaps_and_logs(a, b + 1)
-        r = 1.0 / d
-        inv = r[:-1] + r[1:]
         L = t.log_abs_block(a, b, ld)
+        r = np.divide(1.0, d, out=ld)  # the log gaps are consumed: 1/d takes their array
+        inv = np.add(r[:-1], r[1:], out=r[:-1])  # row i reads r_i, r_i+1 before it writes r_i
         L *= -2.0
         np.exp(L, out=L)
-        L *= upar[: b - a]
+        L[0::2] *= u.at(a)
+        L[1::2] *= u.at(a + 1)
         np.abs(np.subtract(inv, L, out=L), out=L)
-        return np.divide(L, np.add(d[:-1], d[1:], out=r[:-1]), out=L)
+        return np.divide(L, np.add(d[:-1], d[1:], out=inv), out=L)
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sups read as unknown
         _, _, (sup1, sup2) = window_sups(resid_block, lo, H + 1, windows)

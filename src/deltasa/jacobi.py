@@ -227,11 +227,21 @@ class PowerSumAlpha(AlphaSequence):
             raise GridError(f"bad alpha range [{lo}, {hi})")
         ns = rows(lo, hi)
         ln_n = np.log(ns)
-        t = np.log(np.maximum(ns, 2.0))
-        out = np.zeros_like(ns)
+        if any(q != 0.0 for _, _, q in self.terms):
+            # ln ln max(n, 2), in ns's array; a term with q = 0 skips its
+            # +-0 * ln ln n, which only flips the sign of a zero exponent
+            lnln = np.log(np.log(np.maximum(ns, 2.0, out=ns), out=ns), out=ns)
+        del ns
+        out = np.zeros_like(ln_n)
+        w = np.empty_like(ln_n)  # one term at a time: p ln n (+ q ln ln n), exp, times c
         with np.errstate(over="ignore"):  # a finite coupling may overflow the float range
             for c, p, q in self.terms:
-                out += c * np.exp(p * ln_n + q * np.log(t))
+                np.multiply(p, ln_n, out=w)
+                if q != 0.0:
+                    w += q * lnln
+                np.exp(w, out=w)
+                w *= c
+                out += w
         return out
 
     def leading_term(self) -> Order:
@@ -275,6 +285,7 @@ class ScaledInverseGapsAlpha(AlphaSequence):
     def alphas(self, lo: int, hi: int) -> np.ndarray:
         r = 1.0 / self.grid.gaps(lo, hi + 1)
         out = r[:-1] + r[1:]
+        del r  # freed before the perturbation's own block arrays
         out *= self.a
         if self.perturbation is not None:
             out += self.perturbation.alphas(lo, hi)

@@ -125,6 +125,14 @@ class TestAnalyze:
         assert first == second
         assert "timings" not in json.loads(first)
 
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        _, first, _ = run(self.ARGS, capsys)
+        _, second, _ = run(self.ARGS, capsys)
+        assert first == second
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_timings_opt_in(self, capsys):
         code, out, _ = run(self.ARGS + ["--timings"], capsys)
         assert code == 0

@@ -1,8 +1,8 @@
 """The verdict's scans are bit-exact against their earlier bodies.
 
 Condition B's residual scan, the envelope bound residuals,
-ScaledInverseGapsAlpha.alphas and the Jacobi entry blocks used to build
-every per-row quantity in a fresh temporary.  They now compute each one
+ScaledInverseGapsAlpha.alphas, PowerSumAlpha.alphas and the Jacobi entry
+blocks used to build every per-row quantity in a fresh temporary.  They now compute each one
 once, in place, in arrays they allocated themselves, with every float
 operation in its old operand order (an operand may be commuted, never
 reassociated).  The references below are the earlier bodies, kept
@@ -22,6 +22,8 @@ from deltasa import (
     ConstantGrid,
     CustomGrid,
     ExplicitGrid,
+    GFunction,
+    GKind,
     JacobiOperator,
     PowerLogGrid,
     PowerSumAlpha,
@@ -37,7 +39,7 @@ from deltasa import (
     test_bound_III,
 )
 from deltasa import criteria
-from deltasa.grid import GridSequence
+from deltasa.grid import GridError, GridSequence, rows
 from deltasa.jacobi import AlphaSequence
 from deltasa.numerics import tail_windows, window_sups
 
@@ -55,6 +57,20 @@ class ReferenceScaledAlpha(ScaledInverseGapsAlpha):
         out = self.a * (1.0 / d[:-1] + 1.0 / d[1:])
         if self.perturbation is not None:
             out = out + self.perturbation.alphas(lo, hi)
+        return out
+
+
+class ReferencePowerSum(PowerSumAlpha):
+    def alphas(self, lo, hi):
+        if lo < 1 or hi < lo:
+            raise GridError(f"bad alpha range [{lo}, {hi})")
+        ns = rows(lo, hi)
+        ln_n = np.log(ns)
+        t = np.log(np.maximum(ns, 2.0))
+        out = np.zeros_like(ns)
+        with np.errstate(over="ignore"):  # a finite coupling may overflow the float range
+            for c, p, q in self.terms:
+                out += c * np.exp(p * ln_n + q * np.log(t))
         return out
 
 
@@ -169,6 +185,31 @@ def test_alphas_and_entry_blocks_match_reference(grid, H, pert):
             same(alpha.alphas(lo, hi), ref_alpha.alphas(lo, hi))
             same(op.diag_block(lo, hi), ref_op.diag_block(lo, hi))
             same(op.off_block(lo, hi), ref_op.off_block(lo, hi))
+
+
+POWER_SUMS = {
+    "q-zero": ((0.3, 0.2, 0.0), (-1.5, -0.4, 0.0)),
+    "q-nonzero": ((0.3, 0.2, 0.0), (-1.5, -0.4, 1.0)),
+    "p-zero": ((2.5, 0.0, 0.0), (-0.75, 0.0, 2.0)),
+    "q-negative": ((1.25, -0.5, -1.0), (0.5, 1.5, -2.5)),
+    "minus-zero": ((-0.0, -1.0, -0.0), (3.0, -0.0, 0.5)),
+    "c-overflows": ((1e300, 3.0, 0.0), (-2.0, 0.5, 0.0)),
+    "exp-overflows": ((-1e-300, 400.0, 0.0), (1.0, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("terms", POWER_SUMS.values(), ids=list(POWER_SUMS))
+def test_power_sum_alphas_match_reference(terms):
+    alpha, ref = PowerSumAlpha(terms), ReferencePowerSum(terms)
+    for lo, hi in [(lo, lo + m) for lo in (1, 2, 3) for m in LENGTHS] + [(7, 7), (10**6 - 5, 10**6 + BLOCK)]:
+        same(alpha.alphas(lo, hi), ref.alphas(lo, hi))
+
+
+def test_zero_G_is_a_read_only_zero_block():
+    for lo, hi in [(1, 1), (1, 2), (3, 3 + BLOCK)]:
+        g = GFunction(GKind.ZERO).evaluate_block(lo, hi)
+        same(g, np.zeros(hi - lo))
+        assert not g.flags.writeable
 
 
 # ---------------------------------------------------------------------------
