@@ -10,6 +10,7 @@ the oracle, whose conclusions are always labeled advisory.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
@@ -117,6 +118,82 @@ def _log_mass(acc: float, sigma: float) -> float:
     return math.log(acc) + 2.0 * sigma if acc > 0.0 else -math.inf
 
 
+def _march_exact(
+    cols: tuple[np.ndarray, ...], start: tuple[float, float, float, float], lo: float, n: int, ci: float
+) -> tuple[np.ndarray, dict[int, tuple[float, Union[float, complex]]], tuple[float, float, float, float]]:
+    """March rows n+1 .. n+len(cols[0]) with the per-row guard and rescale test.
+
+    cols holds the loop's columns: (lambda.real - diag(m), off(m-1),
+    1/off(m), 0/off(m)) for nonreal lambda, whose imaginary part is ci,
+    and (lambda - diag(m), off(m-1), off(m)) for real lambda.  start is
+    (re, im) of h_n, then of h_{n+1}.  The loop stops at a row where
+    |re| + |im| leaves (lo, 2^100); there the exact test runs, lo
+    becomes 1.5 * 2^-100 and the march goes on from the same row.
+    Returns the marched floats from h_n on, packed, as marched before
+    rescales; the rescales, row -> (shift, rescaled h_{row+1}); and the
+    final state.
+    """
+    complex_lam = len(cols) == 4
+    pr, pi, hr, hi = start
+    out = [pr, pi, hr, hi] if complex_lam else [pr, hr]
+    put = out.append
+    w = 2 if complex_lam else 1
+    events: dict[int, tuple[float, Union[float, complex]]] = {}
+    up = _SCALE_UP
+    rows = zip(*map(memoryview, cols))
+    while True:
+        if complex_lam:
+            for c, o, s, r in rows:
+                x = (c * hr - ci * hi) - (o * pr - 0.0 * pi)
+                y = (c * hi + ci * hr) - (o * pi + 0.0 * pr)
+                pr = hr
+                pi = hi
+                hr = (x + y * r) * s
+                hi = (y - x * r) * s
+                put(hr)
+                put(hi)
+                if not lo < abs(hr) + abs(hi) < up:
+                    break
+            else:
+                break
+        else:
+            for c, o, s in rows:
+                pr, hr = hr, (c * hr - o * pr) / s
+                put(hr)
+                if not lo < abs(hr) < up:
+                    break
+            else:
+                break
+        lo = _GUARD_LO
+        p, h = (complex(pr, pi), complex(hr, hi)) if complex_lam else (pr, hr)
+        a_prev, a_cur = abs(p), abs(h)
+        peak = a_prev if a_prev > a_cur else a_cur
+        if peak > _SCALE_UP or (0.0 < peak < _SCALE_DOWN):
+            shift = math.ldexp(1.0, min(-int(math.frexp(peak)[1]), _SHIFT_MAX_BITS))
+            # numpy scales a complex h by the full product with complex(shift, 0)
+            factor = complex(shift, 0.0) if complex_lam else shift
+            p, h = p * factor, h * factor
+            pr, pi, hr, hi = p.real, p.imag, h.real, h.imag
+            events[n + len(out) // w - 2] = (shift, h)
+    return _packed(out), events, (pr, pi, hr, hi)
+
+
+def _packed(vals: list[float]) -> np.ndarray:
+    """vals as a read-only float64 array: struct packs a list of floats faster than np.fromiter reads it."""
+    return np.frombuffer(struct.pack(f"{len(vals)}d", *vals))
+
+
+def _in_band(marched: np.ndarray, lo: float, complex_lam: bool) -> bool:
+    """True if every float of marched is nonzero and every row's |re| + |im|
+    (|h| for real lambda) lies strictly inside (lo, 2^100): the rows on
+    which the guarded march neither stops nor differs from the lean one."""
+    band = np.abs(marched[0::2]) if complex_lam else np.abs(marched)
+    if complex_lam:
+        with np.errstate(over="ignore"):  # an inf sum is out of band, as the guard's is
+            band += np.abs(marched[1::2])
+    return bool(marched.all() and lo < band.min() and band.max() < _SCALE_UP)
+
+
 def solve_recurrence(
     op: JacobiOperator,
     lam: Union[float, complex],
@@ -136,17 +213,34 @@ def solve_recurrence(
     marks the last index before the first rescale, up to which head
     carries true values.
 
-    The march takes _CHUNK rows at a time, and its Python loop does
-    only the recurrence: on the float pair (re, im) for nonreal lambda,
-    on one float for real lambda.  Every float is the one numpy scalar
-    arithmetic gives: the pair is CPython's complex product written out,
-    then numpy's complex / real division (Smith's: multiply by
-    1/off(n) with the signed-zero ratio 0/off(n)).  The loop stops only
-    at a row where |re| + |im| leaves (1.5 * 2^-100, 2^100), which every
-    rescale needs; there the exact test runs and the march resumes.
-    The block masses (a sequential cumsum, cut at block edges and
-    rescales), the residual spot checks and the head are then read off
-    the chunk's marched values with numpy.  A zero off(n) that the march
+    The march takes _CHUNK rows at a time, their entries from one read
+    of the gaps, and its Python loop does only the recurrence: on the
+    float pair (re, im) for nonreal lambda, on one float for real
+    lambda.  Every float is the one numpy scalar arithmetic gives: the
+    pair is CPython's complex product written out, then numpy's complex
+    / real division (Smith's: multiply by 1/off(n) with the signed-zero
+    ratio 0/off(n)).  That exact step needs a guard, which _march_exact
+    runs: it stops at a row where |re| + |im| leaves
+    (1.5 * 2^-100, 2^100), which every rescale needs, runs the exact
+    test there and resumes.
+
+    A chunk is first marched by a lean loop with no per-row test.  For
+    nonreal lambda it drops the four signed-zero terms, 0.0 * im,
+    0.0 * re and the two products with 0/off(n); for real lambda it is
+    the exact step.  Its values are packed into one array, and the
+    chunk is kept if every marched component is nonzero and every row's
+    |re| + |im| lies strictly inside the guard's band.  Then it equals
+    the exact march bit for bit: for finite operands a dropped term is a
+    signed zero, adding or subtracting a signed zero returns the other
+    operand unless that operand is itself zero, and a nonzero, finite
+    component x * (1/off(n)) has a nonzero, finite x; and the guard
+    would neither have stopped nor rescaled.  Any other chunk (about
+    one in 160 on the oracle's inputs) is dropped and marched again from
+    its start by _march_exact.  The first row's exact test also reads
+    |h_2|; when that would rescale, the first chunk goes to _march_exact
+    directly.  The block masses (a sequential cumsum, cut at block edges
+    and rescales), the residual spot checks and the head are then read
+    off the packed values with numpy.  A zero off(n) that the march
     would divide by raises ValueError naming n, at either kind of lambda.
     """
     if N < 8:
@@ -164,8 +258,10 @@ def solve_recurrence(
     _check_offs(np.array([off1]), 1)
     h = -(op.diag(1) - lam_c) * scalar(1.0, 0.0) / off1
     pr, pi, hr, hi = 1.0, 0.0, h.real, h.imag  # h_n and h_{n+1} in the current scale frame
-    w = 2 if complex_lam else 1  # floats per h in the lists below: re, or re and im
-    head = ([pr, pi, hr, hi] if complex_lam else [pr, hr])[: w * keep]
+    w = 2 if complex_lam else 1  # floats per h in the arrays below: re, or re and im
+    head = np.empty(w * keep)
+    head[: 2 * w] = [pr, pi, hr, hi] if complex_lam else [pr, hr]
+    filled = 2 * w  # floats of head written
 
     sigma = 0.0  # true h = stored h * exp(sigma)
     scale_events = 0
@@ -178,62 +274,52 @@ def solve_recurrence(
     cur_block = 0  # block [1, 2) holds n = 1
     next_edge = 2  # first index of block cur_block + 1
     next_check = max(_RESIDUAL_STRIDE, 2)  # next spot-checked row
-    ci, up = lam_c.imag, _SCALE_UP
-    lo = math.inf  # the first row always takes the exact test, which also reads |h_2|
+    ci = lam_c.imag
+    # the first row's exact test reads |h_2| as well as |h_3|: when |h_2| alone
+    # would rescale, the band (inf, 2^100) sends the first chunk to _march_exact
+    a2 = abs(h)
+    lo = math.inf if a2 > _SCALE_UP or 0.0 < a2 < _SCALE_DOWN else _GUARD_LO
 
     n = 1  # the march is at row n: (pr, pi) holds h_n, (hr, hi) holds h_{n+1}
     while n < N - 1:
         top = min(n + _CHUNK, N - 1)
-        diags = op.diag_block(n + 1, top + 1)
-        offs = op.off_block(n, top + 1)  # off(n) .. off(top); elementwise, so slices keep every bit
+        diags, offs = op._march_blocks(n, top + 1)  # diag(n+1) .. diag(top), off(n) .. off(top)
         offs_prev, offs_cur = offs[:-1], offs[1:]
         _check_offs(offs_cur, n + 1)
         # the loop reads Python floats; a memoryview yields them without building lists
         if complex_lam:
-            cols = (lam_c.real - diags, offs_prev, 1.0 / offs_cur, 0.0 / offs_cur)
+            cols = (lam_c.real - diags, offs_prev, 1.0 / offs_cur)
         else:
             cols = (lam_c - diags, offs_prev, offs_cur)
-        rows = zip(*map(memoryview, cols))
-        out = [pr, pi, hr, hi] if complex_lam else [pr, hr]  # h_n .. h_{top+1} as marched, before rescales
+        start = (pr, pi, hr, hi)
+        out = [pr, pi, hr, hi] if complex_lam else [pr, hr]  # h_n .. h_{top+1} as marched
         put = out.append
+        if complex_lam:
+            for c, o, s in zip(*map(memoryview, cols)):
+                x = (c * hr - ci * hi) - o * pr
+                y = (c * hi + ci * hr) - o * pi
+                pr = hr
+                pi = hi
+                hr = x * s
+                hi = y * s
+                put(hr)
+                put(hi)
+        else:
+            for c, o, s in zip(*map(memoryview, cols)):
+                pr, hr = hr, (c * hr - o * pr) / s
+                put(hr)
+        v = _packed(out)
+        del out  # a list of floats takes four times its packed size
         events: dict[int, tuple[float, Union[float, complex]]] = {}  # row -> shift, rescaled h_{row+1}
-        while True:
+        if not _in_band(v[2 * w :], lo, complex_lam):
+            del v
             if complex_lam:
-                for c, o, s, r in rows:
-                    x = (c * hr - ci * hi) - (o * pr - 0.0 * pi)
-                    y = (c * hi + ci * hr) - (o * pi + 0.0 * pr)
-                    pr = hr
-                    pi = hi
-                    hr = (x + y * r) * s
-                    hi = (y - x * r) * s
-                    put(hr)
-                    put(hi)
-                    if not lo < abs(hr) + abs(hi) < up:
-                        break
-                else:
-                    break
-            else:
-                for c, o, s in rows:
-                    pr, hr = hr, (c * hr - o * pr) / s
-                    put(hr)
-                    if not lo < abs(hr) < up:
-                        break
-                else:
-                    break
+                cols += (0.0 / offs_cur,)
+            v, events, (pr, pi, hr, hi) = _march_exact(cols, start, lo, n, ci)
             lo = _GUARD_LO
-            p, h = scalar(pr, pi), scalar(hr, hi)
-            a_prev, a_cur = abs(p), abs(h)
-            peak = a_prev if a_prev > a_cur else a_cur
-            if peak > _SCALE_UP or (0.0 < peak < _SCALE_DOWN):
-                shift = math.ldexp(1.0, min(-int(math.frexp(peak)[1]), _SHIFT_MAX_BITS))
-                # numpy scales a complex h by the full product with complex(shift, 0)
-                factor = complex(shift, 0.0) if complex_lam else shift
-                p, h = p * factor, h * factor
-                pr, pi, hr, hi = p.real, p.imag, h.real, h.imag
-                events[n + len(out) // w - 2] = (shift, h)
+        del cols
 
         # |h| of rows n .. top+1, in the frame each row's mass was added in
-        v = np.fromiter(out, np.float64, len(out))  # no type discovery: faster than np.array
         mags = np.hypot(v[0::2], v[1::2]) if complex_lam else np.abs(v)
         for m, (_, h) in events.items():
             mags[m + 1 - n] = abs(h)
@@ -253,7 +339,7 @@ def solve_recurrence(
             sigma -= math.log(shift)
             pos = m + 1
 
-        at = (lambda t: complex(out[2 * t], out[2 * t + 1])) if complex_lam else out.__getitem__
+        at = (lambda t: complex(v[2 * t], v[2 * t + 1])) if complex_lam else v.item
         while next_check <= top:
             m, next_check = next_check, next_check + _RESIDUAL_STRIDE
             if m - 1 in events or m - last_rescale <= 1:
@@ -268,7 +354,9 @@ def solve_recurrence(
             scale_events += len(events)
             first_rescale = min(first_rescale, *events)
             last_rescale = max(events)
-        head += out[2 * w : w * (2 + keep) - len(head)]
+        take = min(len(v), w * (2 + keep) - filled) - 2 * w
+        head[filled : filled + take] = v[2 * w : 2 * w + take]
+        filled += take
         n = top
     # (hr, hi) is h_N; close its block, keeping it only if complete
     if N == next_edge:
@@ -280,7 +368,7 @@ def solve_recurrence(
     return RecurrenceSolution(
         lam=lam_c if complex_lam else complex(lam_c, 0.0),
         horizon=N,
-        head=np.array(head).view(np.complex128 if complex_lam else np.float64),
+        head=head.view(np.complex128) if complex_lam else head,
         block_log_masses=tuple(block_logs),
         scale_events=scale_events,
         residual_max=residual_max,

@@ -464,21 +464,28 @@ class JacobiOperator:
         return self.off(min(i, j))
 
     def diag_block(self, lo: int, hi: int) -> np.ndarray:
-        d = self.grid.gaps(lo, hi + 1)
-        alphas = self.coupling.alphas(lo, hi)
+        return self._diags(lo, self.grid.gaps(lo, hi + 1))
+
+    def off_block(self, lo: int, hi: int) -> np.ndarray:
+        """off(n) for lo <= n < hi."""
+        return _offs(self.grid.gaps(lo, hi + 2))
+
+    def _march_blocks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(diag_block(lo + 1, hi), off_block(lo, hi)) from one read of the gaps.
+
+        The gaps are elementwise in n, so slices of one read keep every bit.
+        """
+        d = self.grid.gaps(lo, hi + 2)
+        return self._diags(lo + 1, d[1:-1]), _offs(d)
+
+    def _diags(self, lo: int, d: np.ndarray) -> np.ndarray:
+        """diag(n) for lo <= n < lo + len(d) - 1, from d holding d_lo onwards; d is not written."""
+        alphas = self.coupling.alphas(lo, lo + len(d) - 1)
         r = 1.0 / d
         out = alphas + r[:-1]
         out += r[1:]
         with np.errstate(over="ignore"):
             return np.divide(out, np.add(d[:-1], d[1:], out=r[:-1]), out=out)
-
-    def off_block(self, lo: int, hi: int) -> np.ndarray:
-        """off(n) for lo <= n < hi."""
-        d = self.grid.gaps(lo, hi + 2)
-        r2 = d[:-1] + d[1:]  # r_n^2 for n = lo .. hi
-        out = np.sqrt(r2[:-1] * r2[1:])
-        out *= d[1:-1]
-        return np.divide(-1.0, out, out=out)
 
     def truncate(self, size: int) -> np.ndarray:
         """Dense leading principal block, mostly for eyeballing and tests."""
@@ -493,6 +500,14 @@ class JacobiOperator:
             m[idx, idx + 1] = od
             m[idx + 1, idx] = od
         return m
+
+
+def _offs(d: np.ndarray) -> np.ndarray:
+    """off(n) for lo <= n < lo + len(d) - 2, from d holding d_lo onwards; d is not written."""
+    r2 = d[:-1] + d[1:]  # r_n^2 for n = lo .. lo + len(d) - 2
+    out = np.sqrt(r2[:-1] * r2[1:])
+    out *= d[1:-1]
+    return np.divide(-1.0, out, out=out)
 
 
 def tilde_r(grid: GridSequence, n: int, tilde: Optional[TildeSequence] = None) -> float:

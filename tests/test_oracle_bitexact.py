@@ -138,6 +138,28 @@ def scaled(gamma, a, d1=1.0, pert=None):
     return JacobiOperator(g, ScaledInverseGapsAlpha(g, a, perturbation=pert))
 
 
+class ArrayOperator:
+    """diag(n) and off(n) read from two arrays, n = 1, 2, ..."""
+
+    def __init__(self, diag, off):
+        self.d, self.o = np.array(diag), np.array(off)
+
+    def diag(self, n):
+        return float(self.d[n - 1])
+
+    def off(self, n):
+        return float(self.o[n - 1])
+
+    def diag_block(self, lo, hi):
+        return self.d[lo - 1 : hi - 1].copy()
+
+    def off_block(self, lo, hi):
+        return self.o[lo - 1 : hi - 1].copy()
+
+    def _march_blocks(self, lo, hi):
+        return self.diag_block(lo + 1, hi), self.off_block(lo, hi)
+
+
 # --gamma 0.8396 --d1 1.6128 --alpha=-1.0*(1/d_n+1/d_{n+1}): diag(1) == 0
 # and off < 0, so conj(h(+i)) carries 0.0 where the -i march gives -0.0
 SIGNED_ZERO = scaled(0.8396, -1.0, d1=1.6128)
@@ -161,6 +183,26 @@ SLOW_GROWTH = JacobiOperator(ConstantGrid(d=2.0), PowerSumAlpha(terms=((2e-4, 0.
 # alpha(1) = 1e40 on ZERO_DIAG's grid: h_2 = 2e40 but h_3 = -1 at lambda = 0,
 # so only the first row's exact test, which reads |h_2|, rescales
 HUGE_H2 = JacobiOperator(ConstantGrid(d=2.0), PowerSumAlpha(terms=((-1.0, 0.0, 0.0), (1e40, -400.0, 0.0))))
+
+# diag 0.25 and off -64 keep |h| at lambda = +i within 2^100 for 6000 rows;
+# one off(m) = -1e-40 multiplies h_{m+1} by about 1e40, a rescale on row m.
+# Row 2050 is the first row of the march's second chunk, row 4097 its last
+
+
+def spiked(m, n=6000):
+    off = [-64.0] * (n + 2)
+    off[m - 1] = -1e-40
+    return ArrayOperator([0.25] * (n + 2), off)
+
+
+# on the same entries, diag(3000) makes row 3000's x = (c*hr - ci*hi) - o*pr
+# cancel exactly at lambda = +i: h_3001 has a zero real part, the march's first
+# zero component, in its second chunk
+ZERO_LATE = ArrayOperator(
+    [0.25] * 2999 + [-float.fromhex("0x1.1d8cefda85ed0p+7")] + [0.25] * 3002, [-64.0] * 6002
+)
+# lambda = 0: h_n = 1, 1, -1, -1, ... until diag(3000) = 1 gives h_3001 = h_3000 - h_2999 = 0
+ZERO_LATE_REAL = ArrayOperator([1.0] + [0.0] * 2998 + [1.0] + [0.0] * 3002, [-1.0] * 6002)
 
 CASES = [
     pytest.param(SIGNED_ZERO, 1j, 6000, {}, id="signed-zero-band-edge+i"),
@@ -188,6 +230,11 @@ CASES = [
     pytest.param(SLOW_GROWTH, 0.0, 30000, {}, id="slow-growth-real"),
     pytest.param(HUGE_H2, 0.0, 600, {}, id="rescale-on-the-first-row-real"),
     pytest.param(HUGE_H2, 1j, 600, {}, id="rescale-on-the-first-row"),
+    pytest.param(spiked(2050), 1j, 6000, {}, id="rescale-on-a-chunks-first-row"),
+    pytest.param(spiked(4097), 1j, 6000, {}, id="rescale-on-a-chunks-last-row"),
+    pytest.param(ZERO_LATE, 1j, 6000, {}, id="zero-component-after-the-first-chunk"),
+    pytest.param(ZERO_LATE_REAL, 0.0, 6000, {}, id="zero-after-the-first-chunk-real"),
+    pytest.param(GROWING, -0.5j, 10**4, {}, id="rescaled-complex-i/2"),
 ]
 
 
@@ -224,6 +271,14 @@ def test_cases_cover_heavy_rescaling_and_rescales_on_edges():
     sol = solve_recurrence(DECAYING, 1j, 3000)
     assert sol.scale_events == 4 and sol.block_log_masses[-1][1] < -200.0
     assert solve_recurrence(SLOW_GROWTH, 0.0, 30000).scale_events == 8
+    for m in (2050, 4097):
+        sol = solve(spiked(m), 1j, 6000, keep=6000)
+        assert (sol.meta["head_pure_until"], sol.scale_events) == (m, 1)
+    for op, lam in ((ZERO_LATE, 1j), (ZERO_LATE_REAL, 0.0)):
+        floats = solve(op, lam, 6000, keep=6000).head.view(np.float64)
+        w = floats.size // 6000
+        # h_1 = 1 + 0j aside, h_3001 holds the first zero
+        assert np.flatnonzero(floats[w:] == 0.0)[0] // w + 2 == 3001
 
 
 class CountingOperator:
@@ -231,7 +286,7 @@ class CountingOperator:
 
     def __init__(self, op):
         self.op = op
-        self.rows = {"diag_block": 0, "off_block": 0}
+        self.rows = {"diag": 0, "off": 0}
 
     def diag(self, n):
         return self.op.diag(n)
@@ -239,13 +294,10 @@ class CountingOperator:
     def off(self, n):
         return self.op.off(n)
 
-    def diag_block(self, lo, hi):
-        self.rows["diag_block"] += hi - lo
-        return self.op.diag_block(lo, hi)
-
-    def off_block(self, lo, hi):
-        self.rows["off_block"] += hi - lo
-        return self.op.off_block(lo, hi)
+    def _march_blocks(self, lo, hi):
+        self.rows["diag"] += hi - lo - 1
+        self.rows["off"] += hi - lo
+        return self.op._march_blocks(lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -277,16 +329,34 @@ STEP = (
     "hi = (y - x * r) * s",
 )
 STEP_CODE = compile("\n".join(STEP), "<march step>", "exec")
+# the same row without the four signed-zero terms: solve_recurrence's lean chunk loop
+LEAN = (
+    "x = (c * hr - ci * hi) - o * pr",
+    "y = (c * hi + ci * hr) - o * pi",
+    "pr = hr",
+    "pi = hi",
+    "hr = x * s",
+    "hi = y * s",
+)
+LEAN_CODE = compile("\n".join(LEAN), "<lean march step>", "exec")
 
 
 def test_the_march_loop_runs_the_tested_step():
-    src = inspect.getsource(solve_recurrence)
-    assert "\n".join(" " * 20 + line for line in STEP) in src
+    exact = inspect.getsource(deficiency._march_exact)
+    assert "\n".join(" " * 16 + line for line in STEP) in exact
+    lean = inspect.getsource(solve_recurrence)
+    assert "\n".join(" " * 16 + line for line in LEAN) in lean
 
 
 def float_pair_step(c, ci, o, s, r, pr, pi, hr, hi):
     ns = {"c": c, "ci": ci, "o": o, "s": s, "r": r, "pr": pr, "pi": pi, "hr": hr, "hi": hi}
     exec(STEP_CODE, {}, ns)
+    return ns["hr"], ns["hi"]
+
+
+def lean_step(c, ci, o, s, pr, pi, hr, hi):
+    ns = {"c": c, "ci": ci, "o": o, "s": s, "pr": pr, "pi": pi, "hr": hr, "hi": hi}
+    exec(LEAN_CODE, {}, ns)
     return ns["hr"], ns["hi"]
 
 
@@ -311,25 +381,6 @@ def test_float_pair_step_matches_complex_step_bytewise(c, ci, off, o, pr, pi, hr
     z = complex_step(c, ci, o, s, r, complex(pr, pi), complex(hr, hi))
     got = float_pair_step(c, ci, o, s, r, pr, pi, hr, hi)
     assert nan_blind_bytes(np.array(got)) == nan_blind_bytes(np.array([z.real, z.imag]))
-
-
-class ArrayOperator:
-    """diag(n) and off(n) read from two arrays, n = 1, 2, ..."""
-
-    def __init__(self, diag, off):
-        self.d, self.o = np.array(diag), np.array(off)
-
-    def diag(self, n):
-        return float(self.d[n - 1])
-
-    def off(self, n):
-        return float(self.o[n - 1])
-
-    def diag_block(self, lo, hi):
-        return self.d[lo - 1 : hi - 1].copy()
-
-    def off_block(self, lo, hi):
-        return self.o[lo - 1 : hi - 1].copy()
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,6 +430,111 @@ def test_zero_off_diagonal_raises_naming_its_row(lam, zero):
     off[n - 1] = value
     with pytest.raises(ValueError, match=rf"^off\({n}\) = 0: the recurrence does not determine h_{n + 1}$"):
         solve_recurrence(ArrayOperator([0.5] * (2 * _CHUNK), off), lam, 2 * _CHUNK - 8)
+
+
+# rows on which the lean step differs from the exact one, each through one
+# signed-zero, infinite, nan or subnormal operand: -0.0 - (-0.0) is +0.0
+# where the exact x is -0.0; 0.0 * pi is nan for an infinite or nan pi; and
+# a subnormal hi leaves x = (c*hr - ci*hi) - o*pr a zero of the other sign
+DIFFERING = {
+    "signed-zero": dict(c=1.0, ci=1.0, off=1.0, o=-1.0, pr=0.0, pi=-1.0, hr=-0.0, hi=0.0),
+    "inf": dict(c=0.5, ci=-0.5, off=3.0, o=-1.5, pr=2.0, pi=-math.inf, hr=-0.75, hi=2.0),
+    "nan": dict(c=-1.5, ci=-1.0, off=0.5, o=2.0, pr=3.0, pi=math.nan, hr=2.0, hi=3.0),
+    "subnormal": dict(c=-1e-170, ci=-0.5, off=-1.5, o=1e-160, pr=1e-200, pi=3.0, hr=1e-200, hi=-5e-324),
+}
+
+
+def both_steps(c, ci, off, o, pr, pi, hr, hi):
+    """(lean, exact) results of one row, s and r as the march computes them, in numpy."""
+    with np.errstate(all="ignore"):
+        s, r = float(1.0 / np.float64(off)), float(0.0 / np.float64(off))
+    return np.array(lean_step(c, ci, o, s, pr, pi, hr, hi)), np.array(float_pair_step(c, ci, o, s, r, pr, pi, hr, hi))
+
+
+def chunk_check(row):
+    return deficiency._in_band(row, deficiency._GUARD_LO, True)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    c=OPERAND, ci=st.sampled_from([1.0, -0.5, -1.0]), off=OPERAND, o=OPERAND,
+    pr=OPERAND, pi=OPERAND, hr=OPERAND, hi=OPERAND,
+)
+@example(**DIFFERING["signed-zero"])
+@example(**DIFFERING["inf"])
+@example(**DIFFERING["nan"])
+@example(**DIFFERING["subnormal"])
+def test_lean_step_is_the_exact_step_where_the_chunk_check_accepts(c, ci, off, o, pr, pi, hr, hi):
+    lean, exact = both_steps(c, ci, off, o, pr, pi, hr, hi)
+    if chunk_check(lean):
+        assert lean.tobytes() == exact.tobytes()
+
+
+@pytest.mark.parametrize("row", list(DIFFERING.values()), ids=list(DIFFERING))
+def test_chunk_check_rejects_each_row_where_the_lean_step_differs(row):
+    lean, exact = both_steps(**row)
+    assert nan_blind_bytes(lean) != nan_blind_bytes(exact)
+    assert not chunk_check(lean)
+
+
+def replays(op, lam, N):
+    """solve_recurrence's solution and the start rows of the chunks it marched again by _march_exact."""
+    with mock.patch.object(deficiency, "_march_exact", wraps=deficiency._march_exact) as spy:
+        sol = solve_recurrence(op, lam, N)
+    return sol, [call.args[3] for call in spy.call_args_list]
+
+
+# the first analyze-oracle pool input: a band-edge coupling, no rescale in 2^16 rows at +i
+BAND_EDGE = scaled(0.809, -1.0, d1=0.6376)
+
+
+def test_a_rescale_free_march_replays_no_chunk():
+    sol, starts = replays(BAND_EDGE, 1j, 2**16)
+    assert sol.scale_events == 0
+    assert starts == []
+
+
+@pytest.mark.parametrize("op,lam", [(HEAVY, 1j), (SIGNED_ZERO, 1j), (ZERO_DIAG, 1j), (HEAVY, 0.0)])
+def test_chunks_that_rescale_or_meet_a_zero_are_replayed(op, lam):
+    assert replays(op, lam, 6000)[1]
+
+
+@pytest.mark.parametrize(
+    "op,lam,N,first",
+    [(spiked(2050), 1j, 6000, 2049), (spiked(4097), 1j, 6000, 2049), (ZERO_LATE, 1j, 6000, 2049),
+     (HUGE_H2, 1j, 600, 1)],
+)
+def test_only_the_chunk_that_rescales_or_meets_a_zero_is_replayed(op, lam, N, first):
+    assert replays(op, lam, N)[1] == [first]
+
+
+@pytest.mark.parametrize(
+    "op,lam,N",
+    [(BAND_EDGE, 1j, 2**16), (BAND_EDGE, -1j, 2**14), (CHECK_7, 0.0, 20000), (GROWING, 1j, 10**4)],
+)
+def test_lean_chunks_equal_the_guarded_march(op, lam, N):
+    with mock.patch.object(deficiency, "_in_band", return_value=False):
+        guarded = solve_recurrence(op, lam, N)
+    sol = solve_recurrence(op, lam, N)
+    assert dump(sol) == dump(guarded)
+    assert sol.head.tobytes() == guarded.head.tobytes()
+
+
+def test_march_reads_each_gap_once_for_its_entries():
+    # the entries read each chunk's rows and three more, ScaledInverseGapsAlpha
+    # its rows and one more: 131,196 gap rows, where separate diag and off
+    # blocks read 196,762
+    rows = []
+    gaps = PowerLogGrid.gaps
+
+    def counting(self, lo, hi):
+        rows.append(hi - lo)
+        return gaps(self, lo, hi)
+
+    with mock.patch.object(PowerLogGrid, "gaps", counting):
+        solve_recurrence(BAND_EDGE, 1j, 2**16)
+    chunks = -(-(2**16 - 2) // _CHUNK)
+    assert sum(rows) == 2 * (2**16 - 2) + 4 * chunks
 
 
 def nan_blind_bytes(head):
