@@ -234,9 +234,9 @@ def solve_recurrence(
     signed zero, adding or subtracting a signed zero returns the other
     operand unless that operand is itself zero, and a nonzero, finite
     component x * (1/off(n)) has a nonzero, finite x; and the guard
-    would neither have stopped nor rescaled.  Any other chunk (about
-    one in 160 on the oracle's inputs) is dropped and marched again from
-    its start by _march_exact.  The first row's exact test also reads
+    would neither have stopped nor rescaled.  Any other chunk (85 of
+    the 10,240 over the analyze-oracle pool) is dropped and marched
+    again from its start by _march_exact.  The first row's exact test also reads
     |h_2|; when that would rescale, the first chunk goes to _march_exact
     directly.  The block masses (a sequential cumsum, cut at block edges
     and rescales), the residual spot checks and the head are then read

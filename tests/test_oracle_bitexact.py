@@ -184,12 +184,10 @@ SLOW_GROWTH = JacobiOperator(ConstantGrid(d=2.0), PowerSumAlpha(terms=((2e-4, 0.
 # so only the first row's exact test, which reads |h_2|, rescales
 HUGE_H2 = JacobiOperator(ConstantGrid(d=2.0), PowerSumAlpha(terms=((-1.0, 0.0, 0.0), (1e40, -400.0, 0.0))))
 
-# diag 0.25 and off -64 keep |h| at lambda = +i within 2^100 for 6000 rows;
-# one off(m) = -1e-40 multiplies h_{m+1} by about 1e40, a rescale on row m.
-# Row 2050 is the first row of the march's second chunk, row 4097 its last
-
-
 def spiked(m, n=6000):
+    """diag 0.25 and off -64 keep |h| at lambda = +i within 2^100 for 6000 rows;
+    off(m) = -1e-40 multiplies h_{m+1} by about 1e40, a rescale on row m.
+    Row 2050 is the first row of the march's second chunk, row 4097 its last."""
     off = [-64.0] * (n + 2)
     off[m - 1] = -1e-40
     return ArrayOperator([0.25] * (n + 2), off)
