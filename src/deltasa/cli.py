@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -223,13 +224,17 @@ def _strict(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(payload, out_path: Optional[str]) -> None:
-    text = json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
+def _write(text: str, path: Optional[str]) -> None:
+    """Write text to the file at path as it is (no newline translation), or to stdout when path is empty."""
+    if path:
+        with open(path, "w", newline="") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path: Optional[str]) -> None:
+    _write(json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +320,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "gamma", "eta", "a", "verdict", "certifying_test",
         "u_odd", "u_even", "delta0", "minimal_C1", "minimal_C2",
     ]
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-    finally:
-        if args.output:
-            out.close()
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+    _write(out.getvalue(), args.output)
     return 0
 
 
@@ -335,12 +337,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         _emit(report.to_json(), args.output)
     else:
-        text = "\n".join(report.lines()) + "\n"
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(report.lines()) + "\n", args.output)
     return 0 if report.passed else 1
 
 
@@ -357,11 +354,11 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     samples: list = []
     if q in ("F", "F_over_d"):
         for n in _log_sample(max(lo, 1), hi, args.points):
-            with np.errstate(divide="ignore", invalid="ignore"):  # a gap that underflows to 0 gives null
-                v = float(F_block(grid, int(n), int(n) + 1)[0])
-            if q == "F_over_d":
-                v /= grid.gap(int(n))
-            samples.append([int(n), v])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a gap that underflows to 0 gives null
+                v = F_block(grid, int(n), int(n) + 1)[0]  # a numpy scalar: dividing it by a zero gap gives inf or nan
+                if q == "F_over_d":
+                    v /= grid.gap(int(n))
+            samples.append([int(n), float(v)])
     elif q == "rho":
         tilde = TildeSequence(grid)
         for n in _log_sample(max(lo, 1), hi, args.points):

@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numerics import ChunkedSum, Record, TriState, blocks
+from .numerics import _CHUNK, ChunkedSum, Record, TriState, blocks
 
 __all__ = [
     "GridError",
@@ -44,7 +44,7 @@ _SUMMABILITY_HORIZON = 1 << 16
 
 # rows(): a read-only ramp 0, 1, 2, ... as long as a probe block and its
 # look-ahead rows (256 KiB); longer row ranges fall back to np.arange
-_RAMP = np.arange(float((1 << 15) + 4))
+_RAMP = np.arange(float(_CHUNK + 4))
 _RAMP.flags.writeable = False
 
 

@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .grid import GridError, GridSequence, Order, _explicit_positions, rows
-from .numerics import Record, TriState, exact_alternating_sums
+from .numerics import _CHUNK as _BLOCK, Record, TriState, exact_alternating_sums
 
 __all__ = [
     "PeriodPair",
@@ -46,7 +46,7 @@ __all__ = [
 # stay defined only because perfbench/instrument.py wraps them by name
 
 _CHUNK = 4096  # rows per tilde chunk: the chunk bases fix the bits of every rtilde read
-_BATCH = 8  # chunks a cold read evaluates and sums at once: one 32768-row probe block
+_BATCH = _BLOCK // _CHUNK  # chunks a cold read evaluates and sums at once: one probe block
 _ZERO = Order(0.0, 0.0, 0.0)  # the leading term of an identically zero coupling
 
 
@@ -83,7 +83,7 @@ class TildeSequence:
     returns, so a block read anchors an ordinary cumsum at an accurate
     S_lo and the float drift stays below ~1e-10 over million-term spans.
     Only a read past the known bases builds them, from the grid's log
-    gaps, eight chunks per call.  A chunk starts on an even row, so its
+    gaps, _BATCH chunks per call.  A chunk starts on an even row, so its
     sum is the alternating sum of its log gaps, and exact_alternating_sums
     adds the adjacent pairs log d_2j - log d_2j+1 exactly in one float
     pass; a chunk whose pairs it cannot sum exactly (on a power grid the

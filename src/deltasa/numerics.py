@@ -137,10 +137,11 @@ def exact_alternating_sums(x2d) -> list[float]:
     the float sum of the pairs is exact under any SIMD kernel (Sterbenz's
     lemma; Rump, Ogita and Oishi, "Accurate floating-point summation",
     SIAM J. Sci. Comput. 31 (2008)).  An odd last entry is added once at
-    the end, one correctly rounded addition.  Every other row (mixed
-    signs, zero, tiny or non-finite entries, a failed gate, an exact zero
-    total, whose sign fsum chooses, or a non-finite result) goes to
-    math.fsum on its signed row, with its errors.
+    the end, one correctly rounded addition.  An exact zero total is the
+    +0.0 of a round-to-nearest sum of nonzero floats, as fsum's is.  Every
+    other row (mixed signs, zero, tiny or non-finite entries, a failed
+    gate or a non-finite result) goes to math.fsum on its signed row,
+    with its errors.
     """
     x = np.asarray(x2d, dtype=float)
     if x.ndim != 2:
@@ -159,7 +160,7 @@ def exact_alternating_sums(x2d) -> list[float]:
     slow = []
     for i, (lo, hi, t, g) in enumerate(zip(x.min(axis=1).tolist(), x.max(axis=1).tolist(), out, gate.tolist())):
         least = lo if lo > 0.0 else -hi  # min|x| when the row has one sign
-        if (lo > 0.0 or hi < 0.0) and least >= _PAIR_MIN and t != 0.0 and math.isfinite(t):
+        if (lo > 0.0 or hi < 0.0) and least >= _PAIR_MIN and math.isfinite(t):
             # 2^E is the largest power of two <= least; a nan gate fails the comparison
             if g <= math.ldexp(1.0, math.frexp(least)[1] - 1):
                 continue

@@ -452,7 +452,6 @@ def test_non_finite_input_is_one_error_line(capsys, label):
 # inside the numerics; main turns the ArithmeticError into exit code 1,
 # and no numpy warning comes before its error line
 UNDERFLOW = {
-    "F_over_d": ["plot-data", "--gamma", "1100", "--quantity", "F_over_d", "--lo", "3", "--hi", "9"],
     "residuals": ["plot-data", "--gamma", "1100", "--quantity", "residuals", "--alpha=zero", "--hi", "20"],
 }
 
@@ -465,15 +464,32 @@ def test_underflowing_gaps_are_one_error_line(capsys, label):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# where no division raises, the same gaps give an answer: every F row is
-# nan, written as null, whether the scalar head rows or the numpy rows
-# compute it, and sweep writes the row whose condition-B Richardson step
+# where no division raises, the same gaps give an answer: every F and
+# F/d row that reads a zero gap is nan, written as null, whether the
+# scalar head rows or the numpy rows compute it, and no numpy warning
+# reaches stderr; at gamma = 600 the gaps from d_4 on are 0 and row 2
+# overflows, so only row 1 keeps a value.  Sweep writes the row whose condition-B Richardson step
 # overflows, its u unknown
-@pytest.mark.parametrize("lo, hi", [(1, 3), (3, 9)])
-def test_underflowing_gaps_give_null_F(capsys, lo, hi):
-    code, out, err = run(["plot-data", "--gamma", "1100", "--quantity", "F", "--lo", str(lo), "--hi", str(hi)], capsys)
+@pytest.mark.parametrize(
+    "quantity, gamma, lo, hi, finite",
+    [
+        pytest.param("F", "1100", 1, 3, 0, id="1-3"),
+        pytest.param("F", "1100", 3, 9, 0, id="3-9"),
+        pytest.param("F_over_d", "1100", 1, 3, 0, id="F_over_d-1-3"),
+        pytest.param("F_over_d", "1100", 3, 9, 0, id="F_over_d-3-9"),
+        pytest.param("F", "600", 1, 9, 1, id="600-F"),
+        pytest.param("F_over_d", "600", 1, 9, 1, id="600-F_over_d"),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_gaps_give_null_F(capsys, quantity, gamma, lo, hi, finite):
+    argv = ["plot-data", "--gamma", gamma, "--quantity", quantity, "--lo", str(lo), "--hi", str(hi)]
+    code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
-    assert json.loads(out)["samples"] == [[n, None] for n in range(lo, hi + 1)]
+    samples = json.loads(out)["samples"]
+    assert [n for n, _ in samples] == list(range(lo, hi + 1))
+    assert all(math.isfinite(v) for _, v in samples[:finite])
+    assert all(v is None for _, v in samples[finite:])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the probes read the zero gaps without a warning
@@ -483,3 +499,25 @@ def test_sweep_writes_the_row_condition_B_overflows_on(capsys):
     header, row = out.splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert (cells["verdict"], cells["u_odd"], cells["u_even"]) == ("Inconclusive", "nan", "nan")
+
+
+# --output writes the bytes stdout gets, for every subcommand; the
+# battery report carries its wall times, so both runs print one report
+OUTPUTS = {
+    "analyze": ["analyze", "--gamma", "1.0", "--horizons", "10000", f"--alpha=-0.5{CRITICAL}"],
+    "sweep": ["sweep", "--gammas", "1.0", "--a-values=-0.5,0.5", "--horizons", "10000"],
+    "verify-paper": ["verify-paper", "--only", "wallis", "--horizon", "10000"],
+    "verify-paper-json": ["verify-paper", "--only", "wallis", "--horizon", "10000", "--json"],
+    "plot-data": ["plot-data", "--gamma", "0.7", "--quantity", "F_over_d", "--hi", "1000", "--points", "16"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(OUTPUTS))
+def test_output_file_holds_the_stdout_bytes(capsys, monkeypatch, tmp_path, label):
+    report = cli.run_battery(only="wallis", horizon=10**4)
+    monkeypatch.setattr(cli, "run_battery", lambda **kwargs: report)
+    code, out, err = run(OUTPUTS[label], capsys)
+    assert code == 0 and out
+    target = tmp_path / "out"
+    assert run([*OUTPUTS[label], "--output", str(target)], capsys) == (code, "", err)
+    assert target.read_bytes() == out.encode()

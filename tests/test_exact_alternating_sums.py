@@ -154,6 +154,11 @@ def test_exact_zero_totals(half, sign):
     # an even-length palindrome alternates to exactly zero
     assert_matches_fsum(sign * np.concatenate((half, half[::-1]))[None, :])
     assert_matches_fsum(sign * np.repeat(half, 2)[None, :])
+    # every pair of a repeated row is exactly 0, so the pair rule decides
+    # it: its +0.0 is fsum's, and fsum is never called
+    fallback, counting = counting_fallback()
+    assert [v.hex() for v in counting(sign * np.repeat(half, 2)[None, :])] == [(0.0).hex()]
+    assert fallback == []
 
 
 MIXED = st.one_of(

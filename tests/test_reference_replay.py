@@ -22,11 +22,16 @@ two steps:
   v1's probe list, provenance and schema must give the recorded
   sha256.
 
+A few `deltasa sweep` runs are replayed too: the CSV that --output
+writes must have the recorded sha256 and the recorded (verdict,
+certifying_test) rows.
+
 Float bits depend on the interpreter and numpy, so the replay runs only
 under the versions the pools were recorded with.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -57,16 +62,20 @@ REPLAYED = {
     ),
 }
 
+# an inconclusive cell at the first gamma, upper-envelope cells, an
+# inconclusive cell at the second gamma, and advisory interior cells
+SWEEPS = ("sweep-0", "sweep-1", "sweep-22", "sweep-33")
+
 DECISION = ("verdict", "n_plus", "n_minus", "certificate", "advisory", "flags")
 
 
-def load_items(workload):
+def load_items(workload, ids):
     pool = json.loads((REFERENCE / f"{workload}.json").read_text())
     rec = pool["recorded_with"]
     if (rec["python"], rec["numpy"]) != (platform.python_version(), np.__version__):
         pytest.skip(f"{workload} recorded with Python {rec['python']}, numpy {rec['numpy']}")
     by_id = {item["id"]: item for item in pool["items"]}
-    return [by_id[i] for i in REPLAYED[workload]]
+    return [by_id[i] for i in ids]
 
 
 def analyze(argv):
@@ -127,7 +136,7 @@ def v1_bytes(argv, report):
 
 @pytest.mark.parametrize("workload", sorted(REPLAYED))
 def test_analyze_output_matches_recorded_sha256(workload):
-    for item in load_items(workload):
+    for item in load_items(workload, REPLAYED[workload]):
         rc, out = analyze(item["input"])
         assert rc == item["ref"]["rc"], item["id"]
         report = json.loads(out)
@@ -136,3 +145,13 @@ def test_analyze_output_matches_recorded_sha256(workload):
         assert {k: verdict[k] for k in DECISION} == item["ref"]["output_decision"], item["id"]
         digest = hashlib.sha256(v1_bytes(item["input"], report).encode()).hexdigest()
         assert digest == item["ref"]["output_sha256"], item["id"]
+
+
+def test_sweep_csv_matches_recorded_sha256(tmp_path):
+    target = tmp_path / "sweep.csv"
+    for item in load_items("sweep", SWEEPS):
+        assert main(["sweep", *item["input"], "--output", str(target)]) == item["ref"]["rc"], item["id"]
+        text = target.read_bytes().decode()
+        assert hashlib.sha256(text.encode()).hexdigest() == item["ref"]["output_sha256"], item["id"]
+        rows = [[r["verdict"], r["certifying_test"]] for r in csv.DictReader(io.StringIO(text))]
+        assert rows == item["ref"]["rows"], item["id"]

@@ -350,13 +350,14 @@ def _near_constant_cycle():
 
 # A grid and how many chunks of each eight-chunk batch of the first 30
 # fail the pair rule and go to math.fsum: on a power grid chunk 0
-# alone (its pair sum exceeds 2^E); on a constant grid every chunk (an
-# exact zero total); at eta < 0 the log gaps cross zero near n = 2e4, so
-# chunks 3..5 fail between chunks that pass; and in the cycle every
-# chunk that holds the gap 1.0.
+# alone (its pair sum exceeds 2^E); on a constant grid none (every pair
+# is exactly 0, so every chunk sums to the +0.0 fsum returns); at
+# eta < 0 the log gaps cross zero near n = 2e4, so chunks 3..5 fail
+# between chunks that pass; and in the cycle every chunk that holds the
+# gap 1.0.
 LADDERS = {
     "chunk-0": (PowerLogGrid(0.8, 0.0, d1=1.3), [1]),
-    "constant": (ConstantGrid(0.7), [8, 8, 8, 6]),
+    "constant": (ConstantGrid(0.7), []),
     "eta-negative": (PowerLogGrid(0.2316, -1.0), [4]),
     "explicit-cycle": (_near_constant_cycle(), [2, 3, 3, 2]),
 }

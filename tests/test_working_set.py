@@ -7,14 +7,16 @@ before their own arrays exist.  One input per pool category of the
 benchmark (perfbench/workloads.py) runs through deficiency_verdict on
 the default ladder under tracemalloc, after one untraced warm-up verdict
 that leaves the one-time heap primer (numerics._prime_heap) and the
-module-level caches outside the trace.
+module-level caches outside the trace.  No row range a verdict builds is
+longer than grid.rows' read-only ramp, a probe block and its look-ahead
+rows, so none falls back to np.arange.
 """
 
 import tracemalloc
 
 import pytest
 
-from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, deficiency_verdict
+from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, criteria, deficiency_verdict, grid, jacobi
 
 PEAK_BUDGET = 1.4 * 2**20  # bytes; about five 256 KiB block arrays and the records
 
@@ -61,3 +63,18 @@ def traced_peak(category: str) -> int:
 def test_verdict_peak_is_a_few_block_arrays(category):
     peak = traced_peak(category)
     assert peak <= PEAK_BUDGET, f"{category}: traced peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("category", list(INPUTS))
+def test_every_row_range_fits_the_ramp(monkeypatch, category):
+    lengths = []
+    rows = grid.rows
+
+    def counting(lo, hi):
+        lengths.append(hi - lo)
+        return rows(lo, hi)
+
+    for module in (grid, jacobi, criteria):
+        monkeypatch.setattr(module, "rows", counting)
+    deficiency_verdict(*INPUTS[category]())
+    assert lengths and max(lengths) <= len(grid._RAMP), f"{category}: {max(lengths)} rows"
