@@ -16,7 +16,9 @@ import tracemalloc
 
 import pytest
 
-from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, criteria, deficiency_verdict, grid, jacobi
+from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, criteria, deficiency_verdict, jacobi
+from deltasa import grid as grid_module
+from deltasa.grid import _RAMP, rows
 
 PEAK_BUDGET = 1.4 * 2**20  # bytes; about five 256 KiB block arrays and the records
 
@@ -68,13 +70,12 @@ def test_verdict_peak_is_a_few_block_arrays(category):
 @pytest.mark.parametrize("category", list(INPUTS))
 def test_every_row_range_fits_the_ramp(monkeypatch, category):
     lengths = []
-    rows = grid.rows
 
     def counting(lo, hi):
         lengths.append(hi - lo)
         return rows(lo, hi)
 
-    for module in (grid, jacobi, criteria):
+    for module in (grid_module, jacobi, criteria):
         monkeypatch.setattr(module, "rows", counting)
     deficiency_verdict(*INPUTS[category]())
-    assert lengths and max(lengths) <= len(grid._RAMP), f"{category}: {max(lengths)} rows"
+    assert lengths and max(lengths) <= len(_RAMP), f"{category}: {max(lengths)} rows"
