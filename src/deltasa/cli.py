@@ -250,7 +250,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
     report = {
-        "schema": "deltasa-analyze-v4",
+        "schema": "deltasa-analyze-v5",
         "grid": grid.describe(),
         "alpha": alpha.describe(),
         "horizons": list(cfg.horizons),
@@ -287,7 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # divide by zero and read inf or nan, which the CSV prints as it is
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
-            G = select_G(grid, horizon=cfg.bound_horizon)
+            G = select_G(grid)
             bounds = [
                 (test_bound_II(grid, alpha, G, N=cfg.bound_horizon), test_bound_III(grid, alpha, G, N=cfg.bound_horizon))
                 for alpha in alphas
@@ -371,7 +371,9 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         lam = complex(args.lam) if args.lam else 0.0
         if isinstance(lam, complex) and lam.imag == 0.0:
             lam = lam.real
-        sol = solve_recurrence(op, lam, hi)
+        # the entries on a gap that underflows to 0 are inf or nan, and so is the march from there on
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sol = solve_recurrence(op, lam, hi)
         if q == "block_norms":
             samples = [[k, m] for k, m in sol.block_log_masses]
         else:

@@ -6,11 +6,12 @@ Three families of machinery live here:
   which phase 1 of a verdict reads, and test_condition_I) and for the
   tail series of condition A (check_condition_A);
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
-  alpha stays below / above an explicit envelope built from the gap
-  profile and a comparison function G, which comes from the curvature
-  functional F and its Taylor expansion (select_G, verify_G_limits).
-  F has one evaluator, F_block, for every row n >= 1; a point is a
-  one-row block;
+  alpha stays below / above an envelope built from the gap profile, with
+  the comparison function G = 0 (select_G): each then scans a
+  semiboundedness hypothesis (see GFunction);
+* the curvature functional F and its Taylor expansion, which battery
+  checks 4-6 read (F_block, f_over_d_probe, verify_G_limits).  F has one
+  evaluator, F_block, for every row n >= 1; a point is a one-row block;
 * the period-two tail structure: parity limits of rho_n
   (check_condition_B) and the l2 test on r_n*rtilde_n
   (check_condition_A).
@@ -39,14 +40,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import (
-    ConstantGrid,
     GridError,
     GridSequence,
     Order,
     PowerLogGrid,
     classify_summability,
     ratio_stats,
-    rows,
 )
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
@@ -70,7 +69,6 @@ __all__ = [
     "SeriesVerdict",
     "SeriesProbe",
     "BoundProbe",
-    "GKind",
     "GFunction",
     "select_G",
     "F_block",
@@ -134,44 +132,25 @@ class BoundProbe(Record):
     witnesses: dict = field(default_factory=dict)
 
 
-class GKind(str, Enum):
-    ZERO = "zero"
-    NLOG = "nlog"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class GFunction:
-    """Comparison function G for the envelope bounds.
+    """The comparison function G = 0 of the envelope bounds, and why it is enough.
 
-    kind ZERO is the flat choice valid whenever F(n)/d_n is bounded;
-    NLOG carries the two-branch closed form for the gamma = 1 gap
-    family; CUSTOM wraps an arbitrary block evaluator fn(lo, hi), which
-    returns G(n) for lo <= n < hi (select_G's is F_block on the grid).
+    With G = 0, bound III scans alpha_n >= -C d_n, the lower
+    semiboundedness of alpha, and bound II scans alpha'_n >= -C d_n for
+    the reflection alpha' = -alpha - 2(1/d_n + 1/d_{n+1}), which gives
+    B' = -U B U with U = diag((-1)^n) and so the same deficiency indices
+    (Kostenko-Malamud, J. Differential Equations 249 (2010) 253-304).
+    Either one, on gaps in l2 but not l1 (which phase 0 checks first),
+    makes H_{X,alpha} self-adjoint (Albeverio-Kostenko-Malamud,
+    J. Math. Phys. 51 (2010) 102102).
     """
 
-    kind: GKind
-    eta: Optional[float] = None
-    fn: Optional[Callable[[int, int], np.ndarray]] = None
-    provenance: str = ""
-
     def evaluate_block(self, lo: int, hi: int) -> np.ndarray:
-        if self.kind is GKind.ZERO:
-            return np.broadcast_to(0.0, (hi - lo,))  # read-only: no block array
-        if self.kind is GKind.NLOG:
-            ns = np.maximum(rows(lo, hi), 2.0)
-            t = np.log(ns)
-            out = 0.25 * t**self.eta / ns
-            if self.eta > 0.5:
-                out = out + self.eta / (ns * t ** (1.0 - self.eta))
-            return out
-        return self.fn(lo, hi)
+        return np.broadcast_to(0.0, (hi - lo,))  # read-only: no block array
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind.value, "provenance": self.provenance}
-        if self.eta is not None:
-            d["eta"] = self.eta
-        return d
+        return {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +241,9 @@ def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> BoundProbe:
     )
 
 
-def select_G(grid: GridSequence, horizon: int = WINDOW_CAP) -> GFunction:
-    """Pick the comparison function G for the envelope bounds.
-
-    Flat grids and profiles with bounded F/d take G = 0.  The
-    gamma = 1, eta in (0,1] profile takes the closed two-branch form.
-    Everything else falls back to the measured F itself (slack zero),
-    keeping the bounds sharp but empirical.  The tail probe that decides
-    between the two scans up to horizon, capped at WINDOW_CAP.
-    """
-    if isinstance(grid, ConstantGrid):
-        return GFunction(GKind.ZERO, provenance="flat-gaps")
-    if isinstance(grid, PowerLogGrid):
-        g, e = grid.gamma, grid.eta
-        if g == 1.0 and 0.0 < e <= 1.0:
-            return GFunction(GKind.NLOG, eta=e, provenance="nlog-family")
-        if 0.5 < g < 1.0 or (g == 1.0 and e <= 0.0):
-            return GFunction(GKind.ZERO, provenance="smooth-family-bounded-F")
-    probe = f_over_d_probe(grid, 2, max(64, min(horizon, WINDOW_CAP)))
-    if probe.holds is TriState.TRUE:
-        return GFunction(GKind.ZERO, provenance="tail-probe")
-    return GFunction(GKind.CUSTOM, fn=lambda lo, hi: F_block(grid, lo, hi), provenance="measured-curvature")
+def select_G(grid: GridSequence) -> GFunction:
+    """The comparison function of the envelope bounds: G = 0 on every grid."""
+    return GFunction()
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +424,10 @@ def test_bound_II(
 ) -> BoundProbe:
     """Minimal C1 with alpha_n <= -(2/d_n + 2/d_{n+1} + G(n)) + C1 d_n.
 
-    The probe reports the per-n minimal constant's global sup and
-    whether it has stabilized between the last two dyadic windows.
+    With G = 0 this is alpha'_n >= -C1 d_n for the reflection alpha'
+    (see GFunction).  The probe reports the per-n minimal constant's
+    global sup and whether it has stabilized between the last two dyadic
+    windows.
     """
 
     def residual_block(a: int, b: int) -> np.ndarray:
@@ -486,7 +449,7 @@ def test_bound_II(
 def test_bound_III(
     grid: GridSequence, alpha: AlphaSequence, G: GFunction, N: int = 10**6
 ) -> BoundProbe:
-    """Minimal C2 with alpha_n >= G(n) - C2 d_n (mirror of test_bound_II)."""
+    """Minimal C2 with alpha_n >= G(n) - C2 d_n, with G = 0 alpha's semiboundedness (mirror of test_bound_II)."""
 
     def residual_block(a: int, b: int) -> np.ndarray:
         al = alpha.alphas(a, b)  # first: its temporaries are gone before the gaps exist

@@ -105,12 +105,13 @@ def _check_offs(offs: np.ndarray, first: int) -> None:
 def _row_residual(o_prev, c, o_cur, h_prev, h_cur, h_next) -> float:
     """|o_prev h_prev + c h_cur + o_cur h_next| over the sum of the three terms' moduli.
 
-    0.0 unless that sum is > 0.  The march's spot checks and plot-data's
-    residuals both call it, each with its own entries.
+    0.0 when that sum is 0, nan when a term is nan.  The march's spot
+    checks (whose running max skips a nan) and plot-data's residuals
+    both call it, each with its own entries.
     """
     a, b, d = o_prev * h_prev, c * h_cur, o_cur * h_next
     scale = abs(a) + abs(b) + abs(d)
-    return abs(a + b + d) / scale if scale > 0.0 else 0.0
+    return abs(a + b + d) / scale if scale != 0.0 else 0.0
 
 
 def _log_mass(acc: float, sigma: float) -> float:
@@ -597,7 +598,8 @@ def deficiency_verdict(
       0. gaps summable -> outside the model, Inconclusive;
          gaps not square-summable -> SelfAdjoint for every coupling.
       1. divergent coupling series (carleman-i), by exponent comparison.
-      2. envelope bounds II / III with the selected G.
+      2. envelope bounds II / III with G = 0: alpha's reflection or alpha
+         itself is semibounded.
       3. scaled-gap couplings near the critical line: condition B, then
          condition A read from the gaps' l2 class, plus the Floquet
          discriminant strictly inside a band.
@@ -639,7 +641,7 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    G = select_G(grid, horizon=cfg.bound_horizon)
+    G = select_G(grid)
     diagnostics["G"] = G.to_json()
     bound2 = test_bound_II(grid, alpha, G, N=cfg.bound_horizon)
     diagnostics["bound_II"] = bound2.to_json()

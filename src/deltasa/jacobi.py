@@ -448,13 +448,13 @@ class JacobiOperator:
         dn = self.grid.gap(n)
         dn1 = self.grid.gap(n + 1)
         r2 = dn + dn1
-        return (self.coupling.alpha(n) + 1.0 / dn + 1.0 / dn1) / r2
+        return _div(self.coupling.alpha(n) + _div(1.0, dn) + _div(1.0, dn1), r2)
 
     def off(self, n: int) -> float:
         """Entry coupling sites n and n+1."""
         if n < 1:
             raise GridError(f"off index must be >= 1, got {n}")
-        return -1.0 / (self.grid.r(n) * self.grid.r(n + 1) * self.grid.gap(n + 1))
+        return _div(-1.0, self.grid.r(n) * self.grid.r(n + 1) * self.grid.gap(n + 1))
 
     def entry(self, i: int, j: int) -> float:
         if abs(i - j) > 1:
@@ -500,6 +500,15 @@ class JacobiOperator:
             m[idx, idx + 1] = od
             m[idx + 1, idx] = od
         return m
+
+
+def _div(a: float, b: float) -> float:
+    """a / b as the block forms divide: a zero b gives inf or nan where Python raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(a, b))
 
 
 def _offs(d: np.ndarray) -> np.ndarray:

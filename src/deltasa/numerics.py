@@ -44,8 +44,8 @@ __all__ = [
 # than 5% of the earlier-window sup.  Shrinking is always stable.
 DRIFT_TOL = 0.05
 
-# The default horizon ladder; where scans of a tail window stop (select_G's
-# F/d probe, the gap ratios, the oracle); the shortest scan condition B takes.
+# The default horizon ladder; where scans of a tail window stop (the gap
+# ratios, the oracle); the shortest scan condition B takes.
 HORIZONS = (10**4, 10**5, 10**6)
 WINDOW_CAP = 10**5
 MIN_HORIZON = 256

@@ -19,7 +19,8 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # that GridSequence.order() replaced, and the tuple helpers that Order
 # replaced (its summable() rule and jacobi._slowest); the F/d record and drift
 # helper that BoundProbe and numerics.window_drift replaced; the
-# scalar F that F_block replaced; TildeSequence's sign and CHUNK
+# scalar F that F_block replaced; the comparison-function kinds that
+# G = 0 replaced, with their fields; TildeSequence's sign and CHUNK
 # aliases, which value and jacobi._CHUNK replaced; and the battery's
 # name list, which verify._CHECKS states.  A "module.Class" key lists
 # removed attributes of that class
@@ -37,6 +38,7 @@ REMOVED = {
         "_gap_exponents",
         "FOverDProbe",
         "F",
+        "GKind",
     ),
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives", "_bertrand"),
@@ -48,6 +50,7 @@ REMOVED = {
     "grid.ConstantGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.ExplicitGrid": ("_in_ell1", "_in_ell2"),
     "criteria.GLimits": ("to_json",),
+    "criteria.GFunction": ("kind", "eta", "fn", "provenance"),
     "numerics.ChunkedSum": ("add",),
     "jacobi.TildeSequence": ("sign_block", "sign", "CHUNK"),
 }

@@ -19,7 +19,6 @@ from deltasa import (
     ExplicitGrid,
     F_block,
     GFunction,
-    GKind,
     PowerLogGrid,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
@@ -32,6 +31,7 @@ from deltasa import (
     test_carleman_i,
     verify_G_limits,
 )
+from deltasa import criteria
 from deltasa.criteria import _uv_block, check_condition_A, expansion_remainder_block, test_condition_I
 from deltasa.numerics import TriState, sqrt_series_coeffs
 
@@ -63,49 +63,15 @@ def mp_F(grid, n):
         return float(val)
 
 
-def G_nlog(eta, n):
-    """The gamma = 1 comparison function G at one site, read through its block form."""
-    return GFunction(GKind.NLOG, eta=eta).evaluate_block(n, n + 1)[0]
-
-
-class TestGnlog:
-    def test_frozen_reference_point(self):
-        got = G_nlog(0.3, 100)
-        assert got == pytest.approx(0.003952880760747132, rel=1e-13)
-        # published rounding of the same number
-        assert abs(got - 0.003955) < 3e-6
-
-    def test_small_eta_branch_formula(self):
-        # eta <= 1/2: (1/4) ln^eta(n) / n
-        with mpmath.workdps(40):
-            want = float(mpmath.log(50) ** mpmath.mpf("0.3") / (4 * 50))
-        assert G_nlog(0.3, 50) == pytest.approx(want, rel=1e-13)
-        with mpmath.workdps(40):
-            want = float(mpmath.log(77) ** mpmath.mpf("0.5") / (4 * 77))
-        assert G_nlog(0.5, 77) == pytest.approx(want, rel=1e-13)
-
-    def test_large_eta_branch_formula(self):
-        # eta > 1/2 picks up the extra eta / (n ln^{1-eta} n) term
-        with mpmath.workdps(40):
-            e = mpmath.mpf("0.8")
-            t = mpmath.log(200)
-            want = float(t**e / (4 * 200) + e / (200 * t ** (1 - e)))
-        assert G_nlog(0.8, 200) == pytest.approx(want, rel=1e-13)
-
-    def test_gfunction_wrappers(self):
-        z = GFunction(GKind.ZERO)
-        assert z.evaluate_block(17, 18)[0] == 0.0
-        assert np.all(z.evaluate_block(2, 50) == 0.0)
-        g = GFunction(GKind.NLOG, eta=0.4)
-        assert g.evaluate_block(1, 2)[0] == g.evaluate_block(2, 3)[0]  # clamped below the domain
-        with mpmath.workdps(40):
-            want = [float(mpmath.log(n) ** mpmath.mpf("0.4") / (4 * n)) for n in range(2, 30)]
-        np.testing.assert_allclose(g.evaluate_block(2, 30), want, rtol=1e-13)
-        c = GFunction(GKind.CUSTOM, fn=lambda lo, hi: 1.0 / np.arange(lo, hi))
-        assert c.evaluate_block(4, 5)[0] == 0.25
-
-
 class TestF:
+    def test_blocks_match_single_rows(self):
+        # d_n = (1 if n odd else 2)/n has no log-ratio route: every block
+        # row reads plain gaps, with the two scalar head rows below row 3
+        g = CustomGrid(lambda n: (1.0 if n % 2 else 2.0) / n)
+        for lo in (1, 2, 32767, 32768, 32769):
+            want = np.array([F(g, n) for n in range(lo, lo + 300)])
+            assert F_block(g, lo, lo + 300).tobytes() == want.tobytes(), lo
+
     def test_flat_grid_values(self):
         g = ConstantGrid(1.0)
         assert F(g, 1) == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
@@ -177,37 +143,29 @@ class TestFOverDProbe:
 
 
 class TestSelectG:
-    def test_branches(self):
-        assert select_G(ConstantGrid(1.0)).kind is GKind.ZERO
-        assert select_G(ConstantGrid(1.0)).provenance == "flat-gaps"
-        nlog = select_G(PowerLogGrid(gamma=1.0, eta=0.5))
-        assert nlog.kind is GKind.NLOG and nlog.eta == 0.5
-        assert select_G(PowerLogGrid(gamma=0.75)).kind is GKind.ZERO
-        assert select_G(PowerLogGrid(gamma=1.0, eta=-0.5)).kind is GKind.ZERO
-        assert select_G(PowerLogGrid(gamma=1.0)).kind is GKind.ZERO
+    GRIDS = (
+        ConstantGrid(1.0),
+        PowerLogGrid(gamma=0.75),
+        PowerLogGrid(gamma=1.0),
+        PowerLogGrid(gamma=1.0, eta=0.5),
+        PowerLogGrid(gamma=1.0, eta=1.5),
+        ExplicitGrid(values=(0.5, 0.25), tail="cycle"),
+        CustomGrid(lambda n: (1.0 if n % 2 else 2.0) / n),
+    )
 
-    def test_probe_fallbacks(self):
-        cyc = ExplicitGrid(values=(0.5, 0.25), tail="cycle")
-        got = select_G(cyc, horizon=10**4)
-        assert got.kind is GKind.ZERO and got.provenance == "tail-probe"
-        heavy = select_G(PowerLogGrid(gamma=1.0, eta=1.5), horizon=10**4)
-        assert heavy.kind is GKind.CUSTOM
-        assert heavy.provenance == "measured-curvature"
-        # the custom fallback is the measured F itself
-        assert heavy.evaluate_block(50, 51)[0] == pytest.approx(
-            F(PowerLogGrid(gamma=1.0, eta=1.5), 50), rel=1e-12
-        )
+    def test_every_family_gets_the_zero_G(self):
+        for grid in self.GRIDS:
+            G = select_G(grid)
+            assert G == GFunction()
+            assert G.to_json() == {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
+            assert not G.evaluate_block(1, 100).any()
 
-    def test_measured_curvature_blocks_match_single_rows(self):
-        # d_n = (1 if n odd else 2)/n has no log-ratio route and an
-        # unstable F/d, so select_G falls back to the measured F
-        g = CustomGrid(lambda n: (1.0 if n % 2 else 2.0) / n)
-        G = select_G(g, horizon=10**4)
-        assert G.provenance == "measured-curvature"
-        for lo in (1, 2, 32767, 32768, 32769):
-            want = np.array([F(g, n) for n in range(lo, lo + 300)])
-            assert G.evaluate_block(lo, lo + 300).tobytes() == want.tobytes(), lo
-            assert G.evaluate_block(lo, lo + 1)[0] == want[0]
+    def test_no_grid_calls_F_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(criteria, "F_block", lambda *a: calls.append(a))
+        for grid in self.GRIDS:
+            select_G(grid)
+        assert calls == []
 
 
 class TestSeriesProbes:
@@ -293,7 +251,7 @@ class TestEnvelopeBounds:
             fn=lambda n: -(2.0 / g.gap(n) + 2.0 / g.gap(n + 1)) + 0.5 * g.gap(n),
             name="critical-upper",
         )
-        G = GFunction(GKind.ZERO)
+        G = GFunction()
         p = test_bound_II(g, alpha, G, N=10**4)
         assert p.holds is TriState.TRUE
         # the 2/d terms cancel in float, leaving ~1e-9 of rounding noise
@@ -305,21 +263,21 @@ class TestEnvelopeBounds:
             fn=lambda n: -(2.0 / g.gap(n) + 2.0 / g.gap(n + 1)) + math.sqrt(n),
             name="violating-upper",
         )
-        p = test_bound_II(g, alpha, GFunction(GKind.ZERO), N=10**4)
+        p = test_bound_II(g, alpha, GFunction(), N=10**4)
         assert p.holds is TriState.FALSE
         assert p.drift > 0.05
 
     def test_lower_bound_minimal_constant_exact(self):
         g = PowerLogGrid(gamma=1.0)
         alpha = CustomAlpha(fn=lambda n: -0.25 * g.gap(n), name="critical-lower")
-        p = test_bound_III(g, alpha, GFunction(GKind.ZERO), N=10**4)
+        p = test_bound_III(g, alpha, GFunction(), N=10**4)
         assert p.holds is TriState.TRUE
         assert p.minimal_constant == pytest.approx(0.25, abs=1e-12)
 
     def test_lower_bound_violation(self):
         g = PowerLogGrid(gamma=1.0)
         alpha = CustomAlpha(fn=lambda n: -math.sqrt(n), name="violating-lower")
-        p = test_bound_III(g, alpha, GFunction(GKind.ZERO), N=10**4)
+        p = test_bound_III(g, alpha, GFunction(), N=10**4)
         assert p.holds is TriState.FALSE
 
     def test_bound_probe_reports_argmax(self):
@@ -328,7 +286,7 @@ class TestEnvelopeBounds:
             fn=lambda n: -(2.0 / g.gap(n) + 2.0 / g.gap(n + 1)) + 0.5 * g.gap(n),
             name="critical-upper",
         )
-        p = test_bound_II(g, alpha, GFunction(GKind.ZERO), N=10**4)
+        p = test_bound_II(g, alpha, GFunction(), N=10**4)
         assert "argmax" in p.witnesses
         assert p.witnesses["minimal_constant_nonneg"] >= 0.0
 

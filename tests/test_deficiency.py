@@ -14,6 +14,7 @@ import pytest
 
 from deltasa import (
     CriterionVerdict,
+    CustomAlpha,
     CustomGrid,
     JacobiOperator,
     PeriodPair,
@@ -296,6 +297,34 @@ class TestVerdictPipeline:
         v = deficiency_verdict(g, PowerSumAlpha(terms=((0.0, 0.0, 0.0),)), self.CFG)
         assert v.verdict is VerdictKind.SELF_ADJOINT
         assert v.advisory is False
+
+    @pytest.mark.parametrize("eta", (0.25, 0.5, 1.0))
+    def test_nlog_profiles_certify_by_semiboundedness(self, eta):
+        # G = 0 on d_n = 1/(n ln^eta n): alpha >= 0 is semibounded (bound
+        # III), and a = -3 reflects to a' = 1, whose alpha' >= 0 (bound II)
+        g = PowerLogGrid(gamma=1.0, eta=eta)
+        cases = (
+            (PowerSumAlpha(terms=((0.0, 0.0, 0.0),)), "lower-envelope-bound"),
+            (PowerSumAlpha(terms=((0.1, -1.0, 0.0),)), "lower-envelope-bound"),
+            (ScaledInverseGapsAlpha(g, 1.0), "lower-envelope-bound"),
+            (ScaledInverseGapsAlpha(g, -3.0), "upper-envelope-bound"),
+        )
+        for alpha, certificate in cases:
+            v = deficiency_verdict(g, alpha, VerdictConfig())
+            assert (v.verdict, v.certificate, v.advisory, v.flags) == (
+                VerdictKind.SELF_ADJOINT, certificate, False, ()
+            ), alpha.describe()
+            assert v.diagnostics["G"] == {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
+
+    def test_oscillating_grid_certifies_by_semiboundedness(self):
+        # alpha_n = n >= 0 on an oscillating profile: bound III scans
+        # alpha >= -C d_n, the hypothesis its certificate proves
+        g = CustomGrid(lambda n: (1.0 if n % 2 else 2.0) / n)
+        v = deficiency_verdict(g, CustomAlpha(lambda n: float(n)), VerdictConfig(horizons=(10**4, 10**5)))
+        assert (v.verdict, v.certificate, v.advisory, v.flags) == (
+            VerdictKind.SELF_ADJOINT, "lower-envelope-bound", False, ()
+        )
+        assert v.diagnostics["bound_III"]["minimal_constant"] <= 0.0
 
     def test_wide_gaps_short_circuit(self):
         g = PowerLogGrid(gamma=0.3)

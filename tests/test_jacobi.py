@@ -254,6 +254,18 @@ class TestJacobiOperator:
             op.off_block(2, 30), [op.off(n) for n in range(2, 30)], rtol=1e-13
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scalars_divide_by_a_zero_gap_as_the_blocks_do(self):
+        # at gamma = 1100, d_1 = 1 and every later gap underflows to 0
+        g = PowerLogGrid(gamma=1100.0)
+        op = JacobiOperator(g, PowerSumAlpha(terms=((0.0, 0.0, 0.0),)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diags, offs = op.diag_block(1, 4), op.off_block(1, 4)
+        assert [op.diag(n) for n in range(1, 4)] == [math.inf, math.inf, math.inf]
+        assert [op.off(n) for n in range(1, 4)] == [-math.inf, -math.inf, -math.inf]
+        assert repr(diags.tolist()) == repr([op.diag(n) for n in range(1, 4)])
+        assert repr(offs.tolist()) == repr([op.off(n) for n in range(1, 4)])
+
     def test_truncate(self):
         g = PowerLogGrid(gamma=0.75)
         op = JacobiOperator(g, ScaledInverseGapsAlpha(g, -0.5))

@@ -210,7 +210,7 @@ TIES = {
     (0.5, 0.5): ("SelfAdjoint", "non-square-summable-gaps", False, ()),
     (0.5, 0.6): ("SelfAdjoint", "lower-envelope-bound", False, ()),
     (1.0, 1.2): ("Inconclusive", None, False, ("gaps-summable-outside-model",)),
-    (1.0, 1.0): ("Inconclusive", None, True, ()),
+    (1.0, 1.0): ("SelfAdjoint", "lower-envelope-bound", False, ()),  # alpha = 0 >= -C d_n
 }
 
 

@@ -8,19 +8,20 @@ two steps:
 
 * the exit code and the six decision fields must equal the recorded
   ones;
-* the v1 bytes must reconstruct exactly from the v4 report.  v1
+* the v1 bytes must reconstruct exactly from the v5 report.  v1
   recorded carleman-i's partial sums over every rung of the ladder, a
   condition-I record wherever carleman-i does not diverge, condition
   A's partial sums, and a lambda = -i oracle record beside the +i one,
-  each marched to the oracle horizon.  v4 stops carleman-i at the first
+  each marched to the oracle horizon.  v5 stops carleman-i at the first
   rung, drops condition I, reads condition A from the gaps' l2 class
   and marches only +i, and only to the edge after its last complete
-  dyadic block.  Marching +i to the oracle horizon again (its head and
-  block masses must equal the v4 record's), putting the full-ladder
-  probes back, rebuilding the -i record from the +i one (B is real;
-  only the head is marched again, for its signed zeros), and restoring
-  v1's probe list, provenance and schema must give the recorded
-  sha256.
+  dyadic block; its G = 0 record names semiboundedness where v1 named
+  the smooth power family.  Marching +i to the oracle horizon again
+  (its head and block masses must equal the v5 record's), putting the
+  full-ladder probes back, rebuilding the -i record from the +i one (B
+  is real; only the head is marched again, for its signed zeros), and
+  restoring v1's probe list, provenances and schema must give the
+  recorded sha256.
 
 A few `deltasa sweep` runs are replayed too: the CSV that --output
 writes must have the recorded sha256 and the recorded (verdict,
@@ -85,7 +86,7 @@ def analyze(argv):
     return rc, buf.getvalue()
 
 
-# the oracle provenance prefixes v4 writes, and the ones v1 wrote
+# the oracle provenance prefixes v5 writes, and the ones v1 wrote
 V1_PROVENANCE = {
     "numerical-advisory: the forward solution at lambda = +i ": (
         "numerical-advisory: the forward solution at each nonreal probe point "
@@ -96,8 +97,12 @@ V1_PROVENANCE = {
 }
 
 
+# every pool grid is a power grid with 1/2 < gamma < 1, whose G = 0 v1 named by that family
+V1_G_PROVENANCE = "smooth-family-bounded-F"
+
+
 def v1_bytes(argv, report):
-    """The v1 output of an analyze run, rebuilt from its v4 report."""
+    """The v1 output of an analyze run, rebuilt from its v5 report."""
     args = _build_parser().parse_args(["analyze", *argv])
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
@@ -124,9 +129,14 @@ def v1_bytes(argv, report):
         solution["lambda"], solution["head"] = front["lambda"], front["head"]
         diagnostics["oracle_lambda_-1i"] = minus
     diagnostics["config"]["lambda_probes"] = [[0.0, 1.0], [-0.0, -1.0]]
-    for v4, v1 in V1_PROVENANCE.items():
-        if verdict["provenance"].startswith(v4):
-            verdict["provenance"] = v1 + verdict["provenance"][len(v4):]
+    for v5, v1 in V1_PROVENANCE.items():
+        if verdict["provenance"].startswith(v5):
+            verdict["provenance"] = v1 + verdict["provenance"][len(v5):]
+    if "G" in diagnostics:  # the verdict record and each bound's own copy
+        bounds = [diagnostics[b]["params"] for b in ("bound_II", "bound_III") if b in diagnostics]
+        for record in [diagnostics["G"], *(params["G"] for params in bounds)]:
+            assert record == {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
+            record["provenance"] = V1_G_PROVENANCE
     report["schema"] = "deltasa-analyze-v1"
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -140,7 +150,7 @@ def test_analyze_output_matches_recorded_sha256(workload):
         rc, out = analyze(item["input"])
         assert rc == item["ref"]["rc"], item["id"]
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v4"
+        assert report["schema"] == "deltasa-analyze-v5"
         verdict = report["verdict"]
         assert {k: verdict[k] for k in DECISION} == item["ref"]["output_decision"], item["id"]
         digest = hashlib.sha256(v1_bytes(item["input"], report).encode()).hexdigest()

@@ -23,7 +23,6 @@ from deltasa import (
     CustomGrid,
     ExplicitGrid,
     GFunction,
-    GKind,
     JacobiOperator,
     PowerLogGrid,
     PowerSumAlpha,
@@ -207,7 +206,7 @@ def test_power_sum_alphas_match_reference(terms):
 
 def test_zero_G_is_a_read_only_zero_block():
     for lo, hi in [(1, 1), (1, 2), (3, 3 + BLOCK)]:
-        g = GFunction(GKind.ZERO).evaluate_block(lo, hi)
+        g = GFunction().evaluate_block(lo, hi)
         same(g, np.zeros(hi - lo))
         assert not g.flags.writeable
 
@@ -220,7 +219,7 @@ def test_zero_G_is_a_read_only_zero_block():
 @pytest.mark.parametrize("grid,H", CASES)
 def test_bound_residuals_match_reference(monkeypatch, grid, H, pert):
     N = 10**5 if isinstance(grid, PowerLogGrid) else 5000
-    G = select_G(grid, horizon=4096)
+    G = select_G(grid)
     for a in (-0.5, -3.0):
         alpha, ref_alpha = ScaledInverseGapsAlpha(grid, a, pert), ReferenceScaledAlpha(grid, a, pert)
         params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}

@@ -20,7 +20,6 @@ from deltasa import (
     CustomAlpha,
     ExplicitGrid,
     GFunction,
-    GKind,
     PeriodPair,
     PowerLogGrid,
     PowerSumAlpha,
@@ -266,7 +265,6 @@ def test_bound_probes(N):
     pert = PowerSumAlpha(terms=((0.3, -1.0, 0.0),))
     alpha = ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert)
     G = select_G(grid)
-    assert G.kind is GKind.NLOG
     same(
         test_bound_II(grid, alpha, G, N),
         reference_bound_probe("bound-II", grid, alpha, G, N, residual_II(grid, alpha, G)),
@@ -311,7 +309,7 @@ PLANTED = {
 def test_bound_probe_nan_and_inf(case, N):
     grid = PowerLogGrid(1.0, 0.0, 1.0)
     alpha = PowerSumAlpha(terms=((1.0, 1.0, 0.0),))
-    G = GFunction(GKind.ZERO)
+    G = GFunction()
     marks = {n: v for n, v in PLANTED[case].items() if n <= N}
     block = planted(N, marks)
     params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
@@ -386,7 +384,7 @@ def spiked(block, n0):
 def test_bound_probes_read_a_non_finite_window_as_unknown(window):
     n0 = SPIKE_ROWS[window]
     grid = PowerLogGrid(1.0)
-    G = GFunction(GKind.ZERO)
+    G = GFunction()
     for probe, sign in ((test_bound_II, 1.0), (test_bound_III, -1.0)):
         # a coupling rejects a non-finite value as it reads it, so the
         # spike goes in past its check

@@ -24,11 +24,25 @@ medians, and in how many run pairs HEAD was the better one; and the
 revisions, the Python and numpy versions, the CPU count and numpy's
 active dispatch targets.  A run that reports a failed request
 (`correct` false) fails the script.
+
+A second witness follows the process pairs: both exported trees are
+imported into this one process, as the packages deltasa_base and
+deltasa_head, and each analyze workload's pool (perfbench/reference/)
+is run once through both CLIs, item by item, base first on even items
+and head first on odd ones.  A request is timed from the call of
+cli.main to its return, with its JSON written to a buffer.  The file
+records, per workload, the median over the pool of head time / base
+time, the two median request times and in how many items HEAD was the
+faster.  Being one process, this witness sees neither process start-up
+nor a difference in heap layout or CPU placement between the two sides.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import platform
@@ -36,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -72,6 +87,50 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return {k: v["value"] for k, v in res["metrics"].items()}
 
 
+def import_tree(checkout: str, name: str):
+    """The deltasa package of checkout, imported as the package name."""
+    pkg = os.path.join(checkout, "src", "deltasa")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")  # the package does not import its CLI
+    return module
+
+
+def in_process(dirs: dict, workloads: list[str]) -> dict:
+    """Per analyze workload: both trees in this process, alternated item by item over its pool."""
+    clis = {side: import_tree(d, f"deltasa_{side}").cli for side, d in dirs.items()}
+
+    def timed(side: str, argv: list[str]) -> float:
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            clis[side].main(argv)
+        return time.perf_counter() - t0
+
+    result = {}
+    for w in workloads:
+        if not w.startswith("analyze-"):
+            continue
+        with open(os.path.join(dirs["head"], "perfbench", "reference", f"{w}.json")) as f:
+            items = json.load(f)["items"]
+        times: dict = {"base": [], "head": []}
+        for i, item in enumerate(items):
+            argv = ["analyze", *item["input"]]
+            for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                times[side].append(timed(side, argv))
+        ratios = [h / b for b, h in zip(times["base"], times["head"])]
+        result[w] = {
+            "items": len(items),
+            "median_ratio": statistics.median(ratios),
+            "base_median_s": statistics.median(times["base"]),
+            "head_median_s": statistics.median(times["head"]),
+            "items_head_faster": sum(r < 1.0 for r in ratios),
+        }
+        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items", flush=True)
+    return result
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
@@ -100,6 +159,7 @@ def main() -> int:
                     m = run_once(dirs[side], w, i, seconds)
                     runs[w][side].append(m)
                     print(f"run {i} {w} {side}: " + " ".join(f"{k}={v:.4g}" for k, v in m.items()), flush=True)
+        witness = in_process(dirs, workloads)
 
     result = {w: {} for w in workloads}
     for w in workloads:
@@ -124,6 +184,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "numpy_active_dispatch": active_dispatch(),
         "workloads": result,
+        "in_process": witness,
     }
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as f:
