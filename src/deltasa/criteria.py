@@ -449,7 +449,7 @@ def test_bound_II(
 def test_bound_III(
     grid: GridSequence, alpha: AlphaSequence, G: GFunction, N: int = 10**6
 ) -> BoundProbe:
-    """Minimal C2 with alpha_n >= G(n) - C2 d_n, with G = 0 alpha's semiboundedness (mirror of test_bound_II)."""
+    """Minimal C2 with alpha_n >= G(n) - C2 d_n: with G = 0, alpha's semiboundedness (mirror of test_bound_II)."""
 
     def residual_block(a: int, b: int) -> np.ndarray:
         al = alpha.alphas(a, b)  # first: its temporaries are gone before the gaps exist
