@@ -47,7 +47,6 @@ import numpy as np
 from .criteria import (
     F_block,
     check_condition_B,
-    select_G,
     test_bound_II,
     test_bound_III,
 )
@@ -287,9 +286,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # divide by zero and read inf or nan, which the CSV prints as it is
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
-            G = select_G(grid)
             bounds = [
-                (test_bound_II(grid, alpha, G, N=cfg.bound_horizon), test_bound_III(grid, alpha, G, N=cfg.bound_horizon))
+                (test_bound_II(grid, alpha, N=cfg.bound_horizon), test_bound_III(grid, alpha, N=cfg.bound_horizon))
                 for alpha in alphas
             ]
         for alpha, (b2, b3) in zip(alphas, bounds):

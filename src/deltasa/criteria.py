@@ -7,8 +7,8 @@ Three families of machinery live here:
   tail series of condition A (check_condition_A);
 * envelope bound probes (test_bound_II / test_bound_III) asking whether
   alpha stays below / above an envelope built from the gap profile, with
-  the comparison function G = 0 (select_G): each then scans a
-  semiboundedness hypothesis (see GFunction);
+  the comparison function G = 0: each scans a semiboundedness hypothesis
+  (see select_G, which states G's record);
 * the curvature functional F and its Taylor expansion, which battery
   checks 4-6 read (F_block, f_over_d_probe, verify_G_limits).  F has one
   evaluator, F_block, for every row n >= 1; a point is a one-row block;
@@ -49,7 +49,6 @@ from .grid import (
 )
 from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
 from .numerics import (
-    HORIZONS,
     MIN_HORIZON,
     WINDOW_CAP,
     ChunkedSum,
@@ -69,7 +68,6 @@ __all__ = [
     "SeriesVerdict",
     "SeriesProbe",
     "BoundProbe",
-    "GFunction",
     "select_G",
     "F_block",
     "f_over_d_probe",
@@ -91,6 +89,10 @@ __all__ = [
 _B_ERROR_ORDER = 1.0
 _B_CEILING = 10.0
 _B_GROWTH_ALLOWANCE = 4.0
+
+# the record of the envelope bounds' comparison function G = 0 (see
+# select_G); each record that carries it gets its own copy
+_ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
 
 
 # ---------------------------------------------------------------------------
@@ -130,27 +132,6 @@ class BoundProbe(Record):
     drift: float
     holds: TriState
     witnesses: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class GFunction:
-    """The comparison function G = 0 of the envelope bounds, and why it is enough.
-
-    With G = 0, bound III scans alpha_n >= -C d_n, the lower
-    semiboundedness of alpha, and bound II scans alpha'_n >= -C d_n for
-    the reflection alpha' = -alpha - 2(1/d_n + 1/d_{n+1}), which gives
-    B' = -U B U with U = diag((-1)^n) and so the same deficiency indices
-    (Kostenko-Malamud, J. Differential Equations 249 (2010) 253-304).
-    Either one, on gaps in l2 but not l1 (which phase 0 checks first),
-    makes H_{X,alpha} self-adjoint (Albeverio-Kostenko-Malamud,
-    J. Math. Phys. 51 (2010) 102102).
-    """
-
-    def evaluate_block(self, lo: int, hi: int) -> np.ndarray:
-        return np.broadcast_to(0.0, (hi - lo,))  # read-only: no block array
-
-    def to_json(self) -> dict:
-        return {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +222,19 @@ def f_over_d_probe(grid: GridSequence, lo: int, hi: int) -> BoundProbe:
     )
 
 
-def select_G(grid: GridSequence) -> GFunction:
-    """The comparison function of the envelope bounds: G = 0 on every grid."""
-    return GFunction()
+def select_G(grid: GridSequence) -> dict:
+    """The record of the envelope bounds' comparison function G = 0, the same on every grid.
+
+    With G = 0, bound III scans alpha_n >= -C d_n, the lower
+    semiboundedness of alpha, and bound II scans alpha'_n >= -C d_n for
+    the reflection alpha' = -alpha - 2(1/d_n + 1/d_{n+1}), which gives
+    B' = -U B U with U = diag((-1)^n) and so the same deficiency indices
+    (Kostenko-Malamud, J. Differential Equations 249 (2010) 253-304).
+    Either one, on gaps in l2 but not l1 (which phase 0 checks first),
+    makes H_{X,alpha} self-adjoint (Albeverio-Kostenko-Malamud,
+    J. Math. Phys. 51 (2010) 102102).  Each call returns a new dict.
+    """
+    return dict(_ZERO_G)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +319,7 @@ def _normalize_horizons(horizons) -> tuple[int, ...]:
     return hs
 
 
-def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
+def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons) -> SeriesProbe:
     """Probe of sum |alpha_n| d_n d_{n+1} r_{n-1} r_{n+1}.
 
     Divergence of this series certifies self-adjointness on its own.
@@ -356,7 +347,7 @@ def test_carleman_i(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS)
     return SeriesProbe("carleman-i", params, tuple(checkpoints), verdict, witnesses)
 
 
-def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons=HORIZONS) -> SeriesProbe:
+def test_condition_I(grid: GridSequence, alpha: AlphaSequence, horizons) -> SeriesProbe:
     """Probe of sum |alpha_n| d_n^3 behind condition I's gate.
 
     witnesses["gate_failed"] reports the gate: lim inf d_{n+1}/d_n > 0
@@ -419,47 +410,41 @@ def _bound_probe(
     )
 
 
-def test_bound_II(
-    grid: GridSequence, alpha: AlphaSequence, G: GFunction, N: int = 10**6
-) -> BoundProbe:
-    """Minimal C1 with alpha_n <= -(2/d_n + 2/d_{n+1} + G(n)) + C1 d_n.
+def test_bound_II(grid: GridSequence, alpha: AlphaSequence, N: int) -> BoundProbe:
+    """Minimal C1 with alpha_n <= -(2/d_n + 2/d_{n+1}) + C1 d_n.
 
-    With G = 0 this is alpha'_n >= -C1 d_n for the reflection alpha'
-    (see GFunction).  The probe reports the per-n minimal constant's
-    global sup and whether it has stabilized between the last two dyadic
-    windows.
+    This is alpha'_n >= -C1 d_n for the reflection alpha', the envelope
+    bound with G = 0 (see select_G).  The probe reports the per-n
+    minimal constant's global sup and whether it has stabilized between
+    the last two dyadic windows.
     """
 
     def residual_block(a: int, b: int) -> np.ndarray:
         al = alpha.alphas(a, b)  # first: its temporaries are gone before the gaps exist
         d = grid.gaps(a, b + 1)
-        g = G.evaluate_block(a, b)
         r = 2.0 / d
         out = al + r[:-1]
         del al
         out += r[1:]
-        out += g
         with np.errstate(over="ignore"):
             return np.divide(out, d[:-1], out=out)
 
-    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": dict(_ZERO_G)}
     return _bound_probe("bound-II", params, 1, N, residual_block)
 
 
-def test_bound_III(
-    grid: GridSequence, alpha: AlphaSequence, G: GFunction, N: int = 10**6
-) -> BoundProbe:
-    """Minimal C2 with alpha_n >= G(n) - C2 d_n: with G = 0, alpha's semiboundedness (mirror of test_bound_II)."""
+def test_bound_III(grid: GridSequence, alpha: AlphaSequence, N: int) -> BoundProbe:
+    """Minimal C2 with alpha_n >= -C2 d_n: alpha's semiboundedness, G = 0 (mirror of test_bound_II)."""
 
     def residual_block(a: int, b: int) -> np.ndarray:
-        al = alpha.alphas(a, b)  # first: its temporaries are gone before the gaps exist
-        d = grid.gaps(a, b)
-        g = G.evaluate_block(a, b)
-        out = g - al
+        # 0 - alpha_n, not -alpha_n, which would turn a zero coupling's
+        # residual into -0.0; and a new array, since alphas may hand out
+        # one that it keeps
+        out = np.subtract(0.0, alpha.alphas(a, b))
         with np.errstate(over="ignore"):
-            return np.divide(out, d, out=out)
+            return np.divide(out, grid.gaps(a, b), out=out)
 
-    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": dict(_ZERO_G)}
     return _bound_probe("bound-III", params, 1, N, residual_block)
 
 
@@ -476,7 +461,7 @@ class GLimits:
     samples: dict
 
 
-def verify_G_limits(grid: PowerLogGrid, horizon: int = 10**6) -> GLimits:
+def verify_G_limits(grid: PowerLogGrid, horizon: int) -> GLimits:
     """Extrapolated limits of the F(n) asymptotics for gaps 1/(n ln^eta n).
 
     L1 = lim (n/ln^eta n) F(n)                      (expected 1/4)
@@ -535,7 +520,7 @@ def verify_G_limits(grid: PowerLogGrid, horizon: int = 10**6) -> GLimits:
 # tail structure: conditions A and B
 
 
-def check_condition_A(grid: GridSequence, horizons=HORIZONS) -> SeriesProbe:
+def check_condition_A(grid: GridSequence, horizons) -> SeriesProbe:
     """l2 test for the sequence r_n rtilde_n: partial sums of (r_n rtilde_n)^2.
 
     Convergence here is what lets the periodic comparison argument map
@@ -578,9 +563,7 @@ class ConditionB(Record):
     witnesses: dict = field(default_factory=dict)
 
 
-def check_condition_B(
-    grid: GridSequence, horizon: int = 10**6, tilde: Optional[TildeSequence] = None
-) -> ConditionB:
+def check_condition_B(grid: GridSequence, horizon: int, tilde: Optional[TildeSequence] = None) -> ConditionB:
     """Period-two structure of rho_n = (1/d_n + 1/d_{n+1}) rtilde_n^2.
 
     Estimates the parity limits u_odd, u_even by Richardson

@@ -641,9 +641,8 @@ def deficiency_verdict(
             diagnostics,
         )
 
-    G = select_G(grid)
-    diagnostics["G"] = G.to_json()
-    bound2 = test_bound_II(grid, alpha, G, N=cfg.bound_horizon)
+    diagnostics["G"] = select_G(grid)
+    bound2 = test_bound_II(grid, alpha, N=cfg.bound_horizon)
     diagnostics["bound_II"] = bound2.to_json()
     if bound2.holds is TriState.TRUE:
         return _certified(
@@ -654,7 +653,7 @@ def deficiency_verdict(
             flags,
             diagnostics,
         )
-    bound3 = test_bound_III(grid, alpha, G, N=cfg.bound_horizon)
+    bound3 = test_bound_III(grid, alpha, N=cfg.bound_horizon)
     diagnostics["bound_III"] = bound3.to_json()
     if bound3.holds is TriState.TRUE:
         return _certified(

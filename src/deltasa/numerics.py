@@ -85,8 +85,8 @@ class Record:
     (field(metadata={"json": "lambda"})).  Enum values become their
     .value, complex numbers [re, im], tuples and lists become lists
     (nested ones too), and a value with its own to_json() (a PeriodPair,
-    a GFunction, a nested record) is replaced by it.  Anything else,
-    dicts included, is passed through as it is, without a copy.
+    a nested record) is replaced by it.  Anything else, dicts included,
+    is passed through as it is, without a copy.
     """
 
     def to_json(self) -> dict:

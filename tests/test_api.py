@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import deltasa
+from deltasa import criteria
 from deltasa.deficiency import CriterionVerdict, VerdictKind
 from deltasa.numerics import sqrt1p_tail
 
@@ -19,8 +20,9 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # that GridSequence.order() replaced, and the tuple helpers that Order
 # replaced (its summable() rule and jacobi._slowest); the F/d record and drift
 # helper that BoundProbe and numerics.window_drift replaced; the
-# scalar F that F_block replaced; the comparison-function kinds that
-# G = 0 replaced, with their fields; TildeSequence's sign and CHUNK
+# scalar F that F_block replaced; the comparison-function kinds and
+# the comparison-function class that the constant G = 0 replaced;
+# TildeSequence's sign and CHUNK
 # aliases, which value and jacobi._CHUNK replaced; and the battery's
 # name list, which verify._CHECKS states.  A "module.Class" key lists
 # removed attributes of that class
@@ -39,6 +41,7 @@ REMOVED = {
         "FOverDProbe",
         "F",
         "GKind",
+        "GFunction",
     ),
     "deficiency": ("solve_probes",),
     "grid": ("SmoothFamilyDerivatives", "_bertrand"),
@@ -50,7 +53,6 @@ REMOVED = {
     "grid.ConstantGrid": ("gap_log_ratio", "x", "_in_ell1", "_in_ell2"),
     "grid.ExplicitGrid": ("_in_ell1", "_in_ell2"),
     "criteria.GLimits": ("to_json",),
-    "criteria.GFunction": ("kind", "eta", "fn", "provenance"),
     "numerics.ChunkedSum": ("add",),
     "jacobi.TildeSequence": ("sign_block", "sign", "CHUNK"),
 }
@@ -132,11 +134,12 @@ def test_traced_names_exist():
 
 
 GRID = deltasa.PowerLogGrid(1.0)
+ALPHA = deltasa.ScaledInverseGapsAlpha(GRID, -0.5)
 U = deltasa.PeriodPair(odd=2.0, even=2.0)
 
 
 def _solution_op():
-    return deltasa.JacobiOperator(GRID, deltasa.ScaledInverseGapsAlpha(GRID, -0.5))
+    return deltasa.JacobiOperator(GRID, ALPHA)
 
 
 def _solution():
@@ -144,7 +147,9 @@ def _solution():
 
 
 # thresholds and oracle knobs that became fixed constants, the forced
-# perturbation order, and the family names that were dataclass fields
+# perturbation order, the family names that were dataclass fields, the
+# envelope bounds' comparison function, and the default scan lengths:
+# every caller states its horizon
 REMOVED_PARAMETERS = {
     **{
         f"VerdictConfig.{knob}": (lambda knob=knob: deltasa.VerdictConfig(**{knob: None}))
@@ -159,6 +164,15 @@ REMOVED_PARAMETERS = {
         )
     },
     "check_condition_B.ceiling": lambda: deltasa.check_condition_B(GRID, 256, ceiling=10.0),
+    **{
+        f"{probe.__name__}.G": (lambda probe=probe: probe(GRID, ALPHA, deltasa.select_G(GRID), 64))
+        for probe in (deltasa.test_bound_II, deltasa.test_bound_III)
+    },
+    "check_condition_B.no_horizon": lambda: deltasa.check_condition_B(GRID),
+    "verify_G_limits.no_horizon": lambda: deltasa.verify_G_limits(deltasa.PowerLogGrid(1.0, 0.5)),
+    "test_carleman_i.no_horizons": lambda: deltasa.test_carleman_i(GRID, ALPHA),
+    "test_condition_I.no_horizons": lambda: criteria.test_condition_I(GRID, ALPHA),
+    "check_condition_A.no_horizons": lambda: criteria.check_condition_A(GRID),
     "ScaledInverseGapsAlpha.perturbation_O_d": lambda: deltasa.ScaledInverseGapsAlpha(
         GRID, -0.5, perturbation_O_d=True
     ),

@@ -227,6 +227,16 @@ class TestAnalyze:
         assert (verdict["verdict"], verdict["certificate"]) == ("SelfAdjoint", "carleman-series")
         assert verdict["diagnostics"]["carleman_i"]["checkpoints"] == [[10000, None]]
 
+    def test_zero_coupling_has_a_plus_zero_constant(self, capsys):
+        # bound III's residual is 0 - alpha_n: -alpha_n would turn a zero
+        # coupling's minimal constant into -0.0, printed "stabilized constant -0"
+        code, out, _ = run(["analyze", "--gamma", "0.8", "--alpha=zero"], capsys)
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert (verdict["verdict"], verdict["certificate"]) == ("SelfAdjoint", "lower-envelope-bound")
+        assert repr(verdict["diagnostics"]["bound_III"]["minimal_constant"]) == "0.0"
+        assert verdict["provenance"].endswith("stabilized constant 0")
+
     @pytest.mark.parametrize("alpha", ["1e308*n^5", "1e308*n^0.1"])
     def test_overflowing_coupling_warns_nothing(self, capsys, alpha):
         # a finite coupling that overflows the float range: the carleman-i

@@ -52,7 +52,7 @@ print(json.dumps(out))
 # the probes on their own, with no verdict to prime the heap first
 PROBE_LOOP = """
 import json, resource
-from deltasa import PowerLogGrid, ScaledInverseGapsAlpha, check_condition_B, select_G, test_bound_II
+from deltasa import PowerLogGrid, ScaledInverseGapsAlpha, check_condition_B, test_bound_II
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -63,7 +63,7 @@ for k, gamma in enumerate((0.7, 0.8, 0.9, 0.95)):
     alpha = ScaledInverseGapsAlpha(g, -0.5)
     before = faults()
     check_condition_B(g, 10**6)
-    test_bound_II(g, alpha, select_G(g), N=10**5)
+    test_bound_II(g, alpha, N=10**5)
     if k:  # the first pair warms up
         out["faults"].append(faults() - before)
 print(json.dumps(out))

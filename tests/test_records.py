@@ -16,7 +16,6 @@ import pytest
 
 from deltasa import (
     CustomGrid,
-    GFunction,
     JacobiOperator,
     PeriodPair,
     PowerLogGrid,
@@ -140,7 +139,7 @@ def verdict_dump(v):
 
 def test_bound_probe_below_the_windows():
     alpha = PowerSumAlpha(terms=((1.0, 1.0, 0.0),))
-    p = test_bound_III(PowerLogGrid(1.0), alpha, GFunction(), 40)
+    p = test_bound_III(PowerLogGrid(1.0), alpha, 40)
     assert math.isnan(p.drift)
     assert repr(p.to_json()) == repr(bound_dump(p))
 

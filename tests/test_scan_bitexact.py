@@ -22,7 +22,6 @@ from deltasa import (
     ConstantGrid,
     CustomGrid,
     ExplicitGrid,
-    GFunction,
     JacobiOperator,
     PowerLogGrid,
     PowerSumAlpha,
@@ -85,20 +84,20 @@ class ReferenceOperator(JacobiOperator):
         return -1.0 / (np.sqrt(r2[:-1] * r2[1:]) * d[1:-1])
 
 
-def reference_bound_II_block(grid, alpha, G):
+def reference_bound_II_block(grid, alpha):
     def residual_block(a, b):
         d = grid.gaps(a, b + 1)
         dn, dn1 = d[:-1], d[1:]
-        g = G.evaluate_block(a, b)
+        g = np.zeros(b - a)
         return (alpha.alphas(a, b) + 2.0 / dn + 2.0 / dn1 + g) / dn
 
     return residual_block
 
 
-def reference_bound_III_block(grid, alpha, G):
+def reference_bound_III_block(grid, alpha):
     def residual_block(a, b):
         d = grid.gaps(a, b)
-        g = G.evaluate_block(a, b)
+        g = np.zeros(b - a)
         return (g - alpha.alphas(a, b)) / d
 
     return residual_block
@@ -204,13 +203,6 @@ def test_power_sum_alphas_match_reference(terms):
         same(alpha.alphas(lo, hi), ref.alphas(lo, hi))
 
 
-def test_zero_G_is_a_read_only_zero_block():
-    for lo, hi in [(1, 1), (1, 2), (3, 3 + BLOCK)]:
-        g = GFunction().evaluate_block(lo, hi)
-        same(g, np.zeros(hi - lo))
-        assert not g.flags.writeable
-
-
 # ---------------------------------------------------------------------------
 # the probes
 
@@ -219,16 +211,15 @@ def test_zero_G_is_a_read_only_zero_block():
 @pytest.mark.parametrize("grid,H", CASES)
 def test_bound_residuals_match_reference(monkeypatch, grid, H, pert):
     N = 10**5 if isinstance(grid, PowerLogGrid) else 5000
-    G = select_G(grid)
     for a in (-0.5, -3.0):
         alpha, ref_alpha = ScaledInverseGapsAlpha(grid, a, pert), ReferenceScaledAlpha(grid, a, pert)
-        params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+        params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": select_G(grid)}
         for test, probe, reference in (
             ("bound-II", test_bound_II, reference_bound_II_block),
             ("bound-III", test_bound_III, reference_bound_III_block),
         ):
-            got, block, seen = scan(monkeypatch, probe, grid, alpha, G, N)
-            ref_block = reference(grid, ref_alpha, G)
+            got, block, seen = scan(monkeypatch, probe, grid, alpha, N)
+            ref_block = reference(grid, ref_alpha)
             want = criteria._bound_probe(test, params, 1, N, ref_block)
             assert repr(got.to_json()) == repr(want.to_json())
             assert [b - a for a, b, _ in seen][-1] < BLOCK  # a short last block

@@ -19,7 +19,6 @@ import pytest
 from deltasa import (
     CustomAlpha,
     ExplicitGrid,
-    GFunction,
     PeriodPair,
     PowerLogGrid,
     PowerSumAlpha,
@@ -27,7 +26,6 @@ from deltasa import (
     TildeSequence,
     check_condition_B,
     f_over_d_probe,
-    select_G,
     test_bound_II,
     test_bound_III,
 )
@@ -36,6 +34,7 @@ from deltasa.criteria import BoundProbe, ConditionB, F_block, expansion_remainde
 from deltasa.numerics import DRIFT_TOL, TriState, richardson_pair, tail_windows, window_sups
 
 CHUNK = 1 << 15
+ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}  # the bounds' G record
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def reference_f_over_d_probe(grid, lo, hi):
     return BoundProbe("F-over-d", params, hi, sup, (sup1, sup2), drift, stable, witnesses)
 
 
-def reference_bound_probe(test, grid, alpha, G, N, residual_block):
+def reference_bound_probe(test, grid, alpha, N, residual_block):
     sup = -math.inf
     arg = 1
     sup1 = sup2 = -math.inf
@@ -101,7 +100,7 @@ def reference_bound_probe(test, grid, alpha, G, N, residual_block):
     drift, holds = reference_drift(sup1, sup2)
     return BoundProbe(
         test=test,
-        params={"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()},
+        params={"grid": grid.describe(), "alpha": alpha.describe(), "G": ZERO_G},
         horizon=N,
         minimal_constant=sup,
         window_sups=(sup1, sup2),
@@ -111,20 +110,20 @@ def reference_bound_probe(test, grid, alpha, G, N, residual_block):
     )
 
 
-def residual_II(grid, alpha, G):
+def residual_II(grid, alpha):
     def block(a, b):
         d = grid.gaps(a, b + 1)
         dn, dn1 = d[:-1], d[1:]
-        g = G.evaluate_block(a, b)
+        g = np.zeros(b - a)
         return (alpha.alphas(a, b) + 2.0 / dn + 2.0 / dn1 + g) / dn
 
     return block
 
 
-def residual_III(grid, alpha, G):
+def residual_III(grid, alpha):
     def block(a, b):
         d = grid.gaps(a, b)
-        g = G.evaluate_block(a, b)
+        g = np.zeros(b - a)
         return (g - alpha.alphas(a, b)) / d
 
     return block
@@ -264,14 +263,13 @@ def test_bound_probes(N):
     grid = PowerLogGrid(1.0, 0.5, 0.8)
     pert = PowerSumAlpha(terms=((0.3, -1.0, 0.0),))
     alpha = ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert)
-    G = select_G(grid)
     same(
-        test_bound_II(grid, alpha, G, N),
-        reference_bound_probe("bound-II", grid, alpha, G, N, residual_II(grid, alpha, G)),
+        test_bound_II(grid, alpha, N),
+        reference_bound_probe("bound-II", grid, alpha, N, residual_II(grid, alpha)),
     )
     same(
-        test_bound_III(grid, alpha, G, N),
-        reference_bound_probe("bound-III", grid, alpha, G, N, residual_III(grid, alpha, G)),
+        test_bound_III(grid, alpha, N),
+        reference_bound_probe("bound-III", grid, alpha, N, residual_III(grid, alpha)),
     )
 
 
@@ -309,12 +307,11 @@ PLANTED = {
 def test_bound_probe_nan_and_inf(case, N):
     grid = PowerLogGrid(1.0, 0.0, 1.0)
     alpha = PowerSumAlpha(terms=((1.0, 1.0, 0.0),))
-    G = GFunction()
     marks = {n: v for n, v in PLANTED[case].items() if n <= N}
     block = planted(N, marks)
-    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": G.to_json()}
+    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": ZERO_G}
     got = criteria._bound_probe("planted", params, 1, N, block)
-    same(got, reference_bound_probe("planted", grid, alpha, G, N, block))
+    same(got, reference_bound_probe("planted", grid, alpha, N, block))
 
 
 def test_nan_block_drops_its_whole_window_slice():
@@ -384,13 +381,12 @@ def spiked(block, n0):
 def test_bound_probes_read_a_non_finite_window_as_unknown(window):
     n0 = SPIKE_ROWS[window]
     grid = PowerLogGrid(1.0)
-    G = GFunction()
     for probe, sign in ((test_bound_II, 1.0), (test_bound_III, -1.0)):
         # a coupling rejects a non-finite value as it reads it, so the
         # spike goes in past its check
         alpha = CustomAlpha(lambda n: 0.0)
         alpha.alphas = lambda a, b: np.where(np.arange(a, b) == n0, sign * math.inf, 0.0)
-        p = probe(grid, alpha, G, 10**4)
+        p = probe(grid, alpha, 10**4)
         assert math.isinf(max(p.window_sups))
         assert math.isnan(p.drift) and p.holds is TriState.UNKNOWN
 

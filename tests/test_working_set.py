@@ -1,8 +1,8 @@
 """A verdict's traced memory peak stays near five 256 KiB probe block arrays.
 
 Each probe block computes in the arrays it owns: the couplings reuse one
-working array per term, the zero comparison function G is a read-only
-view, and the envelope bounds and condition B evaluate the coupling
+working array per term, the comparison function G = 0 takes no array,
+and the envelope bounds and condition B evaluate the coupling
 before their own arrays exist.  One input per pool category of the
 benchmark (perfbench/workloads.py) runs through deficiency_verdict on
 the default ladder under tracemalloc, after one untraced warm-up verdict

@@ -35,6 +35,11 @@ records, per workload, the median over the pool of head time / base
 time, the two median request times and in how many items HEAD was the
 faster.  Being one process, this witness sees neither process start-up
 nor a difference in heap layout or CPU placement between the two sides.
+
+Each revision's entry also holds the two sizes that ROADMAP aim 2
+tracks: source_lines, the line count of its src/deltasa/*.py (what
+`cat src/deltasa/*.py | wc -l` prints), and public_names, the length
+of its imported package's __all__.
 """
 
 from __future__ import annotations
@@ -98,9 +103,20 @@ def import_tree(checkout: str, name: str):
     return module
 
 
-def in_process(dirs: dict, workloads: list[str]) -> dict:
+def tree_size(checkout: str, package) -> dict:
+    """The source lines of checkout's src/deltasa/*.py and the public names of its imported package."""
+    src = os.path.join(checkout, "src", "deltasa")
+    lines = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as f:
+                lines += f.read().count(b"\n")
+    return {"source_lines": lines, "public_names": len(package.__all__)}
+
+
+def in_process(dirs: dict, packages: dict, workloads: list[str]) -> dict:
     """Per analyze workload: both trees in this process, alternated item by item over its pool."""
-    clis = {side: import_tree(d, f"deltasa_{side}").cli for side, d in dirs.items()}
+    clis = {side: package.cli for side, package in packages.items()}
 
     def timed(side: str, argv: list[str]) -> float:
         t0 = time.perf_counter()
@@ -159,7 +175,9 @@ def main() -> int:
                     m = run_once(dirs[side], w, i, seconds)
                     runs[w][side].append(m)
                     print(f"run {i} {w} {side}: " + " ".join(f"{k}={v:.4g}" for k, v in m.items()), flush=True)
-        witness = in_process(dirs, workloads)
+        packages = {side: import_tree(d, f"deltasa_{side}") for side, d in dirs.items()}
+        sizes = {side: tree_size(dirs[side], packages[side]) for side in revs}
+        witness = in_process(dirs, packages, workloads)
 
     result = {w: {} for w in workloads}
     for w in workloads:
@@ -178,7 +196,9 @@ def main() -> int:
         "label": args.label,
         "command": f"python3 perfbench/run.py --workload W --seed i --seconds {seconds:g} --trace 0",
         "runs_per_workload": RUNS,
-        "revisions": {side: {"rev": rev, "subject": git("log", "-1", "--format=%s", rev)} for side, rev in revs.items()},
+        "revisions": {
+            side: {"rev": rev, "subject": git("log", "-1", "--format=%s", rev), **sizes[side]} for side, rev in revs.items()
+        },
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
