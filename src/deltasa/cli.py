@@ -57,7 +57,7 @@ from .deficiency import (
     floquet_discriminant,
     solve_recurrence,
 )
-from .grid import ConstantGrid, ExplicitGrid, GridError, GridSequence, PowerLogGrid
+from .grid import ConstantGrid, ExplicitGrid, GridError, GridSequence, PowerLogGrid, classify_summability
 from .jacobi import (
     AlphaSequence,
     JacobiOperator,
@@ -66,6 +66,7 @@ from .jacobi import (
     TildeSequence,
     rho_block,
 )
+from .numerics import TriState
 from .verify import run_battery
 
 __all__ = ["main", "parse_alpha", "build_grid"]
@@ -249,7 +250,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
     report = {
-        "schema": "deltasa-analyze-v5",
+        "schema": "deltasa-analyze-v6",
         "grid": grid.describe(),
         "alpha": alpha.describe(),
         "horizons": list(cfg.horizons),
@@ -282,15 +283,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for grid, alphas in cells:
+        summ = classify_summability(grid)
+        # the verdict's phase 0 settles summable and non-square-summable
+        # gaps for every coupling; their probe cells stay empty
+        probed = summ.in_ell1 is not TriState.TRUE and summ.in_ell2 is not TriState.FALSE
         # the sweep's own columns: on gaps that underflow to 0 these probes
         # divide by zero and read inf or nan, which the CSV prints as it is
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
+            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1]) if probed else None
             bounds = [
                 (test_bound_II(grid, alpha, N=cfg.bound_horizon), test_bound_III(grid, alpha, N=cfg.bound_horizon))
                 for alpha in alphas
+                if probed
             ]
-        for alpha, (b2, b3) in zip(alphas, bounds):
+        for i, alpha in enumerate(alphas):
             verdict = deficiency_verdict(grid, alpha, cfg)
             if verdict.certificate is None:
                 certifying = "inconclusive"
@@ -298,21 +304,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 certifying = "numerical-advisory"
             else:
                 certifying = verdict.certificate
-            fl = floquet_discriminant(cond_b.u, alpha.a)
-            rows.append(
-                {
-                    "gamma": grid.gamma,
-                    "eta": args.eta,
-                    "a": alpha.a,
-                    "verdict": verdict.verdict.value,
-                    "certifying_test": certifying,
+            row = {
+                "gamma": grid.gamma,
+                "eta": args.eta,
+                "a": alpha.a,
+                "verdict": verdict.verdict.value,
+                "certifying_test": certifying,
+            }
+            if probed:
+                b2, b3 = bounds[i]
+                row |= {
                     "u_odd": cond_b.u.odd,
                     "u_even": cond_b.u.even,
-                    "delta0": fl.discriminant,
+                    "delta0": floquet_discriminant(cond_b.u, alpha.a).discriminant,
                     "minimal_C1": b2.minimal_constant,
                     "minimal_C2": b3.minimal_constant,
                 }
-            )
+            rows.append(row)
 
     fieldnames = [
         "gamma", "eta", "a", "verdict", "certifying_test",

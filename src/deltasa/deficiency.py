@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -27,8 +27,8 @@ from .criteria import (
     test_bound_III,
     test_carleman_i,
 )
-from .grid import GridSequence, classify_summability, ratio_stats
-from .jacobi import AlphaSequence, JacobiOperator, PeriodPair
+from .grid import GridSequence, Order, classify_summability, ratio_stats
+from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, _reflection_lead
 from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, Record, TriState, _json_value
 
 __all__ = [
@@ -586,6 +586,19 @@ def _oracle_advisory(
     return CriterionVerdict(kind, certificate, True, provenance, tuple(flags), diagnostics)
 
 
+def _refuted(test: str, lead: Optional[Order], order: Optional[Order]) -> Optional[dict]:
+    """The record of envelope bound test, s_n >= -C d_n, refuted in closed form; None if s's lead refutes nothing.
+
+    With lead = c n^p (ln n)^q, s's signed leading term, c < 0 and (p, q)
+    strictly above the gaps' order, -s_n/d_n grows without bound, so no C
+    exists.  A positive, zero, tied, unknown or cancelled (None) lead
+    refutes nothing, and the bound is scanned.
+    """
+    if lead is None or not (lead.c or 0.0) < 0.0 or order is None or (lead.p, lead.q) <= (order.p, order.q):
+        return None
+    return {"test": test, "holds": "false", "refuted_by": "order", "leading": asdict(lead), "gaps": asdict(order)}
+
+
 def deficiency_verdict(
     grid: GridSequence,
     alpha: AlphaSequence,
@@ -599,7 +612,8 @@ def deficiency_verdict(
          gaps not square-summable -> SelfAdjoint for every coupling.
       1. divergent coupling series (carleman-i), by exponent comparison.
       2. envelope bounds II / III with G = 0: alpha's reflection or alpha
-         itself is semibounded.
+         itself is semibounded; a bound whose sequence's leading term is
+         negative and strictly above the gaps' order is refuted unscanned.
       3. scaled-gap couplings near the critical line: condition B, then
          condition A read from the gaps' l2 class, plus the Floquet
          discriminant strictly inside a band.
@@ -642,28 +656,28 @@ def deficiency_verdict(
         )
 
     diagnostics["G"] = select_G(grid)
-    bound2 = test_bound_II(grid, alpha, N=cfg.bound_horizon)
-    diagnostics["bound_II"] = bound2.to_json()
-    if bound2.holds is TriState.TRUE:
-        return _certified(
-            VerdictKind.SELF_ADJOINT,
-            "upper-envelope-bound",
-            "alpha stays below the negative envelope with stabilized constant "
-            f"{bound2.minimal_constant:.6g}",
-            flags,
-            diagnostics,
-        )
-    bound3 = test_bound_III(grid, alpha, N=cfg.bound_horizon)
-    diagnostics["bound_III"] = bound3.to_json()
-    if bound3.holds is TriState.TRUE:
-        return _certified(
-            VerdictKind.SELF_ADJOINT,
-            "lower-envelope-bound",
-            "alpha stays above the comparison envelope with stabilized constant "
-            f"{bound3.minimal_constant:.6g}",
-            flags,
-            diagnostics,
-        )
+    order, lead = grid.order(), alpha.leading_term()
+    envelopes = (
+        ("bound-II", test_bound_II, _reflection_lead(grid, lead), "upper", "below the negative"),
+        ("bound-III", test_bound_III, lead, "lower", "above the comparison"),
+    )
+    for test, probe, s_lead, side, where in envelopes:
+        key = test.replace("-", "_")
+        refuted = _refuted(test, s_lead, order)
+        if refuted is not None:  # no scan: the orders rule out every constant
+            diagnostics[key] = refuted
+            continue
+        bound = probe(grid, alpha, N=cfg.bound_horizon)
+        diagnostics[key] = bound.to_json()
+        del diagnostics[key]["params"]["G"]  # diagnostics["G"] holds it once
+        if bound.holds is TriState.TRUE:
+            return _certified(
+                VerdictKind.SELF_ADJOINT,
+                f"{side}-envelope-bound",
+                f"alpha stays {where} envelope with stabilized constant {bound.minimal_constant:.6g}",
+                flags,
+                diagnostics,
+            )
 
     op = JacobiOperator(grid, alpha)
 

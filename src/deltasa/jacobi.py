@@ -197,6 +197,14 @@ def _slowest(terms) -> Optional[Order]:
     return Order(acc[max(live)], *max(live)) if live else None
 
 
+def _reflection_lead(grid: GridSequence, lead: Optional[Order]) -> Optional[Order]:
+    """The leading term of alpha' = -alpha - 2(1/d_n + 1/d_{n+1}) from alpha's lead; None if unknown or cancelling."""
+    envelope = _inverse_gaps_lead(grid, -2.0)
+    if lead is None or lead.c is None or envelope is None:
+        return None
+    return _slowest((Order(-lead.c, lead.p, lead.q), envelope))
+
+
 @dataclass(frozen=True)
 class PowerSumAlpha(AlphaSequence):
     """alpha_n = sum of c * n^p * (ln n)^q terms.

@@ -114,7 +114,7 @@ class TestAnalyze:
         code, out, _ = run(self.ARGS, capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v5"
+        assert report["schema"] == "deltasa-analyze-v6"
         assert report["verdict"]["verdict"] == "Deficient"
         assert report["verdict"]["certificate"] == "periodic-comparison"
         assert report["horizons"] == [10000]
@@ -283,6 +283,23 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["gamma"] for r in rows] == ["0.0", "-0.5"]
         assert {(r["verdict"], r["certifying_test"]) for r in rows} == {("SelfAdjoint", "non-square-summable-gaps")}
+
+    def test_phase_zero_grids_get_no_probe(self, capsys, monkeypatch):
+        # gamma = -0.5 and 0.3 give gaps that are not square-summable, which
+        # the verdict settles in phase 0: the sweep scans nothing there and
+        # leaves the probe cells empty
+        def scan(*args, **kwargs):
+            raise AssertionError("sweep probed a grid that phase 0 settles")
+
+        for name in ("check_condition_B", "test_bound_II", "test_bound_III"):
+            monkeypatch.setattr(cli, name, scan)
+        code, out, err = run(["sweep", "--gammas=-0.5,0.3", "--a-values=-0.5,0.5"], capsys)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["gamma"], r["a"]) for r in rows] == [("-0.5", "-0.5"), ("-0.5", "0.5"), ("0.3", "-0.5"), ("0.3", "0.5")]
+        for row in rows:
+            assert (row["verdict"], row["certifying_test"]) == ("SelfAdjoint", "non-square-summable-gaps")
+            assert [row[c] for c in ("u_odd", "u_even", "delta0", "minimal_C1", "minimal_C2")] == [""] * 5
 
     @pytest.mark.parametrize(
         "gammas,a_values,err",
@@ -508,13 +525,15 @@ def test_underflowing_gaps_give_null_march_samples(capsys, quantity):
     assert samples and all(v is None for _, v in samples)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # the probes read the zero gaps without a warning
+# gaps of order n^-600 are summable and underflow to 0, where condition B
+# would overflow; phase 0 settles them, so the sweep runs no probe there
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_writes_the_row_condition_B_overflows_on(capsys):
     code, out, err = run(["sweep", "--gammas", "600", "--a-values=-0.5", "--horizons", "300"], capsys)
     assert (code, err) == (0, "")
     header, row = out.splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
-    assert (cells["verdict"], cells["u_odd"], cells["u_even"]) == ("Inconclusive", "nan", "nan")
+    assert (cells["verdict"], cells["u_odd"], cells["u_even"]) == ("Inconclusive", "", "")
 
 
 # --output writes the bytes stdout gets, for every subcommand: two runs

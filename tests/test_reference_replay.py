@@ -8,20 +8,24 @@ two steps:
 
 * the exit code and the six decision fields must equal the recorded
   ones;
-* the v1 bytes must reconstruct exactly from the v5 report.  v1
+* the v1 bytes must reconstruct exactly from the v6 report.  v1
   recorded carleman-i's partial sums over every rung of the ladder, a
   condition-I record wherever carleman-i does not diverge, condition
-  A's partial sums, and a lambda = -i oracle record beside the +i one,
-  each marched to the oracle horizon.  v5 stops carleman-i at the first
-  rung, drops condition I, reads condition A from the gaps' l2 class
-  and marches only +i, and only to the edge after its last complete
-  dyadic block; its G = 0 record names semiboundedness where v1 named
-  the smooth power family.  Marching +i to the oracle horizon again
-  (its head and block masses must equal the v5 record's), putting the
-  full-ladder probes back, rebuilding the -i record from the +i one (B
-  is real; only the head is marched again, for its signed zeros), and
-  restoring v1's probe list, provenances and schema must give the
-  recorded sha256.
+  A's partial sums, a scan of each envelope bound it reached, each
+  with its own copy of the G record, and a lambda = -i oracle record
+  beside the +i one, each marched to the oracle horizon.  v6 stops
+  carleman-i at the first rung, drops condition I, reads condition A
+  from the gaps' l2 class, refutes a bound from the orders of its
+  sequence and the gaps instead of scanning it, keeps G only in the
+  verdict's record, and marches only +i, and only to the edge after
+  its last complete dyadic block; its G = 0 record names
+  semiboundedness where v1 named the smooth power family.  Marching +i
+  to the oracle horizon again (its head and block masses must equal
+  the v6 record's), putting the full-ladder probes and the bound scans
+  back, rebuilding the -i record from the +i one (B is real; only the
+  head is marched again, for its signed zeros), and restoring v1's
+  probe list, G copies, provenances and schema must give the recorded
+  sha256.
 
 A few `deltasa sweep` runs are replayed too: the CSV that --output
 writes must have the recorded sha256 and the recorded (verdict,
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltasa import JacobiOperator, solve_recurrence, test_carleman_i
+from deltasa import JacobiOperator, solve_recurrence, test_bound_II, test_bound_III, test_carleman_i
 from deltasa.cli import _build_parser, _emit, _strict, _verdict_config, build_grid, main, parse_alpha
 from deltasa.criteria import check_condition_A, test_condition_I
 
@@ -101,12 +105,17 @@ V1_PROVENANCE = {
 V1_G_PROVENANCE = "smooth-family-bounded-F"
 
 
+# the one G record of v6, which v1 also wrote into each bound's params
+ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
+
+
 def v1_bytes(argv, report):
-    """The v1 output of an analyze run, rebuilt from its v5 report."""
+    """The v1 output of an analyze run, rebuilt from its v6 report."""
     args = _build_parser().parse_args(["analyze", *argv])
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
-    hs = _verdict_config(args).horizons
+    cfg = _verdict_config(args)
+    hs = cfg.horizons
     verdict = report["verdict"]
     diagnostics = verdict["diagnostics"]
     if "carleman_i" in diagnostics:
@@ -132,10 +141,17 @@ def v1_bytes(argv, report):
     for v5, v1 in V1_PROVENANCE.items():
         if verdict["provenance"].startswith(v5):
             verdict["provenance"] = v1 + verdict["provenance"][len(v5):]
+    for key, probe in (("bound_II", test_bound_II), ("bound_III", test_bound_III)):
+        if key not in diagnostics:
+            continue
+        if diagnostics[key].get("refuted_by") == "order":  # v1 scanned it, G copy included
+            diagnostics[key] = json.loads(json.dumps(_strict(probe(grid, alpha, cfg.bound_horizon).to_json())))
+        else:
+            diagnostics[key]["params"]["G"] = dict(ZERO_G)
     if "G" in diagnostics:  # the verdict record and each bound's own copy
         bounds = [diagnostics[b]["params"] for b in ("bound_II", "bound_III") if b in diagnostics]
         for record in [diagnostics["G"], *(params["G"] for params in bounds)]:
-            assert record == {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
+            assert record == ZERO_G
             record["provenance"] = V1_G_PROVENANCE
     report["schema"] = "deltasa-analyze-v1"
     buf = io.StringIO()
@@ -150,7 +166,7 @@ def test_analyze_output_matches_recorded_sha256(workload):
         rc, out = analyze(item["input"])
         assert rc == item["ref"]["rc"], item["id"]
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v5"
+        assert report["schema"] == "deltasa-analyze-v6"
         verdict = report["verdict"]
         assert {k: verdict[k] for k in DECISION} == item["ref"]["output_decision"], item["id"]
         digest = hashlib.sha256(v1_bytes(item["input"], report).encode()).hexdigest()
