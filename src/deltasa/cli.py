@@ -250,7 +250,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
     report = {
-        "schema": "deltasa-analyze-v6",
+        "schema": "deltasa-analyze-v7",
         "grid": grid.describe(),
         "alpha": alpha.describe(),
         "horizons": list(cfg.horizons),

@@ -445,13 +445,18 @@ def floquet_discriminant(u: PeriodPair, a: float) -> FloquetResult:
     """
     ap1 = a + 1.0
     delta = ((0.0 - ap1 * u.odd) * (0.0 - ap1 * u.even) - 2.0) / 2.0
+    return FloquetResult(u=u, a=a, lam=0.0, discriminant=delta, inside_band=_band_class(delta))
+
+
+def _band_class(delta: float) -> TriState:
+    """Where the half-trace delta puts lambda = 0: TRUE strictly inside a band
+    (|delta| <= 1 - _FLOQUET_MARGIN), FALSE strictly outside (|delta| >=
+    1 + _FLOQUET_MARGIN), UNKNOWN at a band edge in between."""
     if abs(delta) <= 1.0 - _FLOQUET_MARGIN:
-        inside = TriState.TRUE
-    elif abs(delta) >= 1.0 + _FLOQUET_MARGIN:
-        inside = TriState.FALSE
-    else:
-        inside = TriState.UNKNOWN
-    return FloquetResult(u=u, a=a, lam=0.0, discriminant=delta, inside_band=inside)
+        return TriState.TRUE
+    if abs(delta) >= 1.0 + _FLOQUET_MARGIN:
+        return TriState.FALSE
+    return TriState.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +564,14 @@ _ORACLE_OUTCOMES = {
 }
 
 
+# the flag of a discriminant that certifies nothing, by its band class
+_BAND_FLAGS = {
+    TriState.UNKNOWN: "discriminant-at-band-edge",
+    TriState.TRUE: "perturbation-order-not-certified",
+    TriState.FALSE: "discriminant-outside-band",
+}
+
+
 def _oracle_rows(horizon: int) -> int:
     """The edge after the last dyadic block complete at horizon: l2_probe reads no later row."""
     return min(horizon, 1 << ((horizon + 1).bit_length() - 1))
@@ -614,9 +627,12 @@ def deficiency_verdict(
       2. envelope bounds II / III with G = 0: alpha's reflection or alpha
          itself is semibounded; a bound whose sequence's leading term is
          negative and strictly above the gaps' order is refuted unscanned.
-      3. scaled-gap couplings near the critical line: condition B, then
+      3. scaled-gap couplings near the critical line.  On gaps whose order
+         states its constant c, d_{n+1}/d_n -> 1 gives u_odd u_even = 4, so
+         Delta = 2(a+1)^2 - 1; a Delta not strictly inside a band is recorded
+         with no condition-B scan and flagged.  Otherwise condition B, then
          condition A read from the gaps' l2 class, plus the Floquet
-         discriminant strictly inside a band.
+         discriminant of B's period pair strictly inside a band.
       4. the lambda = +i oracle to _oracle_rows(cfg.oracle_horizon), always advisory.
     """
     cfg = cfg or VerdictConfig()
@@ -694,7 +710,17 @@ def deficiency_verdict(
             flags.append("gap-ratio-not-flat")
         if pert_ok is TriState.UNKNOWN:
             flags.append("perturbation-order-unknown")
-        if ratio_ok and pert_ok is not TriState.FALSE:
+        periodic = ratio_ok and pert_ok is not TriState.FALSE
+        # stated gaps c n^p (ln n)^q have d_{n+1}/d_n -> 1, so u_odd u_even = 4 and
+        # Delta = 2(a+1)^2 - 1 with no scan; a band edge or exterior cannot certify
+        delta0 = 2.0 * (a + 1.0) * (a + 1.0) - 1.0  # a product overflows to inf where ** would raise
+        band0 = _band_class(delta0) if order is not None and order.c is not None else TriState.TRUE
+        if periodic and band0 is not TriState.TRUE:
+            diagnostics["floquet"] = {
+                "a": a, "lambda": 0.0, "discriminant": delta0, "inside_band": band0.value, "product": 4.0
+            }
+            flags.append(_BAND_FLAGS[band0])
+        elif periodic:
             cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
             diagnostics["condition_B"] = cond_b.to_json()
             # condition A, r rtilde in l2: (r_n rtilde_n)^2 = rho_n d_n d_{n+1}, rho is
@@ -721,12 +747,7 @@ def deficiency_verdict(
                         flags,
                         diagnostics,
                     )
-                if fl.inside_band is TriState.UNKNOWN:
-                    flags.append("discriminant-at-band-edge")
-                elif fl.inside_band is TriState.TRUE:
-                    flags.append("perturbation-order-not-certified")
-                else:
-                    flags.append("discriminant-outside-band")
+                flags.append(_BAND_FLAGS[fl.inside_band])
             else:
                 if cond_a is not SeriesVerdict.CONVERGES:
                     flags.append("scaling-sequence-not-square-summable")

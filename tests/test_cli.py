@@ -114,7 +114,7 @@ class TestAnalyze:
         code, out, _ = run(self.ARGS, capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v6"
+        assert report["schema"] == "deltasa-analyze-v7"
         assert report["verdict"]["verdict"] == "Deficient"
         assert report["verdict"]["certificate"] == "periodic-comparison"
         assert report["horizons"] == [10000]
