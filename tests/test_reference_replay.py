@@ -25,10 +25,10 @@ two steps:
   condition A or B.  Marching +i to the oracle horizon again (its head
   and block masses must equal the v7 record's), putting the
   full-ladder probes, condition B with its Floquet record and the
-  bound scans back, rebuilding the -i record from the +i one (B is real; only the
-  head is marched again, for its signed zeros), and restoring v1's
-  probe list, G copies, provenances and schema must give the recorded
-  sha256.
+  bound scans back, rebuilding the -i record from the +i one (B is
+  real; only the head is marched again, for its signed zeros), and
+  restoring v1's probe list, G copies, provenances and schema must give
+  the recorded sha256.
 
 A few `deltasa sweep` runs are replayed too: the CSV that --output
 writes must have the recorded sha256 and the recorded (verdict,
