@@ -629,9 +629,11 @@ def deficiency_verdict(
          negative and strictly above the gaps' order is refuted unscanned.
       3. scaled-gap couplings near the critical line.  On gaps whose order
          states its constant c, d_{n+1}/d_n -> 1 gives u_odd u_even = 4, so
-         Delta = 2(a+1)^2 - 1; a Delta not strictly inside a band is recorded
-         with no condition-B scan and flagged.  Otherwise condition B, then
-         condition A read from the gaps' l2 class, plus the Floquet
+         Delta = 2(a+1)^2 - 1; a Delta at the Jordan edge +1 or above it
+         cannot certify, so it is recorded with no condition-B scan and
+         flagged.  That record comes from the product identity alone and
+         does not establish the period-two structure.  Otherwise condition
+         B, then condition A read from the gaps' l2 class, plus the Floquet
          discriminant of B's period pair strictly inside a band.
       4. the lambda = +i oracle to _oracle_rows(cfg.oracle_horizon), always advisory.
     """
@@ -712,10 +714,13 @@ def deficiency_verdict(
             flags.append("perturbation-order-unknown")
         periodic = ratio_ok and pert_ok is not TriState.FALSE
         # stated gaps c n^p (ln n)^q have d_{n+1}/d_n -> 1, so u_odd u_even = 4 and
-        # Delta = 2(a+1)^2 - 1 with no scan; a band edge or exterior cannot certify
+        # Delta = 2(a+1)^2 - 1 >= -1 with no scan.  From the Jordan edge Delta = +1
+        # up no period-two comparison certifies, whatever B says; Delta = -1 is an
+        # edge only by the margin, so B still runs there (ROADMAP item 1)
         delta0 = 2.0 * (a + 1.0) * (a + 1.0) - 1.0  # a product overflows to inf where ** would raise
-        band0 = _band_class(delta0) if order is not None and order.c is not None else TriState.TRUE
-        if periodic and band0 is not TriState.TRUE:
+        gated = periodic and order is not None and order.c is not None and delta0 >= 1.0 - _FLOQUET_MARGIN
+        if gated:
+            band0 = _band_class(delta0)
             diagnostics["floquet"] = {
                 "a": a, "lambda": 0.0, "discriminant": delta0, "inside_band": band0.value, "product": 4.0
             }

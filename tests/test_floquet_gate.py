@@ -3,11 +3,13 @@
 On gaps whose order states its constant c, d_n ~ c n^p (ln n)^q, so
 d_{n+1}/d_n -> 1 and the parity limits of condition B multiply to
 u_odd u_even = 4: the half-trace at lambda = 0 is 2(a+1)^2 - 1 with no
-scan.  Where it is not strictly inside a band, no periodic comparison
-can certify, so the verdict records it, runs no condition-B scan and
-falls through to the oracle with today's decision.  The independent
-witness is condition B itself: where it holds, its period pair puts the
-discriminant in the same band class, and its product reads 4.
+scan.  From the Jordan edge Delta = +1 up, no periodic comparison can
+certify, so the verdict records it, runs no condition-B scan and falls
+through to the oracle with today's decision.  Delta = -1 (a = -1) is an
+edge only by the margin, so condition B still runs there and its flag
+still says whether B held.  The independent witness is condition B
+itself: where it holds, its period pair puts the discriminant in the
+same band class, and its product reads 4.
 """
 
 import contextlib
@@ -69,22 +71,19 @@ def counting(calls):
     return spy
 
 
-# the decision each band edge got when condition B ran before the discriminant
+# the decision each Jordan edge got when condition B ran before the discriminant
 EDGES = [
     (0.6, -2.0, None, ("SelfAdjoint", "oracle-growth", True)),
-    (0.6, -1.0, None, ("Inconclusive", None, True)),
     (0.6, 0.0, 1.0, ("SelfAdjoint", "oracle-growth", True)),
     (0.8, -2.0, None, ("SelfAdjoint", "oracle-growth", True)),
-    (0.8, -1.0, None, ("Deficient", "oracle-ell2", True)),
     (0.8, 0.0, 1.0, ("SelfAdjoint", "oracle-growth", True)),
     (1.0, -2.0, None, ("SelfAdjoint", "oracle-growth", True)),
-    (1.0, -1.0, None, ("Deficient", "oracle-ell2", True)),
     (1.0, 0.0, 1.0, ("SelfAdjoint", "lower-envelope-bound", False)),  # phase 2 settles it
 ]
 
 
 @pytest.mark.parametrize("gamma,a,c_over_n,decision", EDGES)
-def test_power_grid_band_edge_needs_no_scan(monkeypatch, gamma, a, c_over_n, decision):
+def test_power_grid_jordan_edge_needs_no_scan(monkeypatch, gamma, a, c_over_n, decision):
     monkeypatch.setattr(deficiency, "check_condition_B", raise_if_called)
     grid = PowerLogGrid(gamma=gamma)
     pert = PowerSumAlpha(terms=((c_over_n, -1.0, 0.0),)) if c_over_n else None
@@ -95,11 +94,39 @@ def test_power_grid_band_edge_needs_no_scan(monkeypatch, gamma, a, c_over_n, dec
         assert v.diagnostics["floquet"] == {
             "a": a,
             "lambda": 0.0,
-            "discriminant": 2.0 * (a + 1.0) * (a + 1.0) - 1.0,
+            "discriminant": 1.0,
             "inside_band": "unknown",
             "product": 4.0,
         }
         assert v.flags == ("discriminant-at-band-edge",)
+
+
+# a = -1 with the decision it got before the gate; (0.9414, 1.7635) is the
+# sweep-pool grid whose float scan of condition B reads unknown
+CLOSED_GAPS = [
+    (0.6, 1.0, ("Inconclusive", None, True)),
+    (0.8, 1.0, ("Deficient", "oracle-ell2", True)),
+    (1.0, 1.0, ("Deficient", "oracle-ell2", True)),
+    (0.9414, 1.7635, ("Deficient", "oracle-ell2", True)),
+]
+
+
+@pytest.mark.parametrize("gamma,d1,decision", CLOSED_GAPS)
+def test_a_minus_one_still_scans_condition_B(monkeypatch, gamma, d1, decision):
+    # Delta = -1 is an edge only by the margin: B runs once, and the flag
+    # says whether it held
+    calls = []
+    monkeypatch.setattr(deficiency, "check_condition_B", counting(calls))
+    grid = PowerLogGrid(gamma=gamma, d1=d1)
+    v = deficiency_verdict(grid, ScaledInverseGapsAlpha(grid, -1.0))
+    assert len(calls) == 1
+    assert (v.verdict.value, v.certificate, v.advisory) == decision
+    if v.diagnostics["condition_B"]["holds"] == "true":
+        assert v.diagnostics["floquet"]["u"] == v.diagnostics["condition_B"]["u"]
+        assert v.flags == ("discriminant-at-band-edge",)
+    else:
+        assert "floquet" not in v.diagnostics
+        assert v.flags == ("period-two-structure-not-established",)
 
 
 @pytest.mark.parametrize("a,delta", [(0.5, 3.5), (1e200, float("inf"))])
@@ -139,8 +166,10 @@ def test_interior_scans_condition_B_once(monkeypatch):
 
 
 def test_edge_whose_scan_failed_is_flagged_as_an_edge():
-    # gamma = 1, eta = 0.5: condition B is false there, so the band edge
-    # was flagged period-two-structure-not-established before the gate
+    # gamma = 1, eta = 0.5: condition B is false there, so the Jordan edge
+    # was flagged period-two-structure-not-established before the gate; the
+    # closed-form record comes from the product identity alone and says
+    # nothing of B
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(["analyze", "--gamma", "1", "--eta", "0.5", "--alpha=-2*(1/d_n+1/d_{n+1})"])

@@ -32,7 +32,8 @@ two steps:
 
 A few `deltasa sweep` runs are replayed too: the CSV that --output
 writes must have the recorded sha256 and the recorded (verdict,
-certifying_test) rows.
+certifying_test) rows, and each cell's verdict the recorded decision,
+flags included, which the CSV does not carry.
 
 Float bits depend on the interpreter and numpy, so the replay runs only
 under the versions the pools were recorded with.
@@ -52,12 +53,14 @@ import pytest
 from deltasa import (
     JacobiOperator,
     check_condition_B,
+    deficiency_verdict,
     floquet_discriminant,
     solve_recurrence,
     test_bound_II,
     test_bound_III,
     test_carleman_i,
 )
+from deltasa import cli
 from deltasa.cli import _build_parser, _emit, _strict, _verdict_config, build_grid, main, parse_alpha
 from deltasa.criteria import check_condition_A, test_condition_I
 
@@ -189,11 +192,30 @@ def test_analyze_output_matches_recorded_sha256(workload):
         assert digest == item["ref"]["output_sha256"], item["id"]
 
 
-def test_sweep_csv_matches_recorded_sha256(tmp_path):
+def test_sweep_csv_matches_recorded_sha256(tmp_path, monkeypatch):
+    decisions = []
+
+    def recording(*args, **kwargs):
+        v = deficiency_verdict(*args, **kwargs)
+        decisions.append(
+            {
+                "verdict": v.verdict.value,
+                "n_plus": v.n_plus,
+                "n_minus": v.n_minus,
+                "certificate": v.certificate,
+                "advisory": v.advisory,
+                "flags": list(v.flags),
+            }
+        )
+        return v
+
+    monkeypatch.setattr(cli, "deficiency_verdict", recording)
     target = tmp_path / "sweep.csv"
     for item in load_items("sweep", SWEEPS):
+        decisions.clear()
         assert main(["sweep", *item["input"], "--output", str(target)]) == item["ref"]["rc"], item["id"]
         text = target.read_bytes().decode()
         assert hashlib.sha256(text.encode()).hexdigest() == item["ref"]["output_sha256"], item["id"]
         rows = [[r["verdict"], r["certifying_test"]] for r in csv.DictReader(io.StringIO(text))]
         assert rows == item["ref"]["rows"], item["id"]
+        assert decisions == item["ref"]["decisions"], item["id"]
