@@ -12,8 +12,7 @@ Output is byte-deterministic for fixed inputs: JSON is sorted-key with
 two-space indent, floats go through repr (a non-finite float is written
 as null, so strict JSON readers accept every output), and wall-clock
 timings are omitted unless --timings is passed.  The horizon ladder
-comes from --horizons when given, else from the DELTA_SPEC_HORIZON
-environment variable, else defaults to 10^4, 10^5, 10^6.
+comes from --horizons when given, else defaults to 10^4, 10^5, 10^6.
 
 The coupling mini-language deliberately avoids a general expression
 evaluator.  Accepted forms (whitespace ignored):
@@ -36,7 +35,6 @@ import functools
 import io
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -188,31 +186,14 @@ def build_grid(args: argparse.Namespace) -> GridSequence:
 
 
 def _verdict_config(args: argparse.Namespace) -> VerdictConfig:
-    """The ladder from --horizons, else up to DELTA_SPEC_HORIZON, else the default."""
+    """The ladder from --horizons, else the default."""
     raw = getattr(args, "horizons", None)
-    if raw:
-        try:
-            return VerdictConfig(tuple(int(h) for h in raw.split(",")))
-        except ValueError as e:
-            raise CliError(f"bad --horizons {raw!r}: {e}")
-    top = _env_horizon(None)
-    if top is None:
+    if not raw:
         return VerdictConfig()
     try:
-        return VerdictConfig.up_to(top)
+        return VerdictConfig(tuple(int(h) for h in raw.split(",")))
     except ValueError as e:
-        raise CliError(f"bad DELTA_SPEC_HORIZON '{top}': {e}")
-
-
-def _env_horizon(default: Optional[int]) -> Optional[int]:
-    """DELTA_SPEC_HORIZON as an int, or default when it is unset or empty."""
-    env = os.environ.get("DELTA_SPEC_HORIZON")
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"bad DELTA_SPEC_HORIZON {env!r}")
+        raise CliError(f"bad --horizons {raw!r}: {e}")
 
 
 def _strict(obj):
@@ -250,7 +231,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verdict = deficiency_verdict(grid, alpha, cfg)
     t_verdict = time.time() - t0
     report = {
-        "schema": "deltasa-analyze-v7",
+        "schema": "deltasa-analyze-v8",
         "grid": grid.describe(),
         "alpha": alpha.describe(),
         "horizons": list(cfg.horizons),
@@ -336,10 +317,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    horizon = args.horizon
-    if horizon is None:
-        horizon = _env_horizon(10**6)
-    report = run_battery(only=args.only, horizon=horizon)
+    report = run_battery(only=args.only, horizon=args.horizon)
     if args.json:
         _emit(report.to_json(), args.output)
     else:
@@ -453,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the ten-check reproduction battery")
     p.add_argument("--only", default=None, help="run only checks whose name contains this")
-    p.add_argument("--horizon", type=int, default=None, help="battery horizon (default 10^6)")
+    p.add_argument("--horizon", type=int, default=10**6, help="battery horizon (default 10^6)")
     p.add_argument("--json", action="store_true", help="JSON report instead of lines")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_verify)

@@ -41,7 +41,8 @@ __all__ = [
 
 # Stability threshold of the two-window drift rule (window_drift): a
 # statistic is window-stable when its later-window sup grows by less
-# than 5% of the earlier-window sup.  Shrinking is always stable.
+# than 5% of the earlier-window sup.  Shrinking is always stable, and
+# so is a later-window sup at or below 0.
 DRIFT_TOL = 0.05
 
 # The default horizon ladder; where scans of a tail window stop (the gap
@@ -268,13 +269,15 @@ def window_drift(sup_early: float, sup_late: float) -> tuple[float, TriState]:
     drift = (late - early) / |early| is the relative growth of the
     window sup (|late|, at least 1e-300, when early is 0); negative
     drift means it shrank.  The statistic is stable when drift <
-    DRIFT_TOL.  Unless both sups are finite the rule reads (nan, UNKNOWN).
+    DRIFT_TOL or when the late sup is at most 0: the minimal constant
+    max(sup, 0) cannot grow there, however the negative sups move.
+    Unless both sups are finite the rule reads (nan, UNKNOWN).
     """
     if not (math.isfinite(sup_early) and math.isfinite(sup_late)):
         return math.nan, TriState.UNKNOWN
     scale = abs(sup_early) or max(abs(sup_late), 1e-300)
     drift = (sup_late - sup_early) / scale
-    return drift, TriState.of(drift < DRIFT_TOL)
+    return drift, TriState.of(drift < DRIFT_TOL or sup_late <= 0.0)
 
 
 def sqrt_series_coeffs(k: int) -> list[float]:

@@ -116,13 +116,8 @@ def _check_2_product(H: int) -> tuple[bool, list[str]]:
     details: list[str] = []
     ok = True
     for gamma in (0.6, 0.75, 1.0):
-        t1 = time.time()
         cb = check_condition_B(PowerLogGrid(gamma, 0.0, 1.0), horizon=H)
-        dt = time.time() - t1
         ok &= _assert_close(details, f"gamma={gamma} product", cb.u.product, 4.0, tol)
-        if dt >= 5.0:
-            ok = False
-            details.append(f"gamma={gamma} runtime {dt:.2f}s exceeds 5s budget")
     return ok, details
 
 
@@ -316,7 +311,7 @@ def _check_10_oracle_agreement(H: int) -> tuple[bool, list[str]]:
 # A check's number is its position here
 _CHECKS = {
     "wallis-parity": (_check_1_wallis, 1.0),
-    "period-product": (_check_2_product, None),
+    "period-product": (_check_2_product, 15.0),
     "ratio-scaling": (_check_3_ratio_scaling, None),
     "f-limits": (_check_4_f_limits, None),
     "f-over-gap": (_check_5_f_over_gap, None),

@@ -114,7 +114,7 @@ class TestAnalyze:
         code, out, _ = run(self.ARGS, capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v7"
+        assert report["schema"] == "deltasa-analyze-v8"
         assert report["verdict"]["verdict"] == "Deficient"
         assert report["verdict"]["certificate"] == "periodic-comparison"
         assert report["horizons"] == [10000]
@@ -138,33 +138,13 @@ class TestAnalyze:
         assert code == 0
         assert "timings" in json.loads(out)
 
-    def test_env_horizon(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_SPEC_HORIZON", "20000")
-        code, out, _ = run(
-            ["analyze", "--gamma", "1.0", "--alpha", "zero"], capsys
-        )
+    @pytest.mark.parametrize("env", ["20000", "abc"])
+    def test_environment_sets_no_horizon(self, capsys, monkeypatch, env):
+        # --horizons is the ladder's one source: DELTA_SPEC_HORIZON is not read
+        monkeypatch.setenv("DELTA_SPEC_HORIZON", env)
+        code, out, _ = run(["analyze", "--gamma", "1.0", "--alpha", "zero"], capsys)
         assert code == 0
-        assert json.loads(out)["horizons"] == [10000, 20000]
-
-    def test_env_horizon_has_the_ladder_floor(self, capsys, monkeypatch):
-        # the environment and --horizons share VerdictConfig's one floor
-        monkeypatch.setenv("DELTA_SPEC_HORIZON", "500")
-        code, out, _ = run(["analyze", "--gamma", "1", "--alpha", "zero"], capsys)
-        assert code == 0
-        assert json.loads(out)["horizons"] == [500]
-        monkeypatch.setenv("DELTA_SPEC_HORIZON", "100")
-        code, out, err = run(["analyze", "--gamma", "1", "--alpha", "zero"], capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: bad DELTA_SPEC_HORIZON '100': every horizon must be at least 256")
-        assert err.count("\n") == 1
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_SPEC_HORIZON", "20000")
-        code, out, _ = run(
-            ["analyze", "--gamma", "1.0", "--alpha", "zero", "--horizons", "10000"],
-            capsys,
-        )
-        assert json.loads(out)["horizons"] == [10000]
+        assert json.loads(out)["horizons"] == [10000, 100000, 1000000]
 
     def test_oracle_horizon_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -355,12 +335,8 @@ class TestVerifyPaper:
         assert first[0] == 0 and "runtime" not in first[1]
         assert run(argv, capsys) == first
 
-    def test_bad_env_horizon(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_SPEC_HORIZON", "abc")
-        for argv in (["verify-paper", "--only", "wallis"], ["analyze", "--gamma", "1.0", "--alpha", "zero"]):
-            code, out, err = run(argv, capsys)
-            assert (code, out) == (1, "")
-            assert err == "error: bad DELTA_SPEC_HORIZON 'abc'\n"
+    def test_battery_horizon_defaults_to_one_million(self):
+        assert cli._build_parser().parse_args(["verify-paper"]).horizon == 10**6
 
     def test_unknown_filter_fails(self, capsys):
         code, _, err = run(

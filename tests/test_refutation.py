@@ -84,7 +84,7 @@ def verdict_bounds(argv):
     with contextlib.redirect_stdout(buf):
         assert main(["analyze", *argv]) == 0
     report = json.loads(buf.getvalue())
-    assert report["schema"] == "deltasa-analyze-v7"
+    assert report["schema"] == "deltasa-analyze-v8"
     return report["verdict"]
 
 

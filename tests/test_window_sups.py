@@ -31,7 +31,7 @@ from deltasa import (
 )
 from deltasa import criteria, verify
 from deltasa.criteria import BoundProbe, ConditionB, F_block, expansion_remainder_block
-from deltasa.numerics import DRIFT_TOL, TriState, richardson_pair, tail_windows, window_sups
+from deltasa.numerics import DRIFT_TOL, TriState, richardson_pair, tail_windows, window_drift, window_sups
 
 CHUNK = 1 << 15
 ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}  # the bounds' G record
@@ -45,7 +45,7 @@ def reference_drift(sup1, sup2):
     if not (math.isfinite(sup1) and math.isfinite(sup2)):
         return math.nan, TriState.UNKNOWN
     drift = (sup2 - sup1) / (abs(sup1) or max(abs(sup2), 1e-300))
-    return drift, TriState.of(drift < DRIFT_TOL)
+    return drift, TriState.of(drift < DRIFT_TOL or sup2 <= 0.0)
 
 
 def reference_f_over_d_probe(grid, lo, hi):
@@ -409,3 +409,18 @@ def test_check_6_reads_a_non_finite_window_as_unknown(window, monkeypatch):
     assert not result.passed
     assert " -> " in result.details[0] and "drift=+nan" in result.details[0]
     assert result.details[0].endswith("VIOLATED")
+
+
+# the minimal constant max(sup, 0) of a late sup at or below 0 is 0: it
+# cannot grow, so only a positive late sup can fail the rule
+@pytest.mark.parametrize(
+    "early,late,drift,holds",
+    [
+        (-4.0, -2.0, 0.5, TriState.TRUE),  # negative and rising
+        (-2.0, -4.0, -1.0, TriState.TRUE),  # negative and falling
+        (2.0, 4.0, 1.0, TriState.FALSE),  # positive and growing
+        (-1.0, 1.0, 2.0, TriState.FALSE),  # crosses 0
+    ],
+)
+def test_window_drift(early, late, drift, holds):
+    assert window_drift(early, late) == (drift, holds)
