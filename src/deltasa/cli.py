@@ -42,20 +42,16 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import (
-    F_block,
-    check_condition_B,
-    test_bound_II,
-    test_bound_III,
-)
+from .criteria import F_block, test_bound_II, test_bound_III
 from .deficiency import (
     VerdictConfig,
+    _GridFacts,
     _row_residual,
     deficiency_verdict,
     floquet_discriminant,
     solve_recurrence,
 )
-from .grid import ConstantGrid, ExplicitGrid, GridError, GridSequence, PowerLogGrid, classify_summability
+from .grid import ConstantGrid, ExplicitGrid, GridError, GridSequence, PowerLogGrid
 from .jacobi import (
     AlphaSequence,
     JacobiOperator,
@@ -264,21 +260,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for grid, alphas in cells:
-        summ = classify_summability(grid)
+        facts = _GridFacts(grid, cfg)  # every cell's verdict and the probe columns share its scans
         # the verdict's phase 0 settles summable and non-square-summable
         # gaps for every coupling; their probe cells stay empty
-        probed = summ.in_ell1 is not TriState.TRUE and summ.in_ell2 is not TriState.FALSE
-        # the sweep's own columns: on gaps that underflow to 0 these probes
-        # divide by zero and read inf or nan, which the CSV prints as it is
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1]) if probed else None
-            bounds = [
-                (test_bound_II(grid, alpha, N=cfg.bound_horizon), test_bound_III(grid, alpha, N=cfg.bound_horizon))
-                for alpha in alphas
-                if probed
-            ]
-        for i, alpha in enumerate(alphas):
-            verdict = deficiency_verdict(grid, alpha, cfg)
+        probed = facts.summ.in_ell1 is not TriState.TRUE and facts.summ.in_ell2 is not TriState.FALSE
+        for alpha in alphas:
+            verdict = deficiency_verdict(grid, alpha, cfg, facts=facts)
             if verdict.certificate is None:
                 certifying = "inconclusive"
             elif verdict.advisory:
@@ -293,14 +280,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "certifying_test": certifying,
             }
             if probed:
-                b2, b3 = bounds[i]
-                row |= {
-                    "u_odd": cond_b.u.odd,
-                    "u_even": cond_b.u.even,
-                    "delta0": floquet_discriminant(cond_b.u, alpha.a).discriminant,
-                    "minimal_C1": b2.minimal_constant,
-                    "minimal_C2": b3.minimal_constant,
-                }
+                # the sweep's own columns: on gaps that underflow to 0 these probes
+                # divide by zero and read inf or nan, which the CSV prints as it is
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    u = facts.cond_b.u
+                    row |= {
+                        "u_odd": u.odd,
+                        "u_even": u.even,
+                        "delta0": floquet_discriminant(u, alpha.a).discriminant,
+                        "minimal_C1": test_bound_II(grid, alpha, N=cfg.bound_horizon).minimal_constant,
+                        "minimal_C2": test_bound_III(grid, alpha, N=cfg.bound_horizon).minimal_constant,
+                    }
             rows.append(row)
 
     fieldnames = [

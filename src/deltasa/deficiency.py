@@ -9,6 +9,7 @@ the oracle, whose conclusions are always labeled advisory.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import asdict, dataclass, field
@@ -612,10 +613,27 @@ def _refuted(test: str, lead: Optional[Order], order: Optional[Order]) -> Option
     return {"test": test, "holds": "false", "refuted_by": "order", "leading": asdict(lead), "gaps": asdict(order)}
 
 
+class _GridFacts:
+    """The scans a verdict reads of grid alone at cfg's ladder, each run on first read.
+
+    No coupling changes them, so verdicts on one grid and ladder can share
+    one record.  Each scan is the one this module names at its first read.
+    """
+
+    def __init__(self, grid: GridSequence, cfg: VerdictConfig) -> None:
+        self.grid, self.cfg = grid, cfg
+
+    summ = functools.cached_property(lambda self: classify_summability(self.grid))
+    ratios = functools.cached_property(lambda self: ratio_stats(self.grid, self.cfg.oracle_horizon))
+    cond_b = functools.cached_property(lambda self: check_condition_B(self.grid, horizon=self.cfg.horizons[-1]))
+
+
 def deficiency_verdict(
     grid: GridSequence,
     alpha: AlphaSequence,
     cfg: Optional[VerdictConfig] = None,
+    *,
+    facts: Optional[_GridFacts] = None,
 ) -> CriterionVerdict:
     """Decide SelfAdjoint / Deficient(1,1) / Inconclusive for B built on
     (grid, alpha).
@@ -636,12 +654,20 @@ def deficiency_verdict(
          B, then condition A read from the gaps' l2 class, plus the Floquet
          discriminant of B's period pair strictly inside a band.
       4. the lambda = +i oracle to _oracle_rows(cfg.oracle_horizon), always advisory.
+
+    Summability, the gap ratios and condition B come from facts, a _GridFacts
+    record that verdicts on one grid and ladder may share (else the verdict
+    builds its own); it moves no output byte.  A record of another grid
+    object or another ladder raises ValueError.
     """
     cfg = cfg or VerdictConfig()
+    facts = facts or _GridFacts(grid, cfg)
+    if facts.grid is not grid or facts.cfg.horizons != cfg.horizons:
+        raise ValueError("facts is a record of another grid or another horizon ladder")
     diagnostics: dict = {"config": cfg.to_json()}
     flags: list[str] = []
 
-    summ = classify_summability(grid)
+    summ = facts.summ
     diagnostics["summability"] = summ.to_json()
     if summ.in_ell1 is TriState.TRUE:
         return CriterionVerdict(
@@ -702,7 +728,7 @@ def deficiency_verdict(
     scaled = alpha.scaled_gap_form()
     if scaled is not None:
         a, pert_ok = scaled
-        stats = ratio_stats(grid, cfg.oracle_horizon)
+        stats = facts.ratios
         diagnostics["ratio_stats"] = stats.to_json()
         ratio_ok = (
             abs(stats.limit_estimate - 1.0) <= _RATIO_LIMIT_TOL
@@ -726,7 +752,7 @@ def deficiency_verdict(
             }
             flags.append(_BAND_FLAGS[band0])
         elif periodic:
-            cond_b = check_condition_B(grid, horizon=cfg.horizons[-1])
+            cond_b = facts.cond_b
             diagnostics["condition_B"] = cond_b.to_json()
             # condition A, r rtilde in l2: (r_n rtilde_n)^2 = rho_n d_n d_{n+1}, rho is
             # bounded on the tail given B, and d_n d_{n+1} <= (d_n^2 + d_{n+1}^2)/2

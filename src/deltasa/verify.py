@@ -32,6 +32,7 @@ from .criteria import (
 from .deficiency import (
     VerdictConfig,
     VerdictKind,
+    _GridFacts,
     _oracle_rows,
     deficiency_verdict,
     floquet_discriminant,
@@ -224,7 +225,8 @@ def _inverse_gap_verdicts(H: int) -> tuple:
         ("alpha=-1/n", PowerSumAlpha(terms=((-1.0, -1.0, 0.0),)), VerdictKind.SELF_ADJOINT),
         ("alpha=-2(2n+1)+1/n", ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert), VerdictKind.SELF_ADJOINT),
     )
-    return tuple((*case, deficiency_verdict(grid, case[1], cfg)) for case in cases)
+    facts = _GridFacts(grid, cfg)
+    return tuple((*case, deficiency_verdict(grid, case[1], cfg, facts=facts)) for case in cases)
 
 
 def _check_8_verdicts(H: int) -> tuple[bool, list[str]]:

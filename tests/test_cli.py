@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, cli
+from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, cli, deficiency
 from deltasa.cli import CliError, build_grid, main, parse_alpha
 
 
@@ -271,7 +271,8 @@ class TestSweep:
         def scan(*args, **kwargs):
             raise AssertionError("sweep probed a grid that phase 0 settles")
 
-        for name in ("check_condition_B", "test_bound_II", "test_bound_III"):
+        monkeypatch.setattr(deficiency, "check_condition_B", scan)  # the one place B is scanned
+        for name in ("test_bound_II", "test_bound_III"):
             monkeypatch.setattr(cli, name, scan)
         code, out, err = run(["sweep", "--gammas=-0.5,0.3", "--a-values=-0.5,0.5"], capsys)
         assert (code, err) == (0, "")
@@ -294,7 +295,7 @@ class TestSweep:
         def scan(*args, **kwargs):
             raise AssertionError("sweep scanned a grid before it checked every gamma and a")
 
-        monkeypatch.setattr(cli, "check_condition_B", scan)
+        monkeypatch.setattr(deficiency, "check_condition_B", scan)
         assert run(["sweep", "--gammas", gammas, f"--a-values={a_values}"], capsys) == (1, "", err)
 
     def test_columns_fixed(self, capsys):

@@ -27,14 +27,17 @@ active dispatch targets.  A run that reports a failed request
 
 A second witness follows the process pairs: both exported trees are
 imported into this one process, as the packages deltasa_base and
-deltasa_head, and each analyze workload's pool (perfbench/reference/)
+deltasa_head, and the pool (perfbench/reference/) of each analyze
+workload and of the sweep workload, which BENCHMARK.json does not run,
 is run once through both CLIs, item by item, base first on even items
 and head first on odd ones.  A request is timed from the call of
-cli.main to its return, with its JSON written to a buffer.  The file
-records, per workload, the median over the pool of head time / base
-time, the two median request times and in how many items HEAD was the
-faster.  Being one process, this witness sees neither process start-up
-nor a difference in heap layout or CPU placement between the two sides.
+cli.main to its return, with its JSON or CSV written to a temporary
+--output file.  The file records, per pool, the median over the pool of
+head time / base time, the two median request times, in how many items
+HEAD was the faster, and whether every output is byte-identical between
+the trees.  Being one process, this witness sees neither process
+start-up nor a difference in heap layout or CPU placement between the
+two sides.
 
 Each revision's entry also holds the two sizes that ROADMAP aim 2
 tracks: source_lines, the line count of its src/deltasa/*.py (what
@@ -114,27 +117,32 @@ def tree_size(checkout: str, package) -> dict:
     return {"source_lines": lines, "public_names": len(package.__all__)}
 
 
-def in_process(dirs: dict, packages: dict, workloads: list[str]) -> dict:
-    """Per analyze workload: both trees in this process, alternated item by item over its pool."""
+def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> dict:
+    """Per analyze workload and the sweep pool: both trees in this process, alternated item by item over its pool."""
     clis = {side: package.cli for side, package in packages.items()}
+    out_path = os.path.join(tmp, "output")
 
-    def timed(side: str, argv: list[str]) -> float:
+    def timed(side: str, argv: list[str]) -> tuple[float, bytes]:
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
-            clis[side].main(argv)
-        return time.perf_counter() - t0
+            clis[side].main([*argv, "--output", out_path])
+        dt = time.perf_counter() - t0
+        with open(out_path, "rb") as f:
+            return dt, f.read()
 
     result = {}
-    for w in workloads:
-        if not w.startswith("analyze-"):
-            continue
+    for w in [w for w in workloads if w.startswith("analyze-")] + ["sweep"]:
         with open(os.path.join(dirs["head"], "perfbench", "reference", f"{w}.json")) as f:
             items = json.load(f)["items"]
         times: dict = {"base": [], "head": []}
+        identical = True
         for i, item in enumerate(items):
-            argv = ["analyze", *item["input"]]
+            argv = ["sweep" if w == "sweep" else "analyze", *item["input"]]
+            outputs = {}
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                times[side].append(timed(side, argv))
+                dt, outputs[side] = timed(side, argv)
+                times[side].append(dt)
+            identical &= outputs["base"] == outputs["head"]
         ratios = [h / b for b, h in zip(times["base"], times["head"])]
         result[w] = {
             "items": len(items),
@@ -142,8 +150,9 @@ def in_process(dirs: dict, packages: dict, workloads: list[str]) -> dict:
             "base_median_s": statistics.median(times["base"]),
             "head_median_s": statistics.median(times["head"]),
             "items_head_faster": sum(r < 1.0 for r in ratios),
+            "outputs_identical": identical,
         }
-        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items", flush=True)
+        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items, outputs identical: {identical}", flush=True)
     return result
 
 
@@ -177,7 +186,7 @@ def main() -> int:
                     print(f"run {i} {w} {side}: " + " ".join(f"{k}={v:.4g}" for k, v in m.items()), flush=True)
         packages = {side: import_tree(d, f"deltasa_{side}") for side, d in dirs.items()}
         sizes = {side: tree_size(dirs[side], packages[side]) for side in revs}
-        witness = in_process(dirs, packages, workloads)
+        witness = in_process(dirs, packages, workloads, tmp)
 
     result = {w: {} for w in workloads}
     for w in workloads:
