@@ -1,6 +1,6 @@
 """Self-adjointness tests and the curvature of the gap profile.
 
-Three families of machinery live here:
+Four families of machinery live here:
 
 * divergence probes for the weighted coupling series (test_carleman_i,
   which phase 1 of a verdict reads, and test_condition_I) and for the

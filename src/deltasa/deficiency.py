@@ -617,7 +617,7 @@ class _GridFacts:
     """The scans a verdict reads of grid alone at cfg's ladder, each run on first read.
 
     No coupling changes them, so verdicts on one grid and ladder can share
-    one record.  Each scan is the one this module names at its first read.
+    one record.  Each scan looks its function up in this module's globals.
     """
 
     def __init__(self, grid: GridSequence, cfg: VerdictConfig) -> None:

@@ -152,7 +152,7 @@ def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> di
             "items_head_faster": sum(r < 1.0 for r in ratios),
             "outputs_identical": identical,
         }
-        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items, outputs identical: {identical}", flush=True)
+        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items, identical: {identical}", flush=True)
     return result
 
 
