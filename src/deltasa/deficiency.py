@@ -29,7 +29,7 @@ from .criteria import (
     test_carleman_i,
 )
 from .grid import GridSequence, Order, classify_summability, ratio_stats
-from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, _reflection_lead
+from .jacobi import AlphaSequence, JacobiOperator, PeriodPair, TildeSequence, _reflection_lead
 from .numerics import HORIZONS, MIN_HORIZON, WINDOW_CAP, Record, TriState, _json_value
 
 __all__ = [
@@ -617,7 +617,9 @@ class _GridFacts:
     """The scans a verdict reads of grid alone at cfg's ladder, each run on first read.
 
     No coupling changes them, so verdicts on one grid and ladder can share
-    one record.  Each scan looks its function up in this module's globals.
+    one record.  cond_b scans tilde, the grid's TildeSequence, which other
+    readers may share: its chunk bases do not depend on which read built
+    them.  Each scan looks its function up in this module's globals.
     """
 
     def __init__(self, grid: GridSequence, cfg: VerdictConfig) -> None:
@@ -625,7 +627,8 @@ class _GridFacts:
 
     summ = functools.cached_property(lambda self: classify_summability(self.grid))
     ratios = functools.cached_property(lambda self: ratio_stats(self.grid, self.cfg.oracle_horizon))
-    cond_b = functools.cached_property(lambda self: check_condition_B(self.grid, horizon=self.cfg.horizons[-1]))
+    tilde = functools.cached_property(lambda self: TildeSequence(self.grid))
+    cond_b = functools.cached_property(lambda self: check_condition_B(self.grid, self.cfg.horizons[-1], tilde=self.tilde))
 
 
 def deficiency_verdict(

@@ -24,7 +24,6 @@ import numpy as np
 
 from .criteria import (
     _bound_probe,
-    check_condition_B,
     expansion_remainder_block,
     f_over_d_probe,
     verify_G_limits,
@@ -45,7 +44,6 @@ from .jacobi import (
     JacobiOperator,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
-    TildeSequence,
     rho,
     scaled_operator,
 )
@@ -100,14 +98,19 @@ def _assert_close(details: list, label: str, measured: float, expected: float, t
     return ok
 
 
+@functools.lru_cache(maxsize=None)
+def _facts(gamma: float, top: int) -> _GridFacts:
+    """The battery's one record of d = n^-gamma at VerdictConfig.up_to(top); run_battery clears them."""
+    return _GridFacts(PowerLogGrid(gamma, 0.0, 1.0), VerdictConfig.up_to(top))
+
+
 def _check_1_wallis(H: int) -> tuple[bool, list[str]]:
     """Parity limits of rho_n for d = 1/n: odd -> pi, even -> 4/pi."""
-    grid = PowerLogGrid(1.0, 0.0, 1.0)
-    tilde = TildeSequence(grid)
+    f = _facts(1.0, H)
     n = 10**4
     details: list[str] = []
-    ok = _assert_close(details, "rho(10001) vs pi", rho(grid, n + 1, tilde), math.pi, 1e-3)
-    ok &= _assert_close(details, "rho(10000) vs 4/pi", rho(grid, n, tilde), 4.0 / math.pi, 1e-3)
+    ok = _assert_close(details, "rho(10001) vs pi", rho(f.grid, n + 1, f.tilde), math.pi, 1e-3)
+    ok &= _assert_close(details, "rho(10000) vs 4/pi", rho(f.grid, n, f.tilde), 4.0 / math.pi, 1e-3)
     return ok, details
 
 
@@ -117,8 +120,7 @@ def _check_2_product(H: int) -> tuple[bool, list[str]]:
     details: list[str] = []
     ok = True
     for gamma in (0.6, 0.75, 1.0):
-        cb = check_condition_B(PowerLogGrid(gamma, 0.0, 1.0), horizon=H)
-        ok &= _assert_close(details, f"gamma={gamma} product", cb.u.product, 4.0, tol)
+        ok &= _assert_close(details, f"gamma={gamma} product", _facts(gamma, H).cond_b.u.product, 4.0, tol)
     return ok, details
 
 
@@ -214,10 +216,10 @@ def _check_7_zero_energy(H: int) -> tuple[bool, list[str]]:
 def _inverse_gap_verdicts(H: int) -> tuple:
     """(label, alpha, expected kind, verdict) of the four d = 1/n cases checks 8 and 10 read.
 
-    run_battery clears the cache, so each run computes them once.
+    They share _facts(1.0, min(H, WINDOW_CAP)); run_battery clears this cache as a run starts and ends.
     """
-    grid = PowerLogGrid(1.0, 0.0, 1.0)
-    cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
+    facts = _facts(1.0, min(H, WINDOW_CAP))
+    grid = facts.grid
     pert = PowerSumAlpha(terms=((1.0, -1.0, 0.0),))
     cases = (
         ("a=-1.5+1/n", ScaledInverseGapsAlpha(grid, -1.5, perturbation=pert), VerdictKind.DEFICIENT),
@@ -225,13 +227,11 @@ def _inverse_gap_verdicts(H: int) -> tuple:
         ("alpha=-1/n", PowerSumAlpha(terms=((-1.0, -1.0, 0.0),)), VerdictKind.SELF_ADJOINT),
         ("alpha=-2(2n+1)+1/n", ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert), VerdictKind.SELF_ADJOINT),
     )
-    facts = _GridFacts(grid, cfg)
-    return tuple((*case, deficiency_verdict(grid, case[1], cfg, facts=facts)) for case in cases)
+    return tuple((*case, deficiency_verdict(grid, case[1], facts.cfg, facts=facts)) for case in cases)
 
 
 def _check_8_verdicts(H: int) -> tuple[bool, list[str]]:
     """Verdict phases on d = 1/n and the discriminant identity."""
-    grid = PowerLogGrid(1.0, 0.0, 1.0)
     details: list[str] = []
     ok = True
     cases = _inverse_gap_verdicts(H)
@@ -252,27 +252,22 @@ def _check_8_verdicts(H: int) -> tuple[bool, list[str]]:
         details.append(f"{label}: {v.verdict.value} cert={v.certificate} {'ok' if good else 'VIOLATED'}")
     # measured-u discriminant vs the closed form 2(a+1)^2 - 1
     tol = 1e-6 * max(1.0, (10**6 / H)) ** 1.2
-    cb = check_condition_B(grid, horizon=H)
     for a in (-1.9, -1.5, -1.0, -0.5, -0.1):
-        fl = floquet_discriminant(cb.u, a)
-        ok &= _assert_close(
-            details, f"Delta_{a}(0)", fl.discriminant, 2.0 * (a + 1.0) ** 2 - 1.0, tol
-        )
+        fl = floquet_discriminant(_facts(1.0, H).cond_b.u, a)
+        ok &= _assert_close(details, f"Delta_{a}(0)", fl.discriminant, 2.0 * (a + 1.0) ** 2 - 1.0, tol)
     return ok, details
 
 
 def _check_9_scaling_identity(H: int) -> tuple[bool, list[str]]:
     """Gauge-aligned coupling: scaled off-diagonal is 1 to 1e-10 for n <= 10^3."""
-    grid = PowerLogGrid(1.0, 0.0, 1.0)
-    tilde = TildeSequence(grid)
-    cb = check_condition_B(grid, horizon=min(H, 10**6))
-    alpha0 = AlphaZeroAlpha(grid, -0.5, cb.u, tilde)
+    f = _facts(1.0, min(H, 10**6))
+    alpha0 = AlphaZeroAlpha(f.grid, -0.5, f.cond_b.u, f.tilde)
     worst_off = 0.0
     worst_diag = 0.0
     for n in range(1, 10**3 + 1):
-        diag_s, off_s = scaled_operator(grid, alpha0, n, tilde)
+        diag_s, off_s = scaled_operator(f.grid, alpha0, n, f.tilde)
         worst_off = max(worst_off, abs(off_s - 1.0))
-        worst_diag = max(worst_diag, abs(diag_s - 0.5 * cb.u.at(n)))
+        worst_diag = max(worst_diag, abs(diag_s - 0.5 * f.cond_b.u.at(n)))
     ok = worst_off <= 1e-10
     details = [
         f"max |off_s - 1| over n<=1000: {worst_off:.3g} tol 1e-10 {'ok' if ok else 'VIOLATED'}",
@@ -287,18 +282,17 @@ def _check_10_oracle_agreement(H: int) -> tuple[bool, list[str]]:
     The oracle's one witness is the lambda = +i march: B is real, so the
     -i solution is its conjugate and would add nothing independent.
     """
-    inv = PowerLogGrid(1.0, 0.0, 1.0)
-    g75 = PowerLogGrid(0.75, 0.0, 1.0)
-    cfg = VerdictConfig.up_to(min(H, WINDOW_CAP))
-    g75_alpha = ScaledInverseGapsAlpha(g75, -0.5)
-    cases = [(label, inv, *rest) for label, *rest in _inverse_gap_verdicts(H)]
-    g75_verdict = deficiency_verdict(g75, g75_alpha, cfg)
-    cases.append(("gamma=0.75 a=-0.5", g75, g75_alpha, VerdictKind.DEFICIENT, g75_verdict))
+    inv, g75 = _facts(1.0, min(H, WINDOW_CAP)), _facts(0.75, min(H, WINDOW_CAP))
+    g75_alpha = ScaledInverseGapsAlpha(g75.grid, -0.5)
+    cases = [(label, inv.grid, *rest) for label, *rest in _inverse_gap_verdicts(H)]
+    g75_verdict = deficiency_verdict(g75.grid, g75_alpha, g75.cfg, facts=g75)
+    cases.append(("gamma=0.75 a=-0.5", g75.grid, g75_alpha, VerdictKind.DEFICIENT, g75_verdict))
+    rows = _oracle_rows(g75.cfg.oracle_horizon)
     details: list[str] = []
     ok = True
     for label, grid, alpha, expected, v in cases:
         analytic_ok = v.verdict is expected and not v.advisory
-        cls = l2_probe(solve_recurrence(JacobiOperator(grid, alpha), 1j, _oracle_rows(cfg.oracle_horizon))).classification
+        cls = l2_probe(solve_recurrence(JacobiOperator(grid, alpha), 1j, rows)).classification
         want = "in_ell2" if expected is VerdictKind.DEFICIENT else "not_in_ell2"
         good = analytic_ok and cls == want
         ok &= good
@@ -326,22 +320,28 @@ _CHECKS = {
 
 
 def run_battery(only: Optional[str] = None, horizon: int = 10**6) -> BatteryReport:
-    """Run the checks (all, or those whose name contains `only`)."""
+    """Run the checks (all, or those whose name contains `only`), which share one _facts record per
+    d = n^-gamma grid and top horizon; the records and shared verdicts are cleared as the run starts and ends."""
     H = int(horizon)
     if H < 10**4:
         raise ValueError("battery horizon must be at least 10^4")
+    _facts.cache_clear()
     _inverse_gap_verdicts.cache_clear()
     results = []
-    for criterion, (name, (check, budget)) in enumerate(_CHECKS.items(), 1):
-        if only and only not in name:
-            continue
-        t0 = time.perf_counter()
-        ok, details = check(H)
-        rt = time.perf_counter() - t0
-        if budget is not None and rt >= budget:
-            ok = False
-            details.append(f"runtime {rt:.2f}s exceeds {budget:g}s budget")
-        results.append(CheckResult(criterion, name, ok, details, rt))
+    try:
+        for criterion, (name, (check, budget)) in enumerate(_CHECKS.items(), 1):
+            if only and only not in name:
+                continue
+            t0 = time.perf_counter()
+            ok, details = check(H)
+            rt = time.perf_counter() - t0
+            if budget is not None and rt >= budget:
+                ok = False
+                details.append(f"runtime {rt:.2f}s exceeds {budget:g}s budget")
+            results.append(CheckResult(criterion, name, ok, details, rt))
+    finally:
+        _facts.cache_clear()
+        _inverse_gap_verdicts.cache_clear()
     if not results:
         raise ValueError(f"no battery check matches {only!r}")
     return BatteryReport(results=results, horizon=H)

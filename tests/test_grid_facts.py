@@ -1,9 +1,11 @@
 """One record of a grid's facts: every verdict on a grid shares its scans.
 
 deficiency._GridFacts holds what a verdict reads of the grid alone, each
-scan computed on first read.  The sweep builds one record per grid, so
-condition B runs once per grid however many couplings it holds, and a
-verdict prints the same bytes with a shared record as with its own.
+scan computed on first read, and the tilde ladder condition B scans.  The
+sweep builds one record per grid, so condition B runs once per grid however
+many couplings it holds; the battery reads each d = n^-gamma grid through
+one record per top horizon; and a verdict prints the same bytes with a
+shared record as with its own.
 """
 
 import hashlib
@@ -97,6 +99,13 @@ def test_shared_record_prints_what_an_own_record_prints():
         with_shared = deficiency_verdict(g, alpha, cfg, facts=shared[g])
         assert json.dumps(with_shared.to_json(), sort_keys=True) == json.dumps(own.to_json(), sort_keys=True), label
         certificates[label] = (own.certificate, own.advisory, own.flags, "condition_B" in own.diagnostics)
+    # a record whose ladder another reader built first, past B's first probed rows
+    ladder_first = _GridFacts(grid, cfg)
+    ladder_first.tilde.log_abs(10**4 + 1)
+    interior = cells["interior"][1]
+    own = deficiency_verdict(grid, interior, cfg)
+    with_read_ladder = deficiency_verdict(grid, interior, cfg, facts=ladder_first)
+    assert json.dumps(with_read_ladder.to_json(), sort_keys=True) == json.dumps(own.to_json(), sort_keys=True)
     assert certificates == {
         "phase-0": ("non-square-summable-gaps", False, (), False),
         "carleman": ("carleman-series", False, (), False),
@@ -118,10 +127,48 @@ def test_battery_interior_verdicts_share_one_B_scan(monkeypatch):
         return scan(grid, horizon, **kwargs)
 
     monkeypatch.setattr(deficiency, "check_condition_B", counted)
+    verify._facts.cache_clear()
     verify._inverse_gap_verdicts.cache_clear()
     try:
         cases = verify._inverse_gap_verdicts(10**5)
     finally:
+        verify._facts.cache_clear()
         verify._inverse_gap_verdicts.cache_clear()
     assert calls == [10**5]
     assert [v.certificate for *_, v in cases[:2]] == ["periodic-comparison"] * 2
+
+
+def test_cond_b_scans_the_records_ladder(monkeypatch):
+    ladders = []
+    scan = deficiency.check_condition_B
+
+    def counted(grid, horizon, **kwargs):
+        ladders.append(kwargs.get("tilde"))
+        return scan(grid, horizon, **kwargs)
+
+    monkeypatch.setattr(deficiency, "check_condition_B", counted)
+    facts = _GridFacts(PowerLogGrid(0.8), VerdictConfig((10**4,)))
+    facts.cond_b
+    assert len(ladders) == 1 and ladders[0] is facts.tilde
+
+
+def test_battery_scans_each_grid_once_per_horizon(monkeypatch):
+    # the parent design scanned d = 1/n at 10^6 rows three times: checks 2,
+    # 8 and 9 each built their own grid and scan
+    scans = {}
+
+    def counting(scan):
+        def counted(grid, horizon, **kwargs):
+            key = (grid.gamma, horizon)
+            scans[key] = scans.get(key, 0) + 1
+            return scan(grid, horizon, **kwargs)
+
+        return counted
+
+    for module in (deficiency, verify):
+        if hasattr(module, "check_condition_B"):
+            monkeypatch.setattr(module, "check_condition_B", counting(module.check_condition_B))
+    report = verify.run_battery()
+    assert report.passed
+    assert scans == {(0.6, 10**6): 1, (0.75, 10**6): 1, (1.0, 10**6): 1, (1.0, 10**5): 1, (0.75, 10**5): 1}
+    assert verify._facts.cache_info().currsize == 0

@@ -37,7 +37,13 @@ head time / base time, the two median request times, in how many items
 HEAD was the faster, and whether every output is byte-identical between
 the trees.  Being one process, this witness sees neither process
 start-up nor a difference in heap layout or CPU placement between the
-two sides.
+two sides.  The witness also reads each output's decision (an analyze
+verdict's six fields verdict, certificate, advisory, n_plus, n_minus and
+flags; each sweep CSV row's verdict and certifying_test) and records,
+per pool, decisions_moved, the number of items whose decision differs
+between the trees, moved, each such item's id, input and both
+decisions, and head_contradicts_known, the number of items whose HEAD
+decision contradicts the item's known answer.
 
 Each revision's entry also holds the two sizes that ROADMAP aim 2
 tracks: source_lines, the line count of its src/deltasa/*.py (what
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -63,6 +70,7 @@ import time
 import numpy as np
 
 RUNS = 10  # alternating pairs per workload
+DECISION = ("verdict", "certificate", "advisory", "n_plus", "n_minus", "flags")  # of an analyze output's verdict
 
 
 def git(*args: str) -> str:
@@ -117,6 +125,24 @@ def tree_size(checkout: str, package) -> dict:
     return {"source_lines": lines, "public_names": len(package.__all__)}
 
 
+def decision(workload: str, output: bytes):
+    """The decision an output states: DECISION of an analyze verdict, or each sweep row's (verdict, certifying_test)."""
+    text = output.decode()
+    if workload == "sweep":
+        return [[row["verdict"], row["certifying_test"]] for row in csv.DictReader(io.StringIO(text))]
+    verdict = json.loads(text)["verdict"]
+    return {k: verdict[k] for k in DECISION}
+
+
+def contradicts(known, got) -> bool:
+    """Whether a decision contradicts a pool item's known answer: a verdict, or one per sweep cell (None: unknown)."""
+    if isinstance(known, str):
+        return got["verdict"] != known
+    if isinstance(known, list):
+        return len(got) != len(known) or any(k is not None and k != row[0] for k, row in zip(known, got))
+    return False
+
+
 def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> dict:
     """Per analyze workload and the sweep pool: both trees in this process, alternated item by item over its pool."""
     clis = {side: package.cli for side, package in packages.items()}
@@ -136,6 +162,7 @@ def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> di
             items = json.load(f)["items"]
         times: dict = {"base": [], "head": []}
         identical = True
+        moved, contradicting = [], 0
         for i, item in enumerate(items):
             argv = ["sweep" if w == "sweep" else "analyze", *item["input"]]
             outputs = {}
@@ -143,6 +170,10 @@ def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> di
                 dt, outputs[side] = timed(side, argv)
                 times[side].append(dt)
             identical &= outputs["base"] == outputs["head"]
+            decisions = {side: decision(w, out) for side, out in outputs.items()}
+            if decisions["base"] != decisions["head"]:
+                moved.append({"id": item["id"], "input": item["input"], "base": decisions["base"], "head": decisions["head"]})
+            contradicting += contradicts(item.get("known"), decisions["head"])
         ratios = [h / b for b, h in zip(times["base"], times["head"])]
         result[w] = {
             "items": len(items),
@@ -151,8 +182,12 @@ def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> di
             "head_median_s": statistics.median(times["head"]),
             "items_head_faster": sum(r < 1.0 for r in ratios),
             "outputs_identical": identical,
+            "decisions_moved": len(moved),
+            "moved": moved,
+            "head_contradicts_known": contradicting,
         }
-        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items, identical: {identical}", flush=True)
+        print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items, identical: {identical}, "
+              f"moved: {len(moved)}, head contradicts known: {contradicting}", flush=True)
     return result
 
 
