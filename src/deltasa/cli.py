@@ -57,7 +57,6 @@ from .jacobi import (
     JacobiOperator,
     PowerSumAlpha,
     ScaledInverseGapsAlpha,
-    TildeSequence,
     rho_block,
 )
 from .numerics import TriState
@@ -334,9 +333,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
                     v /= grid.gap(int(n))
             samples.append([int(n), float(v)])
     elif q == "rho":
-        tilde = TildeSequence(grid)
         for n in _log_sample(max(lo, 1), hi, args.points):
-            samples.append([int(n), float(rho_block(grid, int(n), int(n) + 1, tilde)[0])])
+            samples.append([int(n), float(rho_block(grid, int(n), int(n) + 1)[0])])
     elif q in ("block_norms", "residuals"):
         if args.alpha is None:
             raise CliError(f"--alpha is required for {q}")

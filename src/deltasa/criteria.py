@@ -47,7 +47,7 @@ from .grid import (
     classify_summability,
     ratio_stats,
 )
-from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, TildeSequence, rho
+from .jacobi import AlphaSequence, ExplicitAlpha, PeriodPair, rho
 from .numerics import (
     MIN_HORIZON,
     WINDOW_CAP,
@@ -91,7 +91,7 @@ _B_CEILING = 10.0
 _B_GROWTH_ALLOWANCE = 4.0
 
 # the record of the envelope bounds' comparison function G = 0 (see
-# select_G); each record that carries it gets its own copy
+# select_G), which a verdict's diagnostics hold once; no bound record carries it
 _ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}
 
 
@@ -429,7 +429,7 @@ def test_bound_II(grid: GridSequence, alpha: AlphaSequence, N: int) -> BoundProb
         with np.errstate(over="ignore"):
             return np.divide(out, d[:-1], out=out)
 
-    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": dict(_ZERO_G)}
+    params = {"grid": grid.describe(), "alpha": alpha.describe()}
     return _bound_probe("bound-II", params, 1, N, residual_block)
 
 
@@ -444,7 +444,7 @@ def test_bound_III(grid: GridSequence, alpha: AlphaSequence, N: int) -> BoundPro
         with np.errstate(over="ignore"):
             return np.divide(out, grid.gaps(a, b), out=out)
 
-    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": dict(_ZERO_G)}
+    params = {"grid": grid.describe(), "alpha": alpha.describe()}
     return _bound_probe("bound-III", params, 1, N, residual_block)
 
 
@@ -532,11 +532,10 @@ def check_condition_A(grid: GridSequence, horizons) -> SeriesProbe:
     so this probe stands alone.
     """
     hs = _normalize_horizons(horizons)
-    t = TildeSequence(grid)
 
     def term_block(a: int, b: int) -> np.ndarray:
         d, ld = grid.gaps_and_logs(a, b + 1)
-        L = t.log_abs_block(a, b, ld)
+        L = grid.tilde.log_abs_block(a, b, ld)
         # parity-unbalanced grids push 2L past the float range; saturate
         # the terms instead of overflowing (the verdict there is analytic
         # anyway, and saturated partial sums still read as divergence)
@@ -563,7 +562,7 @@ class ConditionB(Record):
     witnesses: dict = field(default_factory=dict)
 
 
-def check_condition_B(grid: GridSequence, horizon: int, tilde: Optional[TildeSequence] = None) -> ConditionB:
+def check_condition_B(grid: GridSequence, horizon: int) -> ConditionB:
     """Period-two structure of rho_n = (1/d_n + 1/d_{n+1}) rtilde_n^2.
 
     Estimates the parity limits u_odd, u_even by Richardson
@@ -584,7 +583,6 @@ def check_condition_B(grid: GridSequence, horizon: int, tilde: Optional[TildeSeq
     H = int(horizon)
     if H < MIN_HORIZON:
         raise ValueError(f"check_condition_B needs horizon >= {MIN_HORIZON}")
-    t = tilde if tilde is not None else TildeSequence(grid)
     order = grid.order()
     error_order = -2.0 * order.p if order is not None and order.p < 0.0 else _B_ERROR_ORDER
 
@@ -592,7 +590,7 @@ def check_condition_B(grid: GridSequence, horizon: int, tilde: Optional[TildeSeq
     def parity_estimate(parity: int) -> tuple[float, list]:
         n1 = H if H % 2 == parity else H - 1
         n0 = H // 2 if (H // 2) % 2 == parity else H // 2 - 1
-        r0, r1 = rho(grid, n0, t), rho(grid, n1, t)
+        r0, r1 = rho(grid, n0), rho(grid, n1)
         try:
             est = richardson_pair(r0, r1, n1 / n0, error_order)
         except OverflowError:  # (n1/n0)^order past the float range: the limit is unknown
@@ -612,7 +610,7 @@ def check_condition_B(grid: GridSequence, horizon: int, tilde: Optional[TildeSeq
         # |rho - u|/(r rtilde)^2 computed in the well-scaled frame, in place:
         # |(1/d_n + 1/d_{n+1}) - u e^{-2L}| / (d_n + d_{n+1})
         d, ld = grid.gaps_and_logs(a, b + 1)
-        L = t.log_abs_block(a, b, ld)
+        L = grid.tilde.log_abs_block(a, b, ld)
         r = np.divide(1.0, d, out=ld)  # the log gaps are consumed: 1/d takes their array
         inv = np.add(r[:-1], r[1:], out=r[:-1])  # row i reads r_i, r_i+1 before it writes r_i
         L *= -2.0

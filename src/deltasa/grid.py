@@ -12,17 +12,30 @@ d_n = n^{-gamma} * (ln n)^{-eta} for n >= 2.  Each family states the
 Order of its gaps, d_n ~ c n^p (ln n)^q, once in order(), and every
 closed-form decision is one expression on Orders, read through one
 Bertrand rule (Order.summable).
+
+Facts of the gaps alone live here too: the tail ratio statistics, the
+summability class, and the alternating ladder rtilde that controls the
+critical-coupling regime,
+
+    rtilde_1 = 1,   rtilde_{n+1} = -d_{n+1} / rtilde_n.
+
+rtilde swings over many orders of magnitude (for d_n = n^-gamma it
+decays like n^{-gamma/2} only on average, through huge parity swings on
+short grids), so TildeSequence stores it in log-magnitude/sign form.
+Each grid object holds one ladder, grid.tilde, built on first read and
+shared by every reader of that object.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numerics import _CHUNK, ChunkedSum, Record, TriState, blocks
+from .numerics import _CHUNK, ChunkedSum, Record, TriState, blocks, exact_alternating_sums
 
 __all__ = [
     "GridError",
@@ -32,6 +45,7 @@ __all__ = [
     "ConstantGrid",
     "ExplicitGrid",
     "CustomGrid",
+    "TildeSequence",
     "RatioStats",
     "Summability",
     "ratio_stats",
@@ -46,6 +60,9 @@ _SUMMABILITY_HORIZON = 1 << 16
 # look-ahead rows (256 KiB); longer row ranges fall back to np.arange
 _RAMP = np.arange(float(_CHUNK + 4))
 _RAMP.flags.writeable = False
+
+_TILDE_CHUNK = 4096  # rows per tilde chunk: the chunk bases fix the bits of every rtilde read
+_BATCH = _CHUNK // _TILDE_CHUNK  # chunks a cold read evaluates and sums at once: one probe block
 
 
 class GridError(ValueError):
@@ -106,6 +123,9 @@ class GridSequence:
     name: str = "grid"
     #: Largest index with data, or None for genuinely infinite families.
     max_index: Optional[int] = None
+    #: The grid's tilde ladder, built on first read; not a dataclass field,
+    #: so equality, hashing and repr never see it
+    tilde = functools.cached_property(lambda self: TildeSequence(self))
 
     def gap(self, n: int) -> float:
         raise NotImplementedError
@@ -335,6 +355,88 @@ class CustomGrid(GridSequence):
 
     def describe(self) -> dict:
         return {"family": self.name}
+
+
+class TildeSequence:
+    """log|rtilde_n| and sign(rtilde_n), computed stably to large n.
+
+    Unrolling the recursion gives log|rtilde_n| = (-1)^n S_n with
+    S_n = sum_{k=2}^n (-1)^k log d_k, and sign(rtilde_n) = (-1)^(n-1).
+    S is accumulated in 4096-row chunks whose boundary values (the
+    bases) add each chunk's correctly rounded sum, the value math.fsum
+    returns, so a block read anchors an ordinary cumsum at an accurate
+    S_lo and the float drift stays below ~1e-10 over million-term spans.
+    Only a read past the known bases builds them, from the grid's log
+    gaps, _BATCH chunks per call.  A chunk starts on an even row, so its
+    sum is the alternating sum of its log gaps, and exact_alternating_sums
+    adds the adjacent pairs log d_2j - log d_2j+1 exactly in one float
+    pass; a chunk whose pairs it cannot sum exactly (on a power grid the
+    first, rows 2..4097) goes to math.fsum.
+    """
+
+    def __init__(self, grid: GridSequence) -> None:
+        self.grid = grid
+        self._bases: list[float] = [0.0]  # _bases[j] = S at n = 1 + j*_TILDE_CHUNK
+
+    @staticmethod
+    def _alternate(a: np.ndarray, lo: int) -> np.ndarray:
+        """Multiply a[i], the value at row lo + i, by (-1)^(lo + i) in place."""
+        a[(lo + 1) % 2 :: 2] *= -1.0
+        return a
+
+    def _terms(self, lo: int, hi: int) -> np.ndarray:
+        """(-1)^k log d_k for lo <= k < hi, for a block read without the caller's log gaps."""
+        return self._alternate(self.grid.log_gaps(lo, hi), lo)
+
+    def _S(self, n: int) -> float:
+        """S_n: the base of n's chunk, built first if missing (_BATCH chunks a read), plus its rows to n."""
+        if n < 1:
+            raise GridError(f"tilde index must be >= 1, got {n}")
+        j = (n - 1) // _TILDE_CHUNK
+        while len(self._bases) <= j:
+            m = min(_BATCH, j + 1 - len(self._bases))
+            b0 = 1 + (len(self._bases) - 1) * _TILDE_CHUNK
+            # rows b0 + 1 and n0 + 1 are even, so a chunk's terms are +log d, -log d, ...
+            ld = self.grid.log_gaps(b0 + 1, b0 + m * _TILDE_CHUNK + 1)
+            for s in exact_alternating_sums(ld.reshape(m, _TILDE_CHUNK)):
+                self._bases.append(self._bases[-1] + s)
+        n0 = 1 + j * _TILDE_CHUNK
+        if n == n0:
+            return self._bases[j]
+        return self._bases[j] + exact_alternating_sums(self.grid.log_gaps(n0 + 1, n + 1)[None, :])[0]
+
+    def log_abs(self, n: int) -> float:
+        s = self._S(n)
+        return s if n % 2 == 0 else -s
+
+    def value(self, n: int) -> float:
+        """rtilde_n, of sign (-1)^(n-1), as a plain float; overflows to +-inf for extreme indices."""
+        mag = math.exp(min(self.log_abs(n), 709.0))
+        return (1.0 if n % 2 == 1 else -1.0) * mag
+
+    def log_abs_block(self, lo: int, hi: int, log_gaps: Optional[np.ndarray] = None) -> np.ndarray:
+        """log|rtilde_n| for lo <= n < hi: S_lo, then the cumsum of rows lo + 1 .. hi - 1.
+
+        A caller that already holds log_gaps = grid.log_gaps(lo, hi + 1),
+        as conditions A and B and rho_block do for d_{n+1}, passes it, and
+        the block takes rows lo + 1 .. hi - 1 from it instead of evaluating
+        them again, overwriting them with the parity-signed terms.
+        """
+        if lo < 1 or hi < lo:
+            raise GridError(f"bad tilde range [{lo}, {hi})")
+        if hi == lo:
+            return np.empty(0)
+        if log_gaps is None:
+            terms = self._terms(lo + 1, hi)
+        elif len(log_gaps) != hi - lo + 1:
+            raise GridError(f"log_gaps for the tilde block [{lo}, {hi}) needs {hi - lo + 1} rows")
+        else:
+            terms = self._alternate(log_gaps[1:-1], lo + 1)
+        out = np.empty(hi - lo)
+        out[0] = base = self._S(lo)
+        np.cumsum(terms, out=out[1:])
+        out[1:] += base
+        return self._alternate(out, lo)
 
 
 @dataclass(frozen=True)

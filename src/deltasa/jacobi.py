@@ -7,14 +7,10 @@ semi-infinite Jacobi matrix with entries
     off(n)  = -1 / (r_n * r_{n+1} * d_{n+1})
 
 acting on weighted l^2 sequences, with r_0 = 1.  This module builds
-those entries, the coupling sequences alpha, and the alternating
-auxiliary sequence rtilde that controls the critical-coupling regime:
-
-    rtilde_1 = 1,   rtilde_{n+1} = -d_{n+1} / rtilde_n.
-
-rtilde swings over many orders of magnitude (for d_n = n^-gamma it
-decays like n^{-gamma/2} only on average, through huge parity swings on
-short grids), so it is stored in log-magnitude/sign form throughout.
+those entries, the coupling sequences alpha, and the readers of the
+alternating ladder rtilde (rho, rho_block, scaled_operator and the
+gauge-aligned coupling), each of which reads the grid's own ladder,
+grid.tilde (see deltasa.grid.TildeSequence).
 """
 
 from __future__ import annotations
@@ -26,11 +22,11 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .grid import GridError, GridSequence, Order, _explicit_positions, rows
-from .numerics import _CHUNK as _BLOCK, Record, TriState, exact_alternating_sums
+from .grid import TildeSequence  # unused here: perfbench/instrument.py wraps jacobi.TildeSequence's methods
+from .numerics import Record, TriState
 
 __all__ = [
     "PeriodPair",
-    "TildeSequence",
     "AlphaSequence",
     "PowerSumAlpha",
     "ScaledInverseGapsAlpha",
@@ -45,8 +41,6 @@ __all__ = [
 # tilde_r and alpha_zero are not public: no verdict calls them, and they
 # stay defined only because perfbench/instrument.py wraps them by name
 
-_CHUNK = 4096  # rows per tilde chunk: the chunk bases fix the bits of every rtilde read
-_BATCH = _BLOCK // _CHUNK  # chunks a cold read evaluates and sums at once: one probe block
 _ZERO = Order(0.0, 0.0, 0.0)  # the leading term of an identically zero coupling
 
 
@@ -71,87 +65,6 @@ class PeriodPair(Record):
 
     def to_json(self) -> dict:
         return super().to_json() | {"product": self.product}
-
-
-class TildeSequence:
-    """log|rtilde_n| and sign(rtilde_n), computed stably to large n.
-
-    Unrolling the recursion gives log|rtilde_n| = (-1)^n S_n with
-    S_n = sum_{k=2}^n (-1)^k log d_k, and sign(rtilde_n) = (-1)^(n-1).
-    S is accumulated in 4096-row chunks whose boundary values (the
-    bases) add each chunk's correctly rounded sum, the value math.fsum
-    returns, so a block read anchors an ordinary cumsum at an accurate
-    S_lo and the float drift stays below ~1e-10 over million-term spans.
-    Only a read past the known bases builds them, from the grid's log
-    gaps, _BATCH chunks per call.  A chunk starts on an even row, so its
-    sum is the alternating sum of its log gaps, and exact_alternating_sums
-    adds the adjacent pairs log d_2j - log d_2j+1 exactly in one float
-    pass; a chunk whose pairs it cannot sum exactly (on a power grid the
-    first, rows 2..4097) goes to math.fsum.
-    """
-
-    def __init__(self, grid: GridSequence) -> None:
-        self.grid = grid
-        self._bases: list[float] = [0.0]  # _bases[j] = S at n = 1 + j*_CHUNK
-
-    @staticmethod
-    def _alternate(a: np.ndarray, lo: int) -> np.ndarray:
-        """Multiply a[i], the value at row lo + i, by (-1)^(lo + i) in place."""
-        a[(lo + 1) % 2 :: 2] *= -1.0
-        return a
-
-    def _terms(self, lo: int, hi: int) -> np.ndarray:
-        """(-1)^k log d_k for lo <= k < hi, for a block read without the caller's log gaps."""
-        return self._alternate(self.grid.log_gaps(lo, hi), lo)
-
-    def _S(self, n: int) -> float:
-        """S_n: the base of n's chunk, built first if missing (_BATCH chunks a read), plus its rows to n."""
-        if n < 1:
-            raise GridError(f"tilde index must be >= 1, got {n}")
-        j = (n - 1) // _CHUNK
-        while len(self._bases) <= j:
-            m = min(_BATCH, j + 1 - len(self._bases))
-            b0 = 1 + (len(self._bases) - 1) * _CHUNK
-            # rows b0 + 1 and n0 + 1 are even, so a chunk's terms are +log d, -log d, ...
-            for s in exact_alternating_sums(self.grid.log_gaps(b0 + 1, b0 + m * _CHUNK + 1).reshape(m, _CHUNK)):
-                self._bases.append(self._bases[-1] + s)
-        n0 = 1 + j * _CHUNK
-        if n == n0:
-            return self._bases[j]
-        return self._bases[j] + exact_alternating_sums(self.grid.log_gaps(n0 + 1, n + 1)[None, :])[0]
-
-    def log_abs(self, n: int) -> float:
-        s = self._S(n)
-        return s if n % 2 == 0 else -s
-
-    def value(self, n: int) -> float:
-        """rtilde_n, of sign (-1)^(n-1), as a plain float; overflows to +-inf for extreme indices."""
-        mag = math.exp(min(self.log_abs(n), 709.0))
-        return (1.0 if n % 2 == 1 else -1.0) * mag
-
-    def log_abs_block(self, lo: int, hi: int, log_gaps: Optional[np.ndarray] = None) -> np.ndarray:
-        """log|rtilde_n| for lo <= n < hi: S_lo, then the cumsum of rows lo + 1 .. hi - 1.
-
-        A caller that already holds log_gaps = grid.log_gaps(lo, hi + 1),
-        as conditions A and B and rho_block do for d_{n+1}, passes it, and
-        the block takes rows lo + 1 .. hi - 1 from it instead of evaluating
-        them again, overwriting them with the parity-signed terms.
-        """
-        if lo < 1 or hi < lo:
-            raise GridError(f"bad tilde range [{lo}, {hi})")
-        if hi == lo:
-            return np.empty(0)
-        if log_gaps is None:
-            terms = self._terms(lo + 1, hi)
-        elif len(log_gaps) != hi - lo + 1:
-            raise GridError(f"log_gaps for the tilde block [{lo}, {hi}) needs {hi - lo + 1} rows")
-        else:
-            terms = self._alternate(log_gaps[1:-1], lo + 1)
-        out = np.empty(hi - lo)
-        out[0] = base = self._S(lo)
-        np.cumsum(terms, out=out[1:])
-        out[1:] += base
-        return self._alternate(out, lo)
 
 
 class AlphaSequence:
@@ -338,26 +251,19 @@ class AlphaZeroAlpha(AlphaSequence):
 
     name = "gauge-aligned"
 
-    def __init__(
-        self,
-        grid: GridSequence,
-        a: float,
-        u: PeriodPair,
-        tilde: Optional[TildeSequence] = None,
-    ) -> None:
+    def __init__(self, grid: GridSequence, a: float, u: PeriodPair) -> None:
         self.grid = grid
         self.a = float(a)
         self.u = u
-        self.tilde = tilde if tilde is not None else TildeSequence(grid)
 
     def alpha(self, n: int) -> float:
         inv = 1.0 / self.grid.gap(n) + 1.0 / self.grid.gap(n + 1)
-        return -inv + (self.a + 1.0) * self.u.at(n) * math.exp(-2.0 * self.tilde.log_abs(n))
+        return -inv + (self.a + 1.0) * self.u.at(n) * math.exp(-2.0 * self.grid.tilde.log_abs(n))
 
     def alphas(self, lo: int, hi: int) -> np.ndarray:
         d = self.grid.gaps(lo, hi + 1)
         inv = 1.0 / d[:-1] + 1.0 / d[1:]
-        L = self.tilde.log_abs_block(lo, hi)
+        L = self.grid.tilde.log_abs_block(lo, hi)
         u = self.u.block(lo, hi)
         return -inv + (self.a + 1.0) * u * np.exp(-2.0 * L)
 
@@ -527,64 +433,42 @@ def _offs(d: np.ndarray) -> np.ndarray:
     return np.divide(-1.0, out, out=out)
 
 
-def tilde_r(grid: GridSequence, n: int, tilde: Optional[TildeSequence] = None) -> float:
+def tilde_r(grid: GridSequence, n: int) -> float:
     """rtilde_n: the sign-alternating gauge with rtilde_1 = 1,
-    rtilde_{n+1} = -d_{n+1}/rtilde_n.  Convenience scalar entry point;
-    pass a shared TildeSequence when evaluating many indices."""
-    if tilde is None:
-        tilde = TildeSequence(grid)
-    return tilde.value(n)
+    rtilde_{n+1} = -d_{n+1}/rtilde_n, read from grid.tilde."""
+    return grid.tilde.value(n)
 
 
-def alpha_zero(
-    grid: GridSequence,
-    a: float,
-    u: PeriodPair,
-    n: int,
-    tilde: Optional[TildeSequence] = None,
-) -> float:
+def alpha_zero(grid: GridSequence, a: float, u: PeriodPair, n: int) -> float:
     """The gauge-aligned coupling alpha0_n = -(1/d_n + 1/d_{n+1}) + (a+1) u_n / rtilde_n^2.
 
     With this coupling the scaled operator is exactly the period-two
     comparison matrix with diagonal (a+1) u_n and unit off-diagonal.
     """
-    if tilde is None:
-        tilde = TildeSequence(grid)
-    return AlphaZeroAlpha(grid=grid, a=a, u=u, tilde=tilde).alpha(n)
+    return AlphaZeroAlpha(grid=grid, a=a, u=u).alpha(n)
 
 
-def rho(grid: GridSequence, n: int, tilde: Optional[TildeSequence] = None) -> float:
+def rho(grid: GridSequence, n: int) -> float:
     """rho_n = (1/d_n + 1/d_{n+1}) * rtilde_n^2 in log space; inf beyond the float range."""
-    if tilde is None:
-        tilde = TildeSequence(grid)
     ldn = grid.log_gap(n)
     ldn1 = grid.log_gap(n + 1)
     inv_log = np.logaddexp(-ldn, -ldn1)
     try:
-        return math.exp(float(inv_log) + 2.0 * tilde.log_abs(n))
+        return math.exp(float(inv_log) + 2.0 * grid.tilde.log_abs(n))
     except OverflowError:
         return math.inf
 
 
-def rho_block(
-    grid: GridSequence, lo: int, hi: int, tilde: Optional[TildeSequence] = None
-) -> np.ndarray:
+def rho_block(grid: GridSequence, lo: int, hi: int) -> np.ndarray:
     """rho_n for lo <= n < hi, as rho computes it: inf beyond the float range, silently."""
-    if tilde is None:
-        tilde = TildeSequence(grid)
     ld = grid.log_gaps(lo, hi + 1)
     inv_log = np.logaddexp(-ld[:-1], -ld[1:])
-    L = tilde.log_abs_block(lo, hi, ld)  # overwrites ld's terms
+    L = grid.tilde.log_abs_block(lo, hi, ld)  # overwrites ld's terms
     with np.errstate(over="ignore"):
         return np.exp(inv_log + 2.0 * L)
 
 
-def scaled_operator(
-    grid: GridSequence,
-    coupling: AlphaSequence,
-    n: int,
-    tilde: Optional[TildeSequence] = None,
-) -> tuple[float, float]:
+def scaled_operator(grid: GridSequence, coupling: AlphaSequence, n: int) -> tuple[float, float]:
     """Entries of the two-sided scaling D B D with D = diag(r_n rtilde_n).
 
     diag_s(n) = (alpha_n + 1/d_n + 1/d_{n+1}) * rtilde_n^2 and
@@ -593,8 +477,7 @@ def scaled_operator(
     scaled matrix is the period-two comparison operator with diagonal
     (a+1) u_n.
     """
-    if tilde is None:
-        tilde = TildeSequence(grid)
+    tilde = grid.tilde
     dn = grid.gap(n)
     dn1 = grid.gap(n + 1)
     Ln = tilde.log_abs(n)

@@ -109,8 +109,8 @@ def _check_1_wallis(H: int) -> tuple[bool, list[str]]:
     f = _facts(1.0, H)
     n = 10**4
     details: list[str] = []
-    ok = _assert_close(details, "rho(10001) vs pi", rho(f.grid, n + 1, f.tilde), math.pi, 1e-3)
-    ok &= _assert_close(details, "rho(10000) vs 4/pi", rho(f.grid, n, f.tilde), 4.0 / math.pi, 1e-3)
+    ok = _assert_close(details, "rho(10001) vs pi", rho(f.grid, n + 1), math.pi, 1e-3)
+    ok &= _assert_close(details, "rho(10000) vs 4/pi", rho(f.grid, n), 4.0 / math.pi, 1e-3)
     return ok, details
 
 
@@ -261,11 +261,11 @@ def _check_8_verdicts(H: int) -> tuple[bool, list[str]]:
 def _check_9_scaling_identity(H: int) -> tuple[bool, list[str]]:
     """Gauge-aligned coupling: scaled off-diagonal is 1 to 1e-10 for n <= 10^3."""
     f = _facts(1.0, min(H, 10**6))
-    alpha0 = AlphaZeroAlpha(f.grid, -0.5, f.cond_b.u, f.tilde)
+    alpha0 = AlphaZeroAlpha(f.grid, -0.5, f.cond_b.u)
     worst_off = 0.0
     worst_diag = 0.0
     for n in range(1, 10**3 + 1):
-        diag_s, off_s = scaled_operator(f.grid, alpha0, n, f.tilde)
+        diag_s, off_s = scaled_operator(f.grid, alpha0, n)
         worst_off = max(worst_off, abs(off_s - 1.0))
         worst_diag = max(worst_diag, abs(diag_s - 0.5 * f.cond_b.u.at(n)))
     ok = worst_off <= 1e-10

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import deltasa
-from deltasa import criteria
+from deltasa import criteria, grid, jacobi
 from deltasa.deficiency import CriterionVerdict, VerdictKind
 from deltasa.numerics import sqrt1p_tail
 
@@ -23,8 +23,9 @@ MODULES = ("cli", "criteria", "deficiency", "grid", "jacobi", "numerics", "verif
 # scalar F that F_block replaced; the comparison-function kinds and
 # the comparison-function class that the constant G = 0 replaced;
 # TildeSequence's sign and CHUNK
-# aliases, which value and jacobi._CHUNK replaced; and the battery's
-# name list, which verify._CHECKS states.  A "module.Class" key lists
+# aliases, which value and grid._TILDE_CHUNK replaced; the battery's
+# name list, which verify._CHECKS states; and the grid-facts record's
+# ladder, which grid.tilde replaced.  A "module.Class" key lists
 # removed attributes of that class
 REMOVED = {
     "criteria": (
@@ -55,6 +56,7 @@ REMOVED = {
     "criteria.GLimits": ("to_json",),
     "numerics.ChunkedSum": ("add",),
     "jacobi.TildeSequence": ("sign_block", "sign", "CHUNK"),
+    "deficiency._GridFacts": ("tilde",),
 }
 
 # perfbench/instrument.py wraps these by name for its --trace spans
@@ -148,8 +150,9 @@ def _solution():
 
 # thresholds and oracle knobs that became fixed constants, the forced
 # perturbation order, the family names that were dataclass fields, the
-# envelope bounds' comparison function, and the default scan lengths:
-# every caller states its horizon
+# envelope bounds' comparison function, the default scan lengths (every
+# caller states its horizon), and the tilde ladders that grid.tilde
+# replaced
 REMOVED_PARAMETERS = {
     **{
         f"VerdictConfig.{knob}": (lambda knob=knob: deltasa.VerdictConfig(**{knob: None}))
@@ -198,6 +201,13 @@ REMOVED_PARAMETERS = {
     "ExplicitGrid.name": lambda: deltasa.ExplicitGrid((1.0,), name="x"),
     "PowerSumAlpha.name": lambda: deltasa.PowerSumAlpha(((1.0, 0.0, 0.0),), name="x"),
     "ExplicitAlpha.name": lambda: deltasa.ExplicitAlpha((1.0,), name="x"),
+    "rho.tilde": lambda: deltasa.rho(GRID, 5, tilde=deltasa.TildeSequence(GRID)),
+    "rho_block.tilde": lambda: deltasa.rho_block(GRID, 5, 9, tilde=deltasa.TildeSequence(GRID)),
+    "check_condition_B.tilde": lambda: deltasa.check_condition_B(GRID, 256, tilde=deltasa.TildeSequence(GRID)),
+    "scaled_operator.tilde": lambda: deltasa.scaled_operator(GRID, ALPHA, 5, tilde=deltasa.TildeSequence(GRID)),
+    "AlphaZeroAlpha.tilde": lambda: deltasa.AlphaZeroAlpha(GRID, -0.5, U, tilde=deltasa.TildeSequence(GRID)),
+    "tilde_r.tilde": lambda: jacobi.tilde_r(GRID, 5, tilde=deltasa.TildeSequence(GRID)),
+    "alpha_zero.tilde": lambda: jacobi.alpha_zero(GRID, -0.5, U, 5, tilde=deltasa.TildeSequence(GRID)),
 }
 
 
@@ -205,6 +215,13 @@ REMOVED_PARAMETERS = {
 def test_removed_parameter_raises(label):
     with pytest.raises(TypeError):
         REMOVED_PARAMETERS[label]()
+
+
+def test_the_tracer_reads_the_grids_ladder_class():
+    # perfbench/instrument.py wraps the methods of jacobi.TildeSequence
+    assert jacobi.TildeSequence is grid.TildeSequence is deltasa.TildeSequence
+    assert "TildeSequence" in grid.__all__ and "TildeSequence" not in jacobi.__all__
+    assert len(deltasa.__all__) == 51
 
 
 def test_verdict_config_has_one_field_and_reports_every_threshold():

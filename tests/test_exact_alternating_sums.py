@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from deltasa import PowerLogGrid, TildeSequence
-from deltasa import jacobi
+from deltasa import grid as grid_module
 from deltasa.numerics import exact_alternating_sums
 
 
@@ -204,6 +204,6 @@ def test_shapes():
 def test_power_grid_ladder_falls_back_on_chunk_0_only(gamma, d1):
     """On the benchmark's power grids only the ladder's first chunk, rows 2..4097, fails the gate."""
     fallback, counting = counting_fallback()
-    with mock.patch.object(jacobi, "exact_alternating_sums", counting):
+    with mock.patch.object(grid_module, "exact_alternating_sums", counting):
         TildeSequence(PowerLogGrid(gamma, 0.0, d1)).log_abs(10**6)
     assert fallback == [1]

@@ -1,20 +1,36 @@
 """One record of a grid's facts: every verdict on a grid shares its scans.
 
 deficiency._GridFacts holds what a verdict reads of the grid alone, each
-scan computed on first read, and the tilde ladder condition B scans.  The
-sweep builds one record per grid, so condition B runs once per grid however
-many couplings it holds; the battery reads each d = n^-gamma grid through
-one record per top horizon; and a verdict prints the same bytes with a
-shared record as with its own.
+scan computed on first read; the tilde ladder that condition B scans is the
+grid's own, grid.tilde, built once per grid object whoever reads it first.
+The sweep builds one record per grid, so condition B runs once per grid
+however many couplings it holds; the battery reads each d = n^-gamma grid
+through one record per top horizon; and a verdict prints the same bytes
+with a shared record as with its own, and on a grid whose ladder another
+reader built as on a fresh one.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from deltasa import PowerLogGrid, PowerSumAlpha, ScaledInverseGapsAlpha, cli, deficiency, verify
+from deltasa import (
+    AlphaZeroAlpha,
+    ConstantGrid,
+    ExplicitGrid,
+    PowerLogGrid,
+    PowerSumAlpha,
+    ScaledInverseGapsAlpha,
+    TildeSequence,
+    check_condition_B,
+    cli,
+    deficiency,
+    rho,
+    verify,
+)
 from deltasa.deficiency import VerdictConfig, _GridFacts, deficiency_verdict
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -99,12 +115,12 @@ def test_shared_record_prints_what_an_own_record_prints():
         with_shared = deficiency_verdict(g, alpha, cfg, facts=shared[g])
         assert json.dumps(with_shared.to_json(), sort_keys=True) == json.dumps(own.to_json(), sort_keys=True), label
         certificates[label] = (own.certificate, own.advisory, own.flags, "condition_B" in own.diagnostics)
-    # a record whose ladder another reader built first, past B's first probed rows
-    ladder_first = _GridFacts(grid, cfg)
+    # a grid whose ladder another reader built first, past B's first probed
+    # rows, against an equal grid whose ladder the verdict builds
+    ladder_first, cold = PowerLogGrid(0.8), PowerLogGrid(0.8)
     ladder_first.tilde.log_abs(10**4 + 1)
-    interior = cells["interior"][1]
-    own = deficiency_verdict(grid, interior, cfg)
-    with_read_ladder = deficiency_verdict(grid, interior, cfg, facts=ladder_first)
+    own = deficiency_verdict(cold, ScaledInverseGapsAlpha(cold, -0.5), cfg)
+    with_read_ladder = deficiency_verdict(ladder_first, ScaledInverseGapsAlpha(ladder_first, -0.5), cfg)
     assert json.dumps(with_read_ladder.to_json(), sort_keys=True) == json.dumps(own.to_json(), sort_keys=True)
     assert certificates == {
         "phase-0": ("non-square-summable-gaps", False, (), False),
@@ -139,17 +155,19 @@ def test_battery_interior_verdicts_share_one_B_scan(monkeypatch):
 
 
 def test_cond_b_scans_the_records_ladder(monkeypatch):
+    # the record's ladder is its grid's own: the record holds none
     ladders = []
-    scan = deficiency.check_condition_B
+    block = TildeSequence.log_abs_block
 
-    def counted(grid, horizon, **kwargs):
-        ladders.append(kwargs.get("tilde"))
-        return scan(grid, horizon, **kwargs)
+    def counted(self, *args, **kwargs):
+        ladders.append(self)
+        return block(self, *args, **kwargs)
 
-    monkeypatch.setattr(deficiency, "check_condition_B", counted)
+    monkeypatch.setattr(TildeSequence, "log_abs_block", counted)
     facts = _GridFacts(PowerLogGrid(0.8), VerdictConfig((10**4,)))
     facts.cond_b
-    assert len(ladders) == 1 and ladders[0] is facts.tilde
+    assert len(set(map(id, ladders))) == 1 and ladders[0] is facts.grid.tilde
+    assert "tilde" not in vars(facts) and not hasattr(_GridFacts, "tilde")
 
 
 def test_battery_scans_each_grid_once_per_horizon(monkeypatch):
@@ -172,3 +190,43 @@ def test_battery_scans_each_grid_once_per_horizon(monkeypatch):
     assert report.passed
     assert scans == {(0.6, 10**6): 1, (0.75, 10**6): 1, (1.0, 10**6): 1, (1.0, 10**5): 1, (0.75, 10**5): 1}
     assert verify._facts.cache_info().currsize == 0
+
+
+def test_one_ladder_per_grid_object(monkeypatch):
+    # the parent design built a ladder in every call that was not handed one
+    built = []
+    init = TildeSequence.__init__
+
+    def counted(self, grid):
+        built.append(grid)
+        init(self, grid)
+
+    monkeypatch.setattr(TildeSequence, "__init__", counted)
+    grid = PowerLogGrid(0.8)
+    for n in (5, 5, 4097, 10**4 + 1):
+        rho(grid, n)
+    verdict = deficiency_verdict(grid, ScaledInverseGapsAlpha(grid, -0.5), VerdictConfig((10**4,)))
+    assert "condition_B" in verdict.diagnostics
+    u = check_condition_B(grid, 10**4).u
+    alpha0 = AlphaZeroAlpha(grid, -0.5, u)
+    alpha0.alpha(7)
+    alpha0.alphas(1, 100)
+    assert built == [grid]
+    # an equal grid object holds a ladder of its own
+    PowerLogGrid(0.8).tilde
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: PowerLogGrid(0.8, 0.3, 1.3), lambda: ConstantGrid(0.7), lambda: ExplicitGrid((0.5, 1.25, 0.8))],
+    ids=["power-log", "constant", "explicit"],
+)
+def test_a_read_ladder_leaves_value_semantics_alone(make):
+    grid, fresh = make(), make()
+    before = (hash(grid), repr(grid), grid.describe(), dataclasses.fields(grid))
+    grid.tilde.log_abs(10**4)
+    assert (hash(grid), repr(grid), grid.describe(), dataclasses.fields(grid)) == before
+    assert grid == fresh and hash(grid) == hash(fresh) and repr(grid) == repr(fresh)
+    copy = dataclasses.replace(grid)
+    assert copy == grid and "tilde" not in vars(copy)

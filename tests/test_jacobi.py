@@ -70,7 +70,7 @@ class TestTildeSequence:
         g = PowerLogGrid(gamma=1.0)
         t = TildeSequence(g)
         assert tilde_r(g, 4) == pytest.approx(-0.375, rel=1e-14)
-        assert tilde_r(g, 4, tilde=t) == t.value(4)
+        assert tilde_r(g, 4) == t.value(4)  # the grid's ladder, read against an independent one
 
 
 class TestRho:
@@ -86,18 +86,16 @@ class TestRho:
 
     def test_block_matches_scalar(self):
         g = PowerLogGrid(gamma=0.75, eta=0.2)
-        t = TildeSequence(g)
-        blk = rho_block(g, 3, 20, t)
+        blk = rho_block(g, 3, 20)
         for i, n in enumerate(range(3, 20)):
-            assert blk[i] == pytest.approx(rho(g, n, t), rel=1e-12)
+            assert blk[i] == pytest.approx(rho(g, n), rel=1e-12)
 
     def test_overflow_reads_inf(self):
         # parity-unbalanced gaps: 2 log|rtilde_n| ~ 0.04 n along the odd
         # parity, so exp overflows near n = 18000
         g = CustomGrid(lambda n: (1.02 if n % 2 else 0.98) / n)
-        t = TildeSequence(g)
-        assert math.isfinite(rho(g, 1001, t))
-        assert rho(g, 20001, t) == math.inf
+        assert math.isfinite(rho(g, 1001))
+        assert rho(g, 20001) == math.inf
 
 
 class TestPeriodPair:
@@ -283,9 +281,8 @@ class TestScaledOperator:
     def test_off_diagonal_becomes_unit(self):
         g = PowerLogGrid(gamma=0.75)
         alpha = ScaledInverseGapsAlpha(g, -0.5)
-        t = TildeSequence(g)
         for n in (1, 2, 17, 200):
-            _, off_s = scaled_operator(g, alpha, n, tilde=t)
+            _, off_s = scaled_operator(g, alpha, n)
             assert off_s == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_matches_direct_formula(self):
@@ -293,7 +290,7 @@ class TestScaledOperator:
         alpha = ScaledInverseGapsAlpha(g, -0.5)
         t = TildeSequence(g)
         for n in (1, 2, 10, 49):
-            diag_s, _ = scaled_operator(g, alpha, n, tilde=t)
+            diag_s, _ = scaled_operator(g, alpha, n)
             inv = 1.0 / g.gap(n) + 1.0 / g.gap(n + 1)
             want = (alpha.alpha(n) + inv) * t.value(n) ** 2
             assert diag_s == pytest.approx(want, rel=1e-10)
@@ -304,7 +301,6 @@ class TestScaledOperator:
         g = PowerLogGrid(gamma=1.0)
         u = PeriodPair(odd=math.pi, even=4.0 / math.pi)
         alpha = AlphaZeroAlpha(g, a=-0.5, u=u)
-        t = TildeSequence(g)
         for n in (1, 2, 55, 400):
-            diag_s, _ = scaled_operator(g, alpha, n, tilde=t)
+            diag_s, _ = scaled_operator(g, alpha, n)
             assert diag_s == pytest.approx(0.5 * u.at(n), rel=1e-10)

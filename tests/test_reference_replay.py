@@ -163,10 +163,9 @@ def v1_bytes(argv, report):
     for key, probe in (("bound_II", test_bound_II), ("bound_III", test_bound_III)):
         if key not in diagnostics:
             continue
-        if diagnostics[key].get("refuted_by") == "order":  # v1 scanned it, G copy included
+        if diagnostics[key].get("refuted_by") == "order":  # v1 scanned it
             diagnostics[key] = json.loads(json.dumps(_strict(probe(grid, alpha, cfg.bound_horizon).to_json())))
-        else:
-            diagnostics[key]["params"]["G"] = dict(ZERO_G)
+        diagnostics[key]["params"]["G"] = dict(ZERO_G)  # v1's copy, scanned or refuted
     if "G" in diagnostics:  # the verdict record and each bound's own copy
         bounds = [diagnostics[b]["params"] for b in ("bound_II", "bound_III") if b in diagnostics]
         for record in [diagnostics["G"], *(params["G"] for params in bounds)]:

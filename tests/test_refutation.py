@@ -8,8 +8,8 @@ bound.  The witnesses here are the bound probes themselves, which scan
 the rows: wherever the closed form refutes a bound, the probe's sup
 grows from the first window to the second.  Ties with the gaps' order,
 non-negative leads and an exact cancellation are scanned as before, and
-the verdict records the probe's own record, less the G record that
-diagnostics["G"] holds once.
+the verdict records the probe's own record; the G record is
+diagnostics["G"] alone.
 """
 
 import contextlib
@@ -89,9 +89,8 @@ def verdict_bounds(argv):
 
 
 def scanned_record(grid, alpha, key):
-    """The probe's own record at the default bound horizon, less its G copy, as JSON text."""
+    """The probe's own record at the default bound horizon, as JSON text."""
     record = PROBES[key](grid, alpha, N=VerdictConfig().bound_horizon).to_json()
-    del record["params"]["G"]
     return json.dumps(record, sort_keys=True)
 
 

@@ -14,6 +14,7 @@ unused lock; every array must agree with them byte for byte, over the
 block patterns the verdict probes use.
 """
 
+import dataclasses
 import json
 import math
 
@@ -29,7 +30,7 @@ from deltasa import (
     TildeSequence,
     check_condition_B,
 )
-from deltasa import jacobi
+from deltasa import grid as grid_module
 from deltasa.grid import GridError, GridSequence
 
 H = 10**5
@@ -264,9 +265,12 @@ class ReferenceBlocks(ReferenceTilde):
 
 @pytest.mark.parametrize("name", ["power-eta0", "power-eta0.3"])
 def test_cold_condition_B_matches_reference(name):
-    grid = GRIDS[name]
-    got = check_condition_B(grid, FAR)
-    want = check_condition_B(grid, FAR, tilde=ReferenceBlocks(grid))
+    # fresh grid objects, so that each scan meets a cold ladder and the
+    # reference ladder is seeded on a grid no other test reads
+    got = check_condition_B(dataclasses.replace(GRIDS[name]), FAR)
+    grid = dataclasses.replace(GRIDS[name])
+    vars(grid)["tilde"] = ReferenceBlocks(grid)
+    want = check_condition_B(grid, FAR)
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
@@ -367,7 +371,7 @@ LADDERS = {
 def test_ladder_matches_fsum_where_the_gate_fails(monkeypatch, name):
     grid, fallback_per_batch = LADDERS[name]
     fallback = []
-    batch, fsum = jacobi.exact_alternating_sums, math.fsum
+    batch, fsum = grid_module.exact_alternating_sums, math.fsum
 
     def counting(x):
         rows = []
@@ -379,7 +383,7 @@ def test_ladder_matches_fsum_where_the_gate_fails(monkeypatch, name):
         return out
 
     got = TildeSequence(grid)
-    monkeypatch.setattr(jacobi, "exact_alternating_sums", counting)
+    monkeypatch.setattr(grid_module, "exact_alternating_sums", counting)
     got.log_abs(1 + 30 * 4096)
     monkeypatch.undo()
     assert fallback == fallback_per_batch

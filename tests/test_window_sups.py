@@ -34,7 +34,6 @@ from deltasa.criteria import BoundProbe, ConditionB, F_block, expansion_remainde
 from deltasa.numerics import DRIFT_TOL, TriState, richardson_pair, tail_windows, window_drift, window_sups
 
 CHUNK = 1 << 15
-ZERO_G = {"kind": "zero", "provenance": "semibounded-coupling-or-reflection"}  # the bounds' G record
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def reference_bound_probe(test, grid, alpha, N, residual_block):
     drift, holds = reference_drift(sup1, sup2)
     return BoundProbe(
         test=test,
-        params={"grid": grid.describe(), "alpha": alpha.describe(), "G": ZERO_G},
+        params={"grid": grid.describe(), "alpha": alpha.describe()},
         horizon=N,
         minimal_constant=sup,
         window_sups=(sup1, sup2),
@@ -309,7 +308,7 @@ def test_bound_probe_nan_and_inf(case, N):
     alpha = PowerSumAlpha(terms=((1.0, 1.0, 0.0),))
     marks = {n: v for n, v in PLANTED[case].items() if n <= N}
     block = planted(N, marks)
-    params = {"grid": grid.describe(), "alpha": alpha.describe(), "G": ZERO_G}
+    params = {"grid": grid.describe(), "alpha": alpha.describe()}
     got = criteria._bound_probe("planted", params, 1, N, block)
     same(got, reference_bound_probe("planted", grid, alpha, N, block))
 

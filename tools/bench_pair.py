@@ -43,7 +43,10 @@ flags; each sweep CSV row's verdict and certifying_test) and records,
 per pool, decisions_moved, the number of items whose decision differs
 between the trees, moved, each such item's id, input and both
 decisions, and head_contradicts_known, the number of items whose HEAD
-decision contradicts the item's known answer.
+decision contradicts the item's known answer.  Last, the witness runs
+`verify-paper --json` at --horizon 20000 and at its default horizon
+through both CLIs and records battery_identical, whether both reports
+are byte-identical between the trees.
 
 Each revision's entry also holds the two sizes that ROADMAP aim 2
 tracks: source_lines, the line count of its src/deltasa/*.py (what
@@ -144,7 +147,7 @@ def contradicts(known, got) -> bool:
 
 
 def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> dict:
-    """Per analyze workload and the sweep pool: both trees in this process, alternated item by item over its pool."""
+    """Per analyze workload and the sweep pool: both trees in this process, alternated item by item over its pool; then the battery."""
     clis = {side: package.cli for side, package in packages.items()}
     out_path = os.path.join(tmp, "output")
 
@@ -188,6 +191,9 @@ def in_process(dirs: dict, packages: dict, workloads: list[str], tmp: str) -> di
         }
         print(f"in process {w}: median head/base {result[w]['median_ratio']:.4f} over {len(items)} items, identical: {identical}, "
               f"moved: {len(moved)}, head contradicts known: {contradicting}", flush=True)
+    battery = [["verify-paper", "--json", "--horizon", "20000"], ["verify-paper", "--json"]]
+    result["battery_identical"] = all(timed("base", argv)[1] == timed("head", argv)[1] for argv in battery)
+    print(f"in process verify-paper: identical: {result['battery_identical']}", flush=True)
     return result
 
 
