@@ -166,8 +166,7 @@ def test_cond_b_scans_the_records_ladder(monkeypatch):
     monkeypatch.setattr(TildeSequence, "log_abs_block", counted)
     facts = _GridFacts(PowerLogGrid(0.8), VerdictConfig((10**4,)))
     facts.cond_b
-    assert len(set(map(id, ladders))) == 1 and ladders[0] is facts.grid.tilde
-    assert "tilde" not in vars(facts) and not hasattr(_GridFacts, "tilde")
+    assert ladders and all(t is facts.grid.tilde for t in ladders)
 
 
 def test_battery_scans_each_grid_once_per_horizon(monkeypatch):
