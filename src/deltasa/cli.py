@@ -218,13 +218,13 @@ def _emit(payload, out_path: Optional[str]) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     grid = build_grid(args)
     alpha = parse_alpha(args.alpha, grid)
     cfg = _verdict_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = deficiency_verdict(grid, alpha, cfg)
-    t_verdict = time.time() - t0
+    t_verdict = time.perf_counter() - t0
     report = {
         "schema": "deltasa-analyze-v8",
         "grid": grid.describe(),
@@ -235,7 +235,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.timings:
         report["timings"] = {
             "verdict_s": round(t_verdict, 6),
-            "total_s": round(time.time() - t_start, 6),
+            "total_s": round(time.perf_counter() - t_start, 6),
         }
     _emit(report, args.output)
     return 0
@@ -259,12 +259,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for grid, alphas in cells:
-        facts = _GridFacts(grid, cfg)  # every cell's verdict and the probe columns share its scans
+        facts = _GridFacts.of(grid, cfg)  # the grid's record: every cell's verdict reads it too
         # the verdict's phase 0 settles summable and non-square-summable
         # gaps for every coupling; their probe cells stay empty
         probed = facts.summ.in_ell1 is not TriState.TRUE and facts.summ.in_ell2 is not TriState.FALSE
         for alpha in alphas:
-            verdict = deficiency_verdict(grid, alpha, cfg, facts=facts)
+            verdict = deficiency_verdict(grid, alpha, cfg)
             if verdict.certificate is None:
                 certifying = "inconclusive"
             elif verdict.advisory:

@@ -54,7 +54,7 @@ _GUARD_LO = 1.5 * _SCALE_DOWN
 # square, which carries the block mass into the new frame, stay finite; a
 # subnormal peak takes further rescales on the rows after it
 _SHIFT_MAX_BITS = 511
-_CHUNK = 2048  # rows per march block: its operator entries, marched values and bookkeeping arrays
+_CHUNK = 2048  # rows per march block: bounds its entries', values' and bookkeeping's memory, not output bits
 _HEAD_KEEP = 4096  # head entries a solution keeps
 _RESIDUAL_STRIDE = 997  # rows between residual spot checks
 
@@ -616,15 +616,19 @@ def _refuted(test: str, lead: Optional[Order], order: Optional[Order]) -> Option
 class _GridFacts:
     """The scans a verdict reads of grid alone at cfg's ladder, each run on first read.
 
-    No coupling changes them, so verdicts on one grid and ladder can share
-    one record.  cond_b reads the grid's own tilde ladder, grid.tilde, which
-    every reader of that grid object shares: its chunk bases do not depend
-    on which read built them.  Each scan looks its function up in this
-    module's globals.
+    No coupling changes them, so every verdict on one grid object and ladder
+    reads one record, _GridFacts.of(grid, cfg).  cond_b reads grid.tilde, whose
+    chunk bases do not depend on which read built them.  Each scan looks its
+    function up in this module's globals.
     """
 
     def __init__(self, grid: GridSequence, cfg: VerdictConfig) -> None:
         self.grid, self.cfg = grid, cfg
+
+    @staticmethod
+    def of(grid: GridSequence, cfg: VerdictConfig) -> _GridFacts:
+        """grid's record at cfg.horizons, kept like grid.tilde in the object's __dict__: ==, hash and repr skip it."""
+        return vars(grid).setdefault("_grid_facts", {}).setdefault(cfg.horizons, _GridFacts(grid, cfg))
 
     summ = functools.cached_property(lambda self: classify_summability(self.grid))
     ratios = functools.cached_property(lambda self: ratio_stats(self.grid, self.cfg.oracle_horizon))
@@ -632,11 +636,7 @@ class _GridFacts:
 
 
 def deficiency_verdict(
-    grid: GridSequence,
-    alpha: AlphaSequence,
-    cfg: Optional[VerdictConfig] = None,
-    *,
-    facts: Optional[_GridFacts] = None,
+    grid: GridSequence, alpha: AlphaSequence, cfg: Optional[VerdictConfig] = None
 ) -> CriterionVerdict:
     """Decide SelfAdjoint / Deficient(1,1) / Inconclusive for B built on
     (grid, alpha).
@@ -658,15 +658,12 @@ def deficiency_verdict(
          discriminant of B's period pair strictly inside a band.
       4. the lambda = +i oracle to _oracle_rows(cfg.oracle_horizon), always advisory.
 
-    Summability, the gap ratios and condition B come from facts, a _GridFacts
-    record that verdicts on one grid and ladder may share (else the verdict
-    builds its own); it moves no output byte.  A record of another grid
-    object or another ladder raises ValueError.
+    Verdicts on one grid object and ladder share its scans of the gaps
+    (summability, the gap ratios, condition B); an equal but distinct
+    grid object scans again.  Sharing moves no output byte.
     """
     cfg = cfg or VerdictConfig()
-    facts = facts or _GridFacts(grid, cfg)
-    if facts.grid is not grid or facts.cfg.horizons != cfg.horizons:
-        raise ValueError("facts is a record of another grid or another horizon ladder")
+    facts = _GridFacts.of(grid, cfg)
     diagnostics: dict = {"config": cfg.to_json()}
     flags: list[str] = []
 

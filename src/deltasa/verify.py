@@ -100,8 +100,8 @@ def _assert_close(details: list, label: str, measured: float, expected: float, t
 
 @functools.lru_cache(maxsize=None)
 def _facts(gamma: float, top: int) -> _GridFacts:
-    """The battery's one record of d = n^-gamma at VerdictConfig.up_to(top); run_battery clears them."""
-    return _GridFacts(PowerLogGrid(gamma, 0.0, 1.0), VerdictConfig.up_to(top))
+    """The record of the battery's d = n^-gamma grid object at VerdictConfig.up_to(top); run_battery clears them."""
+    return _GridFacts.of(PowerLogGrid(gamma, 0.0, 1.0), VerdictConfig.up_to(top))
 
 
 def _check_1_wallis(H: int) -> tuple[bool, list[str]]:
@@ -227,7 +227,7 @@ def _inverse_gap_verdicts(H: int) -> tuple:
         ("alpha=-1/n", PowerSumAlpha(terms=((-1.0, -1.0, 0.0),)), VerdictKind.SELF_ADJOINT),
         ("alpha=-2(2n+1)+1/n", ScaledInverseGapsAlpha(grid, -2.0, perturbation=pert), VerdictKind.SELF_ADJOINT),
     )
-    return tuple((*case, deficiency_verdict(grid, case[1], facts.cfg, facts=facts)) for case in cases)
+    return tuple((*case, deficiency_verdict(grid, case[1], facts.cfg)) for case in cases)
 
 
 def _check_8_verdicts(H: int) -> tuple[bool, list[str]]:
@@ -285,7 +285,7 @@ def _check_10_oracle_agreement(H: int) -> tuple[bool, list[str]]:
     inv, g75 = _facts(1.0, min(H, WINDOW_CAP)), _facts(0.75, min(H, WINDOW_CAP))
     g75_alpha = ScaledInverseGapsAlpha(g75.grid, -0.5)
     cases = [(label, inv.grid, *rest) for label, *rest in _inverse_gap_verdicts(H)]
-    g75_verdict = deficiency_verdict(g75.grid, g75_alpha, g75.cfg, facts=g75)
+    g75_verdict = deficiency_verdict(g75.grid, g75_alpha, g75.cfg)
     cases.append(("gamma=0.75 a=-0.5", g75.grid, g75_alpha, VerdictKind.DEFICIENT, g75_verdict))
     rows = _oracle_rows(g75.cfg.oracle_horizon)
     details: list[str] = []

@@ -208,6 +208,8 @@ REMOVED_PARAMETERS = {
     "AlphaZeroAlpha.tilde": lambda: deltasa.AlphaZeroAlpha(GRID, -0.5, U, tilde=deltasa.TildeSequence(GRID)),
     "tilde_r.tilde": lambda: jacobi.tilde_r(GRID, 5, tilde=deltasa.TildeSequence(GRID)),
     "alpha_zero.tilde": lambda: jacobi.alpha_zero(GRID, -0.5, U, 5, tilde=deltasa.TildeSequence(GRID)),
+    # the grid object keeps its record: deficiency._GridFacts.of
+    "deficiency_verdict.facts": lambda: deltasa.deficiency_verdict(GRID, ALPHA, facts=None),
 }
 
 

@@ -136,7 +136,8 @@ class TestAnalyze:
     def test_timings_opt_in(self, capsys):
         code, out, _ = run(self.ARGS + ["--timings"], capsys)
         assert code == 0
-        assert "timings" in json.loads(out)
+        timings = json.loads(out)["timings"]
+        assert 0.0 <= timings["verdict_s"] <= timings["total_s"]
 
     @pytest.mark.parametrize("env", ["20000", "abc"])
     def test_environment_sets_no_horizon(self, capsys, monkeypatch, env):

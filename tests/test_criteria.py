@@ -6,6 +6,7 @@ Reference values for F, G, and the period constants come from mpmath at
 40 digits; verdict expectations come from exact series thresholds.
 """
 
+import json
 import math
 
 import mpmath
@@ -349,6 +350,17 @@ class TestConditionB:
     def test_small_horizon_rejected(self):
         with pytest.raises(ValueError):
             check_condition_B(PowerLogGrid(gamma=1.0), horizon=100)
+
+    @pytest.mark.parametrize("gamma,eta", [(0.8, 0.0), (0.65, 0.4), (1.0, -0.5)])
+    def test_record_does_not_depend_on_d1(self, gamma, eta):
+        # S_n sums log d_k from k = 2 and the scan starts at H/4, so d1
+        # moves no byte of the record, which the closed forms of B (ROADMAP
+        # items 4 and 13) rely on
+        records = {
+            json.dumps(check_condition_B(PowerLogGrid(gamma, eta, d1), 10**5).to_json(), sort_keys=True)
+            for d1 in (0.5, 1.0, 2.0, 1.7635)
+        }
+        assert len(records) == 1
 
     def test_parity_unbalanced_rho_overflow_is_unknown(self):
         # the max/min gap ratio is 1.083, inside the phase-3 gate, but

@@ -1,13 +1,14 @@
-"""One record of a grid's facts: every verdict on a grid shares its scans.
+"""One record of a grid's facts: every verdict on a grid object shares its scans.
 
 deficiency._GridFacts holds what a verdict reads of the grid alone, each
-scan computed on first read; the tilde ladder that condition B scans is the
-grid's own, grid.tilde, built once per grid object whoever reads it first.
-The sweep builds one record per grid, so condition B runs once per grid
-however many couplings it holds; the battery reads each d = n^-gamma grid
-through one record per top horizon; and a verdict prints the same bytes
-with a shared record as with its own, and on a grid whose ladder another
-reader built as on a fresh one.
+scan computed on first read, and _GridFacts.of(grid, cfg) is the grid
+object's one record per horizon ladder, kept beside its tilde ladder,
+grid.tilde, which condition B scans.  Verdicts on one grid object read one
+condition-B scan, and equal but distinct objects scan again; the sweep's
+columns and verdicts read one record per grid however many couplings it
+holds; the battery reads each d = n^-gamma grid through one grid object
+per top horizon; and a verdict prints the same bytes on a grid object
+that earlier verdicts or readers scanned as on a fresh one.
 """
 
 import dataclasses
@@ -87,32 +88,56 @@ def test_columns_read_B_when_no_verdict_does(capsys, monkeypatch):
     assert cells[0]["u_odd"] == cells[1]["u_odd"] and cells[0]["u_even"] == cells[1]["u_even"]
 
 
-def test_record_of_another_grid_or_ladder_is_refused():
+def test_verdicts_on_one_grid_object_read_one_B_scan(monkeypatch):
+    # the parent design scanned B in each of these verdicts
+    calls = []
+    scan = deficiency.check_condition_B
+
+    def counted(grid, horizon, **kwargs):
+        calls.append(grid)
+        return scan(grid, horizon, **kwargs)
+
+    monkeypatch.setattr(deficiency, "check_condition_B", counted)
+    grid = PowerLogGrid(0.8)
+    verdicts = [deficiency_verdict(grid, ScaledInverseGapsAlpha(grid, a)) for a in (-0.5, -1.5, -0.3)]
+    assert [v.certificate for v in verdicts] == ["periodic-comparison"] * 3
+    assert calls == [grid] and calls[0] is grid
+    # equal but distinct grid objects each scan their own
+    for a in (-0.5, -1.5, -0.3):
+        fresh = PowerLogGrid(0.8)
+        deficiency_verdict(fresh, ScaledInverseGapsAlpha(fresh, a))
+        assert calls[-1] is fresh
+    assert len(calls) == 4
+
+
+def test_each_ladder_reads_its_own_record():
+    # a grid object keeps one record per horizon ladder, keyed by the ladder
     grid, cfg = PowerLogGrid(0.8), VerdictConfig((10**4, 10**5))
-    alpha = ScaledInverseGapsAlpha(grid, 0.5)
-    with pytest.raises(ValueError, match="another grid"):
-        deficiency_verdict(grid, alpha, cfg, facts=_GridFacts(PowerLogGrid(0.8), cfg))
-    with pytest.raises(ValueError, match="another horizon ladder"):
-        deficiency_verdict(grid, alpha, cfg, facts=_GridFacts(grid, VerdictConfig((10**4, 2 * 10**5))))
+    facts = _GridFacts.of(grid, cfg)
+    assert facts.grid is grid and facts.cfg is cfg
+    assert _GridFacts.of(grid, VerdictConfig((10**4, 10**5))) is facts
+    other = _GridFacts.of(grid, VerdictConfig((10**4, 2 * 10**5)))
+    assert other is not facts and other.cfg.horizons == (10**4, 2 * 10**5)
+    assert _GridFacts.of(PowerLogGrid(0.8), cfg) is not facts
 
 
 def test_shared_record_prints_what_an_own_record_prints():
     cfg = VerdictConfig((10**4, 10**5))
-    phase0 = PowerLogGrid(0.3)  # gaps not square-summable
-    grid = PowerLogGrid(0.8)
     cells = {
-        "phase-0": (phase0, ScaledInverseGapsAlpha(phase0, -0.5)),
-        "carleman": (grid, PowerSumAlpha(terms=((2.0, 2.5, 0.0),))),
-        "envelope": (grid, ScaledInverseGapsAlpha(grid, 0.5)),
-        "gated": (grid, ScaledInverseGapsAlpha(grid, -2.0)),
-        "interior": (grid, ScaledInverseGapsAlpha(grid, -0.5)),
-        "oracle": (grid, ScaledInverseGapsAlpha(grid, -1.0)),
+        "phase-0": (0.3, lambda g: ScaledInverseGapsAlpha(g, -0.5)),  # gaps not square-summable
+        "carleman": (0.8, lambda g: PowerSumAlpha(terms=((2.0, 2.5, 0.0),))),
+        "envelope": (0.8, lambda g: ScaledInverseGapsAlpha(g, 0.5)),
+        "gated": (0.8, lambda g: ScaledInverseGapsAlpha(g, -2.0)),
+        "interior": (0.8, lambda g: ScaledInverseGapsAlpha(g, -0.5)),
+        "oracle": (0.8, lambda g: ScaledInverseGapsAlpha(g, -1.0)),
     }
-    shared = {g: _GridFacts(g, cfg) for g in (phase0, grid)}
+    shared = {gamma: PowerLogGrid(gamma) for gamma in (0.3, 0.8)}
     certificates = {}
-    for label, (g, alpha) in cells.items():
-        own = deficiency_verdict(g, alpha, cfg)
-        with_shared = deficiency_verdict(g, alpha, cfg, facts=shared[g])
+    for label, (gamma, make) in cells.items():
+        # the shared grid object's record holds every scan the cells before this one ran
+        with_shared = deficiency_verdict(shared[gamma], make(shared[gamma]), cfg)
+        fresh = PowerLogGrid(gamma)
+        own = deficiency_verdict(fresh, make(fresh), cfg)
         assert json.dumps(with_shared.to_json(), sort_keys=True) == json.dumps(own.to_json(), sort_keys=True), label
         certificates[label] = (own.certificate, own.advisory, own.flags, "condition_B" in own.diagnostics)
     # a grid whose ladder another reader built first, past B's first probed
@@ -164,7 +189,7 @@ def test_cond_b_scans_the_records_ladder(monkeypatch):
         return block(self, *args, **kwargs)
 
     monkeypatch.setattr(TildeSequence, "log_abs_block", counted)
-    facts = _GridFacts(PowerLogGrid(0.8), VerdictConfig((10**4,)))
+    facts = _GridFacts.of(PowerLogGrid(0.8), VerdictConfig((10**4,)))
     facts.cond_b
     assert ladders and all(t is facts.grid.tilde for t in ladders)
 
@@ -225,7 +250,8 @@ def test_a_read_ladder_leaves_value_semantics_alone(make):
     grid, fresh = make(), make()
     before = (hash(grid), repr(grid), grid.describe(), dataclasses.fields(grid))
     grid.tilde.log_abs(10**4)
+    _GridFacts.of(grid, VerdictConfig((10**4,))).cond_b  # the grid's record, kept beside its ladder
     assert (hash(grid), repr(grid), grid.describe(), dataclasses.fields(grid)) == before
     assert grid == fresh and hash(grid) == hash(fresh) and repr(grid) == repr(fresh)
     copy = dataclasses.replace(grid)
-    assert copy == grid and "tilde" not in vars(copy)
+    assert copy == grid and "tilde" not in vars(copy) and "_grid_facts" not in vars(copy)

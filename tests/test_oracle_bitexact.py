@@ -518,6 +518,30 @@ def test_lean_chunks_equal_the_guarded_march(op, lam, N):
     assert sol.head.tobytes() == guarded.head.tobytes()
 
 
+# gamma = 0.7, d1 = 0.9, a = -2 rescales at +i, so its march replays the
+# chunk at 32769; the band edge and the non-O(d) coupling -1.3 n^0.45 are
+# analyze-oracle inputs
+EDGE_RESCALING = scaled(0.7, -2.0, d1=0.9)
+NOT_O_D = JacobiOperator(PowerLogGrid(0.6), PowerSumAlpha(terms=((-1.3, 0.45, 0.0),)))
+
+
+@pytest.mark.parametrize(
+    "op,lam",
+    [(EDGE_RESCALING, 1j), (EDGE_RESCALING, 0.0), (BAND_EDGE, 1j), (NOT_O_D, 1j)],
+    ids=["replayed", "real", "band-edge", "not-O(d)"],
+)
+def test_no_output_bit_depends_on_the_march_chunk(op, lam):
+    # _CHUNK bounds a chunk's memory: the masses are one sequential sum
+    # and the march one row at a time, wherever the chunks are cut
+    sol, starts = replays(op, lam, 2**16)
+    with mock.patch.object(deficiency, "_CHUNK", 8192):
+        wide = solve_recurrence(op, lam, 2**16)
+    assert _CHUNK == 2048 and (starts == [32769]) == (op is EDGE_RESCALING and lam == 1j)
+    assert dump(wide) == dump(sol)
+    assert wide.head.tobytes() == sol.head.tobytes()
+    assert wide.meta == sol.meta
+
+
 def test_march_reads_each_gap_once_for_its_entries():
     # the entries read each chunk's rows and three more, ScaledInverseGapsAlpha
     # its rows and one more: 131,196 gap rows, where separate diag and off
